@@ -1,17 +1,22 @@
 // Micro-benchmark of the snn::kernels hot-loop layer in isolation:
 // sparse blocked drive accumulation vs the naive one-row-at-a-time
-// reference, and the branch-free fast-path neuron update vs the scalar
-// fault-aware loop it replaces.
+// reference, and the excitatory update's two layer loops vs the scalar
+// oracle (kernels::exc_update_reference):
+//   * the identity loop, on a layer with no faulted neuron;
+//   * the fault-aware loop, on a layer whose every neuron carries a
+//     threshold fault (whole-layer drift, as in train-under-fault).
 //
 //   $ ./bench_kernel [--quick] [--neurons=100] [--inputs=784]
 //                    [--active-fraction=0.1] [--out=BENCH_kernel.json]
 //
-// Both comparisons are checked for bit-identity before timing is
+// Every comparison is checked for bit-identity before timing is
 // reported — a speedup over a kernel that computes something different
 // would be meaningless. Emits BENCH_kernel.json with the dimensionless
-// `drive_speedup` / `update_speedup` ratios (gated by tools/bench_compare
-// against bench/baselines/BENCH_kernel.json) plus absolute rates
-// (row-accumulations/s, neuron-steps/s) for context.
+// `drive_speedup`, `update_speedup` (oracle vs identity loop) and
+// `fault_update_speedup` (oracle vs fault-aware loop) ratios, each gated
+// by tools/bench_compare against bench/baselines/BENCH_kernel.json, so a
+// loop that stops vectorizing fails the gate. Absolute rates
+// (row-accumulations/s, ns per neuron-step) are recorded for context.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -37,65 +42,26 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
         .count();
 }
 
-/// The pre-kernel scalar neuron update: per-element fault-state reads and
-/// branches with all fault values at identity — exactly the loop the fast
-/// path replaces in NetworkRuntime::advance_step, so fast-vs-scalar here
-/// measures (and verifies) the real production dispatch.
-struct ScalarExcState {
-    std::vector<float> thresh_scale;
-    std::vector<float> input_gain;
-    std::vector<float> drive_gain;
+/// A layer's fault arrays: every neuron's threshold distance scaled by
+/// `thresh_scale` (1 = the identity), everything else nominal.
+struct Faults {
+    std::vector<float> thresh_scale, input_gain, drive_gain;
     std::vector<std::uint8_t> forced;
-    std::vector<std::int32_t> refrac_override;
+    std::vector<std::int32_t> refrac_period;
+    std::vector<std::uint32_t> patch;
 
-    explicit ScalarExcState(std::size_t n)
-        : thresh_scale(n, 1.0f), input_gain(n, 1.0f), drive_gain(n, 1.0f),
-          forced(n, 0), refrac_override(n, -1) {}
-};
-
-std::size_t scalar_exc_step(const kernels::ExcParams& p,
-                            const ScalarExcState& st, const float* drive,
-                            const std::uint8_t* inh_spiked,
-                            std::size_t inh_total, float* v,
-                            std::int32_t* refrac, float* theta,
-                            std::uint8_t* spiked, std::size_t n) {
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        float x = drive[i];
-        if (p.gain_active) x *= p.driver_gain;
-        x *= st.drive_gain[i];
-        if (inh_total > 0) {
-            x += p.w_inh * (static_cast<float>(inh_total) -
-                            static_cast<float>(inh_spiked[i]));
+    Faults(std::size_t n, float scale, std::int32_t refrac_steps)
+        : thresh_scale(n, scale), input_gain(n, 1.0f), drive_gain(n, 1.0f),
+          forced(n, 0), refrac_period(n, refrac_steps) {
+        if (scale != 1.0f) {
+            for (std::uint32_t i = 0; i < n; ++i) patch.push_back(i);
         }
-        theta[i] *= p.theta_decay;
-        std::uint8_t spike = 0;
-        if (st.forced[i] == 1 || st.forced[i] == 2) {
-            // never taken here; keeps the branch structure of the real loop
-            v[i] = p.v_rest;
-        } else if (refrac[i] > 0) {
-            --refrac[i];
-            v[i] = p.v_reset;
-        } else {
-            float vi = p.v_rest + p.decay * (v[i] - p.v_rest);
-            vi += st.input_gain[i] * x;
-            const float threshold =
-                p.v_rest + (p.thresh_base - p.v_rest) * st.thresh_scale[i] +
-                theta[i];
-            if (vi >= threshold) {
-                spike = 1;
-                vi = p.v_reset;
-                refrac[i] = st.refrac_override[i] >= 0 ? st.refrac_override[i]
-                                                       : p.refrac_steps;
-                theta[i] += p.theta_plus;
-            }
-            v[i] = vi;
-        }
-        spiked[i] = spike;
-        count += spike;
     }
-    return count;
-}
+    kernels::LayerFaults view() const {
+        return {thresh_scale.data(), input_gain.data(), drive_gain.data(),
+                forced.data(),       refrac_period.data(), patch};
+    }
+};
 
 }  // namespace
 
@@ -181,27 +147,26 @@ int main(int argc, char** argv) {
         static_cast<double>(total_rows * passes) / blocked_s;
     const double drive_speedup = blocked_s > 0.0 ? naive_s / blocked_s : 0.0;
 
-    // --- neuron update: branch-free fast path vs scalar loop -------------
-    kernels::ExcParams p;
-    p.v_rest = -65.0f;
-    p.v_reset = -60.0f;
-    p.decay = std::exp(-1.0f / 100.0f);
-    p.thresh_base = p.v_rest + (-52.0f - p.v_rest);
-    p.theta_decay = std::exp(-1.0f / 1e7f);
-    p.theta_plus = 0.05f;
-    p.refrac_steps = 5;
-    p.driver_gain = 1.0f;
-    p.gain_active = false;
-    p.w_inh = -17.5f;
-    ScalarExcState st(n);
+    // --- neuron update: both layer loops vs the scalar oracle ------------
+    const kernels::ExcParams p{.v_rest = -65.0f, .v_reset = -60.0f,
+                               .decay = std::exp(-1.0f / 100.0f), .thresh_span = 13.0f,
+                               .theta_decay = std::exp(-1.0f / 1e7f),
+                               .theta_plus = 0.05f, .refrac_steps = 5, .w_inh = -17.5f};
     struct Neurons {
         std::vector<float> v, theta;
         std::vector<std::int32_t> refrac;
         std::vector<std::uint8_t> spiked, inh_spiked;
+        std::vector<kernels::NeuronState> save;
         std::size_t inh_total = 0;
         explicit Neurons(std::size_t n_, float v_rest)
             : v(n_, v_rest), theta(n_, 0.0f), refrac(n_, 0), spiked(n_, 0),
-              inh_spiked(n_, 0) {}
+              inh_spiked(n_, 0), save(n_) {}
+        bool operator==(const Neurons& other) const {
+            return std::memcmp(v.data(), other.v.data(), v.size() * sizeof(float)) == 0 &&
+                   std::memcmp(theta.data(), other.theta.data(),
+                               theta.size() * sizeof(float)) == 0 &&
+                   spiked == other.spiked && refrac == other.refrac;
+        }
     };
     // Drive sweeps reuse the per-step accumulated inputs so the update
     // kernel sees realistic spiking dynamics, not a constant input.
@@ -218,62 +183,73 @@ int main(int argc, char** argv) {
                                       neurons.spiked.end());
         }
     };
-    const auto fast_fn = [&](Neurons& ne) {
-        return kernels::exc_fast_step(p, drive.data(), ne.inh_spiked.data(),
-                                      ne.inh_total, ne.v.data(),
-                                      ne.refrac.data(), ne.theta.data(),
-                                      ne.spiked.data(), n);
+    // Per-sweep update time of the kernel and of the oracle over `faults`,
+    // after checking that they agree over the full dynamic state. Both
+    // timed loops include the same drive accumulation; subtracting the
+    // measured drive cost isolates the update.
+    struct UpdateTiming {
+        double kernel_s = 0.0;
+        double oracle_s = 0.0;
     };
-    const auto scalar_fn = [&](Neurons& ne) {
-        return scalar_exc_step(p, st, drive.data(), ne.inh_spiked.data(),
-                               ne.inh_total, ne.v.data(), ne.refrac.data(),
-                               ne.theta.data(), ne.spiked.data(), n);
+    const auto time_update = [&](const Faults& faults, UpdateTiming& timing) {
+        const kernels::LayerFaults view = faults.view();
+        const auto kernel_fn = [&](Neurons& ne) {
+            return kernels::exc_update(p, view, drive.data(), ne.inh_spiked.data(),
+                                       ne.inh_total, ne.v.data(), ne.refrac.data(),
+                                       ne.theta.data(), ne.spiked.data(), n,
+                                       ne.save.data());
+        };
+        const auto oracle_fn = [&](Neurons& ne) {
+            return kernels::exc_update_reference(
+                p, view, drive.data(), ne.inh_spiked.data(), ne.inh_total,
+                ne.v.data(), ne.refrac.data(), ne.theta.data(), ne.spiked.data(), n);
+        };
+        Neurons kernel_state(n, p.v_rest);
+        Neurons oracle_state(n, p.v_rest);
+        sweep_update(kernel_state, kernel_fn);
+        sweep_update(oracle_state, oracle_fn);
+        if (!(kernel_state == oracle_state)) return false;
+        double kernel_s = 1e300;
+        double oracle_s = 1e300;
+        for (std::size_t rep = 0; rep < reps; ++rep) {
+            auto start = std::chrono::steady_clock::now();
+            for (std::size_t q = 0; q < passes; ++q)
+                sweep_update(kernel_state, kernel_fn);
+            kernel_s = std::min(kernel_s, seconds_since(start));
+            start = std::chrono::steady_clock::now();
+            for (std::size_t q = 0; q < passes; ++q)
+                sweep_update(oracle_state, oracle_fn);
+            oracle_s = std::min(oracle_s, seconds_since(start));
+        }
+        const double drive_cost_s = blocked_s / static_cast<double>(passes);
+        timing.kernel_s =
+            std::max(1e-12, kernel_s / static_cast<double>(passes) - drive_cost_s);
+        timing.oracle_s =
+            std::max(1e-12, oracle_s / static_cast<double>(passes) - drive_cost_s);
+        return true;
     };
-    // Equivalence first, over the full dynamic state.
-    Neurons fast_state(n, p.v_rest);
-    Neurons scalar_state(n, p.v_rest);
-    sweep_update(fast_state, fast_fn);
-    sweep_update(scalar_state, scalar_fn);
-    if (std::memcmp(fast_state.v.data(), scalar_state.v.data(),
-                    n * sizeof(float)) != 0 ||
-        std::memcmp(fast_state.theta.data(), scalar_state.theta.data(),
-                    n * sizeof(float)) != 0 ||
-        fast_state.spiked != scalar_state.spiked ||
-        fast_state.refrac != scalar_state.refrac) {
-        std::cerr << "error: fast-path neuron update diverges from the "
-                     "scalar reference — nothing to benchmark\n";
+    UpdateTiming identity;
+    UpdateTiming faulted;
+    if (!time_update(Faults(n, 1.0f, p.refrac_steps), identity) ||
+        !time_update(Faults(n, 0.9f, p.refrac_steps), faulted)) {
+        std::cerr << "error: a neuron-update loop diverges from the scalar "
+                     "oracle — nothing to benchmark\n";
         return 1;
     }
-    double fast_s = 1e300;
-    double scalar_s = 1e300;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-        auto start = std::chrono::steady_clock::now();
-        for (std::size_t q = 0; q < passes; ++q) sweep_update(fast_state, fast_fn);
-        fast_s = std::min(fast_s, seconds_since(start));
-        start = std::chrono::steady_clock::now();
-        for (std::size_t q = 0; q < passes; ++q)
-            sweep_update(scalar_state, scalar_fn);
-        scalar_s = std::min(scalar_s, seconds_since(start));
-    }
-    // Both timed loops include the same drive accumulation; subtracting
-    // the measured drive cost isolates the update kernels.
-    const double drive_cost_s = blocked_s / static_cast<double>(passes);
-    const double fast_update_s =
-        std::max(1e-12, fast_s / static_cast<double>(passes) - drive_cost_s);
-    const double scalar_update_s =
-        std::max(1e-12, scalar_s / static_cast<double>(passes) - drive_cost_s);
-    const double update_speedup = scalar_update_s / fast_update_s;
-    const double neuron_steps_per_s =
-        static_cast<double>(n * steps) / fast_update_s;
+    const double update_speedup = identity.oracle_s / identity.kernel_s;
+    const double fault_update_speedup = faulted.oracle_s / faulted.kernel_s;
+    const double neuron_steps = static_cast<double>(n * steps);
+    const auto ns_per_step = [&](double s) { return s / neuron_steps * 1e9; };
 
     // --- report -----------------------------------------------------------
     util::ResultTable table(
-        "snn kernels — blocked drive + branch-free update vs references",
+        "snn kernels — blocked drive + layer-update loops vs references",
         {"inputs", "neurons", "drive_speedup", "rows_per_s", "update_speedup",
-         "neuron_steps_per_s"});
+         "fault_update_speedup", "identity_ns", "fault_ns", "oracle_ns"});
     table.add_row({static_cast<double>(n_pre), static_cast<double>(n),
-                   drive_speedup, rows_per_s, update_speedup,
-                   neuron_steps_per_s});
+                   drive_speedup, rows_per_s, update_speedup, fault_update_speedup,
+                   ns_per_step(identity.kernel_s), ns_per_step(faulted.kernel_s),
+                   ns_per_step(identity.oracle_s)});
     std::cout << table;
 
     std::ostringstream json;
@@ -286,11 +262,16 @@ int main(int argc, char** argv) {
          << ",\"naive_ms\":" << util::json_number(naive_s * 1000.0)
          << ",\"drive_speedup\":" << util::json_number(drive_speedup)
          << ",\"rows_per_s\":" << util::json_number(rows_per_s)
-         << "},\"update\":{\"fast_ms\":"
-         << util::json_number(fast_update_s * 1000.0)
-         << ",\"scalar_ms\":" << util::json_number(scalar_update_s * 1000.0)
+         << "},\"update\":{\"identity_ns_per_step\":"
+         << util::json_number(ns_per_step(identity.kernel_s))
+         << ",\"oracle_ns_per_step\":"
+         << util::json_number(ns_per_step(identity.oracle_s))
          << ",\"update_speedup\":" << util::json_number(update_speedup)
-         << ",\"neuron_steps_per_s\":" << util::json_number(neuron_steps_per_s)
+         << "},\"fault_update\":{\"fault_ns_per_step\":"
+         << util::json_number(ns_per_step(faulted.kernel_s))
+         << ",\"oracle_ns_per_step\":"
+         << util::json_number(ns_per_step(faulted.oracle_s))
+         << ",\"fault_update_speedup\":" << util::json_number(fault_update_speedup)
          << "}}";
     const std::string out_path = parser.get("out");
     std::ofstream out(out_path);

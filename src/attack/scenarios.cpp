@@ -76,15 +76,15 @@ AttackOutcome AttackSuite::evaluate(const FaultSpec& fault) {
 }
 
 AttackOutcome AttackSuite::evaluate_inference_only(const FaultSpec& fault) {
-    // Train clean, then inject the fault and re-evaluate with frozen
-    // weights and frozen assignments (ablation mode; see DESIGN.md).
-    snn::NetworkRuntime runtime(seed_model());
-    snn::Trainer trainer(runtime, config_.eval_window);
-    (void)trainer.run(dataset_);  // clean training pass
+    // Start from the clean-trained baseline, then inject the fault and
+    // re-evaluate with frozen weights and frozen assignments (ablation
+    // mode; see DESIGN.md). The baseline model carries the trained
+    // weights, theta and the post-training encoder stream, so this equals
+    // retraining clean here. run()/run_many() train it before forking.
+    snn::NetworkRuntime runtime(baseline_model());
 
     constexpr std::size_t kNumClasses = 10;
     snn::ActivityClassifier classifier(config_.network.n_neurons, kNumClasses);
-    runtime.set_learning(false);
     // Clean inference pass establishes assignments.
     std::vector<snn::SampleActivity> clean;
     clean.reserve(dataset_.size());

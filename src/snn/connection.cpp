@@ -84,31 +84,4 @@ void DenseConnection::reset_traces() {
     trace_post_.assign(trace_post_.size(), 0.0f);
 }
 
-void OneToOneConnection::propagate(std::span<const std::uint8_t> pre_spiked,
-                                   std::span<float> out) const {
-    if (pre_spiked.size() != n_ || out.size() != n_)
-        throw std::invalid_argument("OneToOneConnection::propagate: size mismatch");
-    for (std::size_t i = 0; i < n_; ++i) {
-        if (pre_spiked[i]) out[i] += weight_;
-    }
-}
-
-void LateralInhibitionConnection::propagate(std::span<const std::uint8_t> pre_spiked,
-                                            std::span<float> out) const {
-    if (pre_spiked.size() != n_ || out.size() != n_)
-        throw std::invalid_argument(
-            "LateralInhibitionConnection::propagate: size mismatch");
-    std::size_t total_spikes = 0;
-    for (const std::uint8_t s : pre_spiked) total_spikes += s;
-    if (total_spikes == 0) return;
-    // Uniform weights: each post neuron receives w * (total minus its own
-    // pre partner's spike).
-    const float w = weight_;
-    for (std::size_t i = 0; i < n_; ++i) {
-        const float contributions =
-            static_cast<float>(total_spikes) - static_cast<float>(pre_spiked[i]);
-        out[i] += w * contributions;
-    }
-}
-
 }  // namespace snnfi::snn

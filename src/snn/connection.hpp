@@ -4,8 +4,10 @@
 //   excitatory --(one-to-one, fixed)--> inhibitory
 //   inhibitory --(all-but-self, fixed negative)--> excitatory
 //
-// Propagation is event-driven: only rows of spiking pre-neurons are
-// touched, which keeps the 784x100 training loop fast.
+// Only the learned dense connection is a class; the two fixed ones are
+// terms of the neuron update in snn/kernels.hpp. Propagation is
+// event-driven: only rows of spiking pre-neurons are touched, which keeps
+// the 784x100 training loop fast.
 #pragma once
 
 #include <cstddef>
@@ -76,38 +78,6 @@ private:
     bool learning_enabled_ = true;
     std::vector<float> trace_pre_;
     std::vector<float> trace_post_;
-};
-
-/// Fixed-weight one-to-one excitation (EL -> IL).
-class OneToOneConnection {
-public:
-    OneToOneConnection(std::size_t n, float weight) : n_(n), weight_(weight) {}
-    std::size_t size() const noexcept { return n_; }
-    float weight() const noexcept { return weight_; }
-
-    void propagate(std::span<const std::uint8_t> pre_spiked,
-                   std::span<float> out) const;
-
-private:
-    std::size_t n_;
-    float weight_;
-};
-
-/// Fixed uniform lateral inhibition: every pre spike contributes `weight`
-/// (negative) to every post neuron except its own index. Uniformity lets
-/// propagation run in O(n) per step regardless of spike count.
-class LateralInhibitionConnection {
-public:
-    LateralInhibitionConnection(std::size_t n, float weight) : n_(n), weight_(weight) {}
-    std::size_t size() const noexcept { return n_; }
-    float weight() const noexcept { return weight_; }
-
-    void propagate(std::span<const std::uint8_t> pre_spiked,
-                   std::span<float> out) const;
-
-private:
-    std::size_t n_;
-    float weight_;
 };
 
 }  // namespace snnfi::snn

@@ -1,13 +1,17 @@
 #include "snn/kernels.hpp"
 
+#include <type_traits>
+
 namespace snnfi::snn::kernels {
 
 namespace {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SNNFI_RESTRICT __restrict__
+#define SNNFI_NOINLINE [[gnu::noinline]]
 #else
 #define SNNFI_RESTRICT
+#define SNNFI_NOINLINE
 #endif
 
 /// Blocked accumulation over an abstract row lookup. The unroll factor
@@ -39,6 +43,85 @@ void accumulate_blocked(RowAt row_at, std::span<const std::uint32_t> active,
     }
 }
 
+// The layer loops take their parameter structs by value: the copies live
+// in registers, so a field that feeds one arm of a select is not a
+// memory load the vectorizer would have to prove safe to speculate. They
+// stay out of line so each instantiation is its own symbol, and whether
+// it vectorized can be read off the disassembly.
+
+template <bool kFaults>
+SNNFI_NOINLINE std::size_t exc_loop(const ExcParams p, const LayerFaults f,
+                                    const float* SNNFI_RESTRICT drive,
+                                    const std::uint8_t* SNNFI_RESTRICT inh_spiked,
+                                    float inh_total, float* SNNFI_RESTRICT v,
+                                    std::int32_t* SNNFI_RESTRICT refrac,
+                                    float* SNNFI_RESTRICT theta,
+                                    std::uint8_t* SNNFI_RESTRICT spiked, std::size_t n) {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        NeuronState s{v[i], refrac[i], theta[i]};
+        const int spike =
+            exc_neuron<kFaults>(p, f, i, drive[i], inh_total, inh_spiked[i], s);
+        v[i] = s.v;
+        refrac[i] = s.refrac;
+        theta[i] = s.theta;
+        spiked[i] = static_cast<std::uint8_t>(spike);
+        count += static_cast<std::size_t>(spike);
+    }
+    return count;
+}
+
+template <bool kFaults>
+SNNFI_NOINLINE std::size_t inh_loop(const InhParams p, const LayerFaults f,
+                                    const std::uint8_t* SNNFI_RESTRICT exc_spiked,
+                                    float* SNNFI_RESTRICT v,
+                                    std::int32_t* SNNFI_RESTRICT refrac,
+                                    std::uint8_t* SNNFI_RESTRICT spiked, std::size_t n) {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        NeuronState s{v[i], refrac[i], 0.0f};
+        const int spike = inh_neuron<kFaults>(p, f, i, exc_spiked[i], s);
+        v[i] = s.v;
+        refrac[i] = s.refrac;
+        spiked[i] = static_cast<std::uint8_t>(spike);
+        count += static_cast<std::size_t>(spike);
+    }
+    return count;
+}
+
+/// Runs one layer step in the shape the patch list picks. The redo shape
+/// runs the identity loop over the whole layer, then redoes the patched
+/// neurons from the state they had before it — neurons are independent
+/// within a step, so the redo composes bit-identically with the loop's
+/// output for every other neuron. `loop(std::bool_constant<kFaults>)` runs
+/// a layer loop; `redo(i, state)` steps neuron i fault-aware. `theta` is
+/// null for the inhibitory layer.
+template <class Loop, class Redo>
+std::size_t update_layer(const LayerFaults& f, std::size_t n, NeuronState* save,
+                         float* v, std::int32_t* refrac, float* theta,
+                         std::uint8_t* spiked, Loop loop, Redo redo) {
+    // Each redo is a scalar fault-aware step on top of the identity loop;
+    // past n/8 of the layer the single fault-aware pass is the cheaper one.
+    if (f.patch.size() * 8 > n) return loop(std::true_type{});
+    for (std::size_t k = 0; k < f.patch.size(); ++k) {
+        const std::uint32_t i = f.patch[k];
+        save[k] = {v[i], refrac[i], theta ? theta[i] : 0.0f};
+    }
+    std::size_t count = loop(std::false_type{});
+    for (std::size_t k = 0; k < f.patch.size(); ++k) {
+        const std::uint32_t i = f.patch[k];
+        NeuronState s = save[k];
+        const int spike = redo(i, s);
+        count -= static_cast<std::size_t>(spiked[i]);
+        count += static_cast<std::size_t>(spike);
+        v[i] = s.v;
+        refrac[i] = s.refrac;
+        if (theta) theta[i] = s.theta;
+        spiked[i] = static_cast<std::uint8_t>(spike);
+    }
+    return count;
+}
+
 }  // namespace
 
 void accumulate_rows(const float* const* rows,
@@ -64,84 +147,98 @@ void accumulate_rows_reference(const float* const* rows,
     }
 }
 
-std::size_t exc_fast_step(const ExcParams& p, const float* SNNFI_RESTRICT drive,
-                          const std::uint8_t* SNNFI_RESTRICT inh_spiked,
-                          std::size_t inh_total, float* SNNFI_RESTRICT v,
-                          std::int32_t* SNNFI_RESTRICT refrac,
-                          float* SNNFI_RESTRICT theta,
-                          std::uint8_t* SNNFI_RESTRICT spiked, std::size_t n) {
-    // Straight-line body: any `if` inside the loop defeats vectorization
-    // (GCC reports "control flow in loop"), so the two inactive cases are
-    // folded into arithmetic identities instead of branches. `x *= 1.0f`
-    // is bitwise a no-op, and with inh_total == 0 every inh_spiked[i] is
-    // 0, so the inhibition term contributes w_inh * 0.0f = +/-0.0 — an
-    // additive identity here (vi sits near v_rest, never at zero, so even
-    // the sign-of-zero corner cannot reach the stored state).
-    //
-    // Every p.* field is copied to a local before the loop: a field read
-    // that only feeds one arm of a select gets sunk into a conditional
-    // block, and if-conversion then refuses to hoist the "could trap"
-    // memory access — which silently de-vectorizes the whole loop.
-    const float gain = p.gain_active ? p.driver_gain : 1.0f;
-    const float inh_total_f = static_cast<float>(inh_total);
-    const float w_inh = p.w_inh;
-    const float v_rest = p.v_rest;
-    const float v_reset = p.v_reset;
-    const float decay = p.decay;
-    const float thresh_base = p.thresh_base;
-    const float theta_decay = p.theta_decay;
-    const float theta_plus = p.theta_plus;
-    const std::int32_t refrac_steps = p.refrac_steps;
+std::size_t exc_update(const ExcParams& p, const LayerFaults& f, const float* drive,
+                       const std::uint8_t* inh_spiked, std::size_t inh_total,
+                       float* v, std::int32_t* refrac, float* theta,
+                       std::uint8_t* spiked, std::size_t n, NeuronState* save) {
+    const float total = static_cast<float>(inh_total);
+    return update_layer(
+        f, n, save, v, refrac, theta, spiked,
+        [&](auto faults) {
+            return exc_loop<decltype(faults)::value>(p, f, drive, inh_spiked, total, v,
+                                                     refrac, theta, spiked, n);
+        },
+        [&](std::uint32_t i, NeuronState& s) {
+            return exc_neuron<true>(p, f, i, drive[i], total, inh_spiked[i], s);
+        });
+}
+
+std::size_t inh_update(const InhParams& p, const LayerFaults& f,
+                       const std::uint8_t* exc_spiked, float* v,
+                       std::int32_t* refrac, std::uint8_t* spiked, std::size_t n,
+                       NeuronState* save) {
+    return update_layer(
+        f, n, save, v, refrac, nullptr, spiked,
+        [&](auto faults) {
+            return inh_loop<decltype(faults)::value>(p, f, exc_spiked, v, refrac,
+                                                     spiked, n);
+        },
+        [&](std::uint32_t i, NeuronState& s) {
+            return inh_neuron<true>(p, f, i, exc_spiked[i], s);
+        });
+}
+
+std::size_t exc_update_reference(const ExcParams& p, const LayerFaults& f,
+                                 const float* drive, const std::uint8_t* inh_spiked,
+                                 std::size_t inh_total, float* v,
+                                 std::int32_t* refrac, float* theta,
+                                 std::uint8_t* spiked, std::size_t n) {
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        float x = drive[i];
-        x *= gain;
-        x += w_inh * (inh_total_f - static_cast<float>(inh_spiked[i]));
-        const float th = theta[i] * theta_decay;
-        const float th_plus = th + theta_plus;
-        const std::int32_t rc = refrac[i];
-        const int in_refrac = rc > 0;
-        float vi = v_rest + decay * (v[i] - v_rest);
-        vi += x;
-        const int spike =
-            static_cast<int>(vi >= thresh_base + th) & (1 - in_refrac);
-        v[i] = (in_refrac | spike) ? v_reset : vi;
-        // Not spiking: a refractory neuron counts down, an idle one holds
-        // at 0 (rc - 1 would be -1; the max folds both into one select).
-        const std::int32_t rc_down = rc > 1 ? rc - 1 : 0;
-        refrac[i] = spike ? refrac_steps : rc_down;
-        theta[i] = spike ? th_plus : th;
-        spiked[i] = static_cast<std::uint8_t>(spike);
-        count += static_cast<std::size_t>(spike);
+        float x = drive[i] * p.driver_gain * f.drive_gain[i];
+        if (inh_total > 0) {
+            x += p.w_inh * (static_cast<float>(inh_total) -
+                            static_cast<float>(inh_spiked[i]));
+        }
+        theta[i] *= p.theta_decay;
+        spiked[i] = 0;
+        if (f.forced[i] == kDeadState) {
+            v[i] = p.v_rest;
+        } else if (f.forced[i] == kSaturatedState) {
+            spiked[i] = 1;
+            v[i] = p.v_reset;
+        } else if (refrac[i] > 0) {
+            --refrac[i];
+            v[i] = p.v_reset;
+        } else {
+            v[i] = p.v_rest + p.decay * (v[i] - p.v_rest) + f.input_gain[i] * x;
+            if (v[i] >= p.v_rest + p.thresh_span * f.thresh_scale[i] + theta[i]) {
+                spiked[i] = 1;
+                v[i] = p.v_reset;
+                refrac[i] = f.refrac_period[i];
+            }
+        }
+        if (spiked[i]) theta[i] += p.theta_plus;
+        count += spiked[i];
     }
     return count;
 }
 
-std::size_t inh_fast_step(const InhParams& p,
-                          const std::uint8_t* SNNFI_RESTRICT exc_spiked,
-                          float* SNNFI_RESTRICT v,
-                          std::int32_t* SNNFI_RESTRICT refrac,
-                          std::uint8_t* SNNFI_RESTRICT spiked, std::size_t n) {
-    const float w_exc = p.w_exc;
-    const float v_rest = p.v_rest;
-    const float v_reset = p.v_reset;
-    const float decay = p.decay;
-    const float thresh_base = p.thresh_base;
-    const std::int32_t refrac_steps = p.refrac_steps;
+std::size_t inh_update_reference(const InhParams& p, const LayerFaults& f,
+                                 const std::uint8_t* exc_spiked, float* v,
+                                 std::int32_t* refrac, std::uint8_t* spiked,
+                                 std::size_t n) {
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const float x = exc_spiked[i] ? w_exc : 0.0f;
-        const std::int32_t rc = refrac[i];
-        const int in_refrac = rc > 0;
-        float vi = v_rest + decay * (v[i] - v_rest);
-        vi += x;
-        const int spike =
-            static_cast<int>(vi >= thresh_base) & (1 - in_refrac);
-        v[i] = (in_refrac | spike) ? v_reset : vi;
-        const std::int32_t rc_down = rc > 1 ? rc - 1 : 0;
-        refrac[i] = spike ? refrac_steps : rc_down;
-        spiked[i] = static_cast<std::uint8_t>(spike);
-        count += static_cast<std::size_t>(spike);
+        const float x = exc_spiked[i] ? p.w_exc : 0.0f;
+        spiked[i] = 0;
+        if (f.forced[i] == kDeadState) {
+            v[i] = p.v_rest;
+        } else if (f.forced[i] == kSaturatedState) {
+            spiked[i] = 1;
+            v[i] = p.v_reset;
+        } else if (refrac[i] > 0) {
+            --refrac[i];
+            v[i] = p.v_reset;
+        } else {
+            v[i] = p.v_rest + p.decay * (v[i] - p.v_rest) + f.input_gain[i] * x;
+            if (v[i] >= p.v_rest + p.thresh_span * f.thresh_scale[i]) {
+                spiked[i] = 1;
+                v[i] = p.v_reset;
+                refrac[i] = f.refrac_period[i];
+            }
+        }
+        count += spiked[i];
     }
     return count;
 }

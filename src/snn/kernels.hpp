@@ -22,21 +22,34 @@
 // the block schedule and of the worker-thread count (accumulation is
 // always per-runtime, single-threaded).
 //
-// The *_fast_step kernels are the branch-free predicated fast path of the
-// neuron update, valid only when no per-neuron fault state is live (all
-// gains 1, no forced states, no refractory overrides — the clean-replica
-// and weight-fault case). Under that precondition they are bit-identical
-// to the scalar fault-aware loop in NetworkRuntime::advance_step: every
-// arithmetic expression has the same shape and evaluation order, and the
-// identities the fast path relies on (1.0f * x == x, scale-by-1 folding)
-// hold bitwise in IEEE-754. NetworkRuntime re-derives the fast-path
-// eligibility ("dirty summary") once per overlay/schedule-segment swap,
-// never per step.
+// The neuron update is written once per layer, as the per-neuron
+// functions exc_neuron<kFaults> / inh_neuron<kFaults>: straight-line
+// predicated selects, so a loop over them vectorizes. With kFaults = false
+// they read no fault array (the identity fault state); with kFaults = true
+// they read the layer's per-neuron thresh_scale, input_gain, drive_gain,
+// forced state and refractory period. The two agree bit for bit on a
+// neuron whose fault state is the identity, because multiplying by 1.0f
+// and scaling the threshold distance by 1.0f are exact in IEEE-754.
+// exc_update / inh_update run a layer step in one of two shapes, picked
+// from the layer's patch list (the neurons whose fault state is not the
+// identity): a short list runs the identity loop over the layer and then
+// redoes just the patched neurons from their saved pre-step state; a long
+// one runs the fault-aware loop over the whole layer. The scalar
+// *_update_reference oracles restate the rule with branches and are what
+// the tests and bench_kernel check both shapes against.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+
+#include "snn/nodes.hpp"
+
+#if defined(__GNUC__) || defined(__clang__)
+#define SNNFI_ALWAYS_INLINE [[gnu::always_inline]] inline
+#else
+#define SNNFI_ALWAYS_INLINE inline
+#endif
 
 namespace snnfi::snn::kernels {
 
@@ -72,47 +85,172 @@ void accumulate_rows_reference(const float* const* rows,
                                std::span<const std::uint32_t> active,
                                float* out, std::size_t n);
 
-/// Excitatory (DiehlCook) fast-path parameters, all loop-invariant.
-/// thresh_base must be computed as v_rest + (v_thresh - v_rest) — the
-/// same expression (and rounding) the scalar path evaluates with a
-/// threshold scale of 1.
+/// Excitatory (DiehlCook) layer parameters, all loop-invariant.
 struct ExcParams {
     float v_rest = 0.0f;
     float v_reset = 0.0f;
     float decay = 0.0f;        ///< exp(-dt/tau)
-    float thresh_base = 0.0f;  ///< v_rest + (v_thresh - v_rest)
+    float thresh_span = 0.0f;  ///< v_thresh - v_rest
     float theta_decay = 1.0f;
     float theta_plus = 0.0f;
     std::int32_t refrac_steps = 0;
-    float driver_gain = 1.0f;  ///< network-wide (uniform) driver gain
-    bool gain_active = false;  ///< multiply drive by driver_gain
+    float driver_gain = 1.0f;  ///< network-wide driver gain
     float w_inh = 0.0f;        ///< lateral inhibition weight
 };
 
-/// One branch-free excitatory step over `n` neurons: drive + uniform
-/// driver gain + lateral inhibition + leak + adaptive threshold + spike /
-/// reset / refractory / theta bump, all predicated selects. Returns the
-/// spike count. Precondition: no per-neuron fault state is live.
-std::size_t exc_fast_step(const ExcParams& p, const float* drive,
-                          const std::uint8_t* inh_spiked, std::size_t inh_total,
-                          float* v, std::int32_t* refrac, float* theta,
-                          std::uint8_t* spiked, std::size_t n);
-
-/// Inhibitory fast-path parameters (plain LIF, one-to-one EL drive).
+/// Inhibitory (plain LIF, one-to-one EL drive) layer parameters.
 struct InhParams {
     float v_rest = 0.0f;
     float v_reset = 0.0f;
     float decay = 0.0f;
-    float thresh_base = 0.0f;  ///< v_rest + (v_thresh - v_rest)
+    float thresh_span = 0.0f;  ///< v_thresh - v_rest
     std::int32_t refrac_steps = 0;
     float w_exc = 0.0f;  ///< EL -> IL one-to-one weight
 };
 
-/// One branch-free inhibitory step over `n` neurons. Returns the spike
-/// count. Precondition: no per-neuron fault state is live.
-std::size_t inh_fast_step(const InhParams& p, const std::uint8_t* exc_spiked,
-                          float* v, std::int32_t* refrac, std::uint8_t* spiked,
-                          std::size_t n);
+/// One layer's per-neuron fault state, struct-of-arrays with one entry
+/// per neuron, plus its patch list: the ascending indices of the neurons
+/// whose state differs from the identity (gains and threshold scale 1,
+/// nominal forced state, the layer's own refractory period).
+struct LayerFaults {
+    const float* thresh_scale = nullptr;
+    const float* input_gain = nullptr;
+    const float* drive_gain = nullptr;  ///< feedforward drive (excitatory)
+    const std::uint8_t* forced = nullptr;  ///< NeuronFault per neuron
+    const std::int32_t* refrac_period = nullptr;
+    std::span<const std::uint32_t> patch;
+};
+
+/// One neuron's dynamic state; theta is the excitatory adaptive threshold.
+struct NeuronState {
+    float v = 0.0f;
+    std::int32_t refrac = 0;
+    float theta = 0.0f;
+};
+
+inline constexpr std::uint8_t kDeadState = static_cast<std::uint8_t>(NeuronFault::kDead);
+inline constexpr std::uint8_t kSaturatedState =
+    static_cast<std::uint8_t>(NeuronFault::kSaturated);
+
+/// One excitatory step of neuron i: driver gain, lateral inhibition from
+/// the other inhibitory spikes, leak, integration, adaptive threshold and
+/// spike / reset / refractory / theta bump. A dead neuron rests at v_rest
+/// and never fires; a saturated one fires every step. Neither counts its
+/// refractory period down. Returns the spike (0 or 1).
+///
+/// Every branch is a select, so the loops over it vectorize: the lateral
+/// term is added even with no inhibitory spikes (w_inh * 0 is a signed
+/// zero, an exact additive identity on the drive), and each array element
+/// is loaded unconditionally — a load that feeds only one arm of a select
+/// can be sunk into a branch that if-conversion will not hoist back.
+template <bool kFaults>
+SNNFI_ALWAYS_INLINE int exc_neuron(const ExcParams& p, const LayerFaults& f,
+                                   std::size_t i, float drive, float inh_total,
+                                   std::uint8_t inh_spiked, NeuronState& s) {
+    float x = drive * p.driver_gain;
+    if constexpr (kFaults) x *= f.drive_gain[i];
+    x += p.w_inh * (inh_total - static_cast<float>(inh_spiked));
+    const float th = s.theta * p.theta_decay;
+    const float th_plus = th + p.theta_plus;
+    const std::int32_t rc = s.refrac;
+    const int in_refrac = rc > 0;
+    // Not firing: a refractory neuron counts down, an idle one holds at 0.
+    const std::int32_t rc_down = rc > 1 ? rc - 1 : 0;
+    float vi = p.v_rest + p.decay * (s.v - p.v_rest);
+    if constexpr (kFaults) {
+        const float gain = f.input_gain[i];
+        const float scale = f.thresh_scale[i];
+        const std::int32_t period = f.refrac_period[i];
+        const std::uint8_t forced = f.forced[i];
+        vi += gain * x;
+        const int fires = static_cast<int>(vi >= p.v_rest + p.thresh_span * scale + th) &
+                          (1 - in_refrac);
+        const int dead = forced == kDeadState;
+        const int saturated = forced == kSaturatedState;
+        const int spike = saturated | (fires & (1 - dead));
+        s.v = dead ? p.v_rest : ((in_refrac | spike) ? p.v_reset : vi);
+        s.refrac = (dead | saturated) ? rc : (fires ? period : rc_down);
+        s.theta = spike ? th_plus : th;
+        return spike;
+    } else {
+        vi += x;
+        const int fires =
+            static_cast<int>(vi >= p.v_rest + p.thresh_span + th) & (1 - in_refrac);
+        s.v = (in_refrac | fires) ? p.v_reset : vi;
+        s.refrac = fires ? p.refrac_steps : rc_down;
+        s.theta = fires ? th_plus : th;
+        return fires;
+    }
+}
+
+/// One inhibitory step of neuron i, driven one-to-one by its excitatory
+/// partner's spike; same forced-state rules as exc_neuron, no theta.
+template <bool kFaults>
+SNNFI_ALWAYS_INLINE int inh_neuron(const InhParams& p, const LayerFaults& f,
+                                   std::size_t i, std::uint8_t exc_spiked,
+                                   NeuronState& s) {
+    const std::int32_t rc = s.refrac;
+    const int in_refrac = rc > 0;
+    const std::int32_t rc_down = rc > 1 ? rc - 1 : 0;
+    float vi = p.v_rest + p.decay * (s.v - p.v_rest);
+    if constexpr (kFaults) {
+        // Scale both candidate drives before selecting: gain * (spiked ?
+        // w : 0) has the same value, but selecting the operand first keeps
+        // the loop from vectorizing.
+        const float gain = f.input_gain[i];
+        const float on = gain * p.w_exc;
+        const float off = gain * 0.0f;
+        const float scale = f.thresh_scale[i];
+        const std::int32_t period = f.refrac_period[i];
+        const std::uint8_t forced = f.forced[i];
+        vi += exc_spiked ? on : off;
+        const int fires =
+            static_cast<int>(vi >= p.v_rest + p.thresh_span * scale) & (1 - in_refrac);
+        const int dead = forced == kDeadState;
+        const int saturated = forced == kSaturatedState;
+        const int spike = saturated | (fires & (1 - dead));
+        s.v = dead ? p.v_rest : ((in_refrac | spike) ? p.v_reset : vi);
+        s.refrac = (dead | saturated) ? rc : (fires ? period : rc_down);
+        return spike;
+    } else {
+        vi += exc_spiked ? p.w_exc : 0.0f;
+        const int fires =
+            static_cast<int>(vi >= p.v_rest + p.thresh_span) & (1 - in_refrac);
+        s.v = (in_refrac | fires) ? p.v_reset : vi;
+        s.refrac = fires ? p.refrac_steps : rc_down;
+        return fires;
+    }
+}
+
+/// One excitatory step over `n` neurons. With at most n/8 patched neurons
+/// it runs the identity loop over the layer and redoes the patched ones
+/// from their saved pre-step state; otherwise it runs the fault-aware loop
+/// over the layer. `save` is scratch for at least f.patch.size() entries.
+/// Returns the spike count.
+std::size_t exc_update(const ExcParams& p, const LayerFaults& f, const float* drive,
+                       const std::uint8_t* inh_spiked, std::size_t inh_total,
+                       float* v, std::int32_t* refrac, float* theta,
+                       std::uint8_t* spiked, std::size_t n, NeuronState* save);
+
+/// One inhibitory step over `n` neurons; same shapes and scratch contract
+/// as exc_update.
+std::size_t inh_update(const InhParams& p, const LayerFaults& f,
+                       const std::uint8_t* exc_spiked, float* v,
+                       std::int32_t* refrac, std::uint8_t* spiked, std::size_t n,
+                       NeuronState* save);
+
+/// Scalar oracles of the two updates: the rule restated with branches,
+/// reading every fault array for every neuron (the patch list is
+/// ignored). exc_update and inh_update must match them bit for bit.
+std::size_t exc_update_reference(const ExcParams& p, const LayerFaults& f,
+                                 const float* drive, const std::uint8_t* inh_spiked,
+                                 std::size_t inh_total, float* v,
+                                 std::int32_t* refrac, float* theta,
+                                 std::uint8_t* spiked, std::size_t n);
+std::size_t inh_update_reference(const InhParams& p, const LayerFaults& f,
+                                 const std::uint8_t* exc_spiked, float* v,
+                                 std::int32_t* refrac, std::uint8_t* spiked,
+                                 std::size_t n);
 
 /// counts[i] += spiked[i] — the per-sample spike histogram update.
 void add_counts(std::uint32_t* counts, const std::uint8_t* spiked,

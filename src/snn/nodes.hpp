@@ -1,7 +1,9 @@
-// Spiking neuron layers: LIF and Diehl&Cook adaptive-threshold LIF.
+// Neuron parameters (LIF and Diehl&Cook adaptive-threshold LIF) and the
+// per-neuron fault vocabulary. The update rule itself lives in
+// snn/kernels.hpp; NetworkRuntime holds the per-neuron state.
 //
 // Voltages follow BindsNET's millivolt conventions (rest -65 mV etc.).
-// Fault-injection hooks cover the paper's two attacked circuit parameters
+// Per-neuron faults cover the paper's two attacked circuit parameters
 // plus the behavioural faults of the src/fi campaign library:
 //   * per-neuron threshold scaling — applied to the rest-to-threshold
 //     distance, preserving the circuit semantics that a lower VDD lowers
@@ -13,10 +15,7 @@
 //   * per-neuron refractory override — a stretched recovery period.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace snnfi::snn {
 
@@ -38,82 +37,14 @@ struct LifParams {
 
 /// Converts a BindsNET-style threshold *value* delta (v_th_new =
 /// v_thresh * (1 + delta)) into the rest-to-threshold distance scale the
-/// layers and runtimes store internally. One shared formula keeps the
-/// legacy facade and the NetworkRuntime overlay path bit-identical.
+/// runtime stores per neuron. Both voltages are negative, so delta = -0.20
+/// moves the threshold *away* from rest (-52 mV -> -41.6 mV, harder
+/// firing) — the semantics behind the paper's Figs. 8a-8c/9a.
 inline float threshold_value_delta_scale(const LifParams& params, float delta) {
     const float dist = params.v_thresh - params.v_rest;
     const float dist_new = params.v_thresh * (1.0f + delta) - params.v_rest;
     return dist_new / dist;
 }
-
-/// Leaky integrate-and-fire layer.
-class LifLayer {
-public:
-    LifLayer(std::size_t n, LifParams params);
-    virtual ~LifLayer() = default;
-
-    std::size_t size() const noexcept { return n_; }
-    const LifParams& params() const noexcept { return params_; }
-
-    /// Advances one step given the summed synaptic input per neuron
-    /// (voltage increment, mV). Fills `spiked` (0/1 per neuron) and returns
-    /// the number of spikes.
-    virtual std::size_t step(std::span<const float> input,
-                             std::vector<std::uint8_t>& spiked);
-
-    /// Resets dynamic state (voltage, refractory) between samples. Adaptive
-    /// state (theta) and fault masks persist.
-    virtual void reset_state();
-
-    // --- fault hooks ------------------------------------------------------
-    /// Scales the rest-to-threshold distance of the selected neurons
-    /// (physical circuit semantics: scale < 1 -> threshold closer to rest
-    /// -> earlier firing).
-    void apply_threshold_scale(std::span<const std::size_t> neurons, float scale);
-    /// Paper-faithful variant: scales the raw BindsNET threshold *value*
-    /// (negative mV) by (1 + delta), as the paper's BindsNET experiments
-    /// did. Because v_thresh < v_rest < 0, delta = -0.20 moves the
-    /// threshold *away* from rest (harder firing) — the semantics behind
-    /// Figs. 8a-8c/9a. Internally converted to a distance scale.
-    void apply_threshold_value_delta(std::span<const std::size_t> neurons,
-                                     float delta);
-    /// Scales the synaptic drive seen by the selected neurons (paper's
-    /// theta / membrane-voltage-change-per-spike corruption).
-    void apply_input_gain(std::span<const std::size_t> neurons, float gain);
-    /// Forces the selected neurons dead (never fire) or saturated (fire on
-    /// every step, bypassing integration and refractoriness).
-    void apply_forced_state(std::span<const std::size_t> neurons, NeuronFault state);
-    /// Overrides the refractory period of the selected neurons (in steps;
-    /// must be >= 0). Used by the refractory-stretch fault model.
-    void apply_refractory_override(std::span<const std::size_t> neurons, int steps);
-    /// Clears all fault masks back to nominal.
-    void clear_faults();
-
-    float threshold_scale(std::size_t i) const { return thresh_scale_[i]; }
-    float input_gain(std::size_t i) const { return input_gain_[i]; }
-    NeuronFault forced_state(std::size_t i) const {
-        return static_cast<NeuronFault>(forced_[i]);
-    }
-    /// Effective refractory period of neuron i (incl. overrides).
-    int refractory_steps(std::size_t i) const {
-        return refrac_override_[i] >= 0 ? refrac_override_[i] : params_.refrac_steps;
-    }
-
-    std::span<const float> voltages() const noexcept { return v_; }
-    /// Effective firing threshold of neuron i (incl. faults; excl. theta).
-    virtual float effective_threshold(std::size_t i) const;
-
-protected:
-    std::size_t n_;
-    LifParams params_;
-    float decay_;  ///< exp(-dt/tau)
-    std::vector<float> v_;
-    std::vector<std::int32_t> refrac_;
-    std::vector<float> thresh_scale_;
-    std::vector<float> input_gain_;
-    std::vector<std::uint8_t> forced_;          ///< NeuronFault per neuron
-    std::vector<std::int32_t> refrac_override_; ///< -1 = nominal period
-};
 
 struct DiehlCookParams {
     LifParams lif{.v_rest = -65.0f,
@@ -124,25 +55,6 @@ struct DiehlCookParams {
                   .dt_ms = 1.0f};
     float theta_plus = 0.05f;      ///< homeostatic increment per spike [mV]
     float theta_decay_ms = 1e7f;   ///< adaptive threshold decay constant
-};
-
-/// Excitatory layer with homeostatic adaptive threshold (theta).
-class DiehlCookLayer final : public LifLayer {
-public:
-    DiehlCookLayer(std::size_t n, DiehlCookParams params);
-
-    std::size_t step(std::span<const float> input,
-                     std::vector<std::uint8_t>& spiked) override;
-    float effective_threshold(std::size_t i) const override;
-    std::span<const float> theta() const noexcept { return theta_; }
-    /// Restores a previously captured adaptation state (snapshot/restore).
-    void set_theta(std::span<const float> theta);
-    void reset_adaptation();
-
-private:
-    DiehlCookParams dc_params_;
-    float theta_decay_factor_;
-    std::vector<float> theta_;
 };
 
 }  // namespace snnfi::snn

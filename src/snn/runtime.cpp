@@ -11,8 +11,6 @@ namespace snnfi::snn {
 
 namespace {
 
-constexpr std::uint8_t kDead = static_cast<std::uint8_t>(NeuronFault::kDead);
-constexpr std::uint8_t kSaturated = static_cast<std::uint8_t>(NeuronFault::kSaturated);
 constexpr std::uint8_t kNominal = static_cast<std::uint8_t>(NeuronFault::kNominal);
 
 /// Hot-loop instruments, resolved once. Step-path counts are tallied in
@@ -47,7 +45,7 @@ void NetworkRuntime::LayerState::init(std::size_t n, const LifParams& params) {
     input_gain.assign(n, 1.0f);
     drive_gain.assign(n, 1.0f);
     forced.assign(n, kNominal);
-    refrac_override.assign(n, -1);
+    refrac_period.assign(n, params.refrac_steps);
 }
 
 void NetworkRuntime::LayerState::reset_dynamic(const LifParams& params) {
@@ -55,12 +53,30 @@ void NetworkRuntime::LayerState::reset_dynamic(const LifParams& params) {
     std::fill(refrac.begin(), refrac.end(), 0);
 }
 
-void NetworkRuntime::LayerState::reset_faults() {
+void NetworkRuntime::LayerState::reset_faults(const LifParams& params) {
     std::fill(thresh_scale.begin(), thresh_scale.end(), 1.0f);
     std::fill(input_gain.begin(), input_gain.end(), 1.0f);
     std::fill(drive_gain.begin(), drive_gain.end(), 1.0f);
     std::fill(forced.begin(), forced.end(), kNominal);
-    std::fill(refrac_override.begin(), refrac_override.end(), -1);
+    std::fill(refrac_period.begin(), refrac_period.end(), params.refrac_steps);
+}
+
+void NetworkRuntime::LayerState::rebuild_patch(const LifParams& params) {
+    // Identity values stay off the list: multiplying by 1.0f and scaling
+    // the threshold distance by 1.0f are bitwise no-ops, so such a neuron
+    // is exactly what the identity loop computes.
+    patch.clear();
+    for (std::uint32_t i = 0; i < v.size(); ++i) {
+        if (forced[i] != kNominal || input_gain[i] != 1.0f ||
+            thresh_scale[i] != 1.0f || refrac_period[i] != params.refrac_steps ||
+            drive_gain[i] != 1.0f)
+            patch.push_back(i);
+    }
+}
+
+kernels::LayerFaults NetworkRuntime::LayerState::faults() const {
+    return {thresh_scale.data(), input_gain.data(), drive_gain.data(),
+            forced.data(),       refrac_period.data(), patch};
 }
 
 NetworkRuntime::NetworkRuntime(std::shared_ptr<const NetworkModel> model,
@@ -68,16 +84,27 @@ NetworkRuntime::NetworkRuntime(std::shared_ptr<const NetworkModel> model,
     : model_(std::move(model)), encoder_(model_->config().encoder),
       rng_(model_->init_rng()) {
     const DiehlCookConfig& config = model_->config();
-    const LifParams& exc_params = config.excitatory.lif;
-    if (exc_params.tau_ms <= 0.0f || config.inhibitory.tau_ms <= 0.0f)
+    const LifParams& exc = config.excitatory.lif;
+    const LifParams& inh = config.inhibitory;
+    if (exc.tau_ms <= 0.0f || inh.tau_ms <= 0.0f)
         throw std::invalid_argument("NetworkRuntime: tau <= 0");
-    exc_.init(config.n_neurons, exc_params);
-    inh_.init(config.n_neurons, config.inhibitory);
+    exc_.init(config.n_neurons, exc);
+    inh_.init(config.n_neurons, inh);
     exc_theta_.assign(model_->exc_theta().begin(), model_->exc_theta().end());
-    exc_decay_ = std::exp(-exc_params.dt_ms / exc_params.tau_ms);
-    inh_decay_ = std::exp(-config.inhibitory.dt_ms / config.inhibitory.tau_ms);
-    theta_decay_factor_ =
-        std::exp(-exc_params.dt_ms / config.excitatory.theta_decay_ms);
+    exc_params_ = {.v_rest = exc.v_rest,
+                   .v_reset = exc.v_reset,
+                   .decay = std::exp(-exc.dt_ms / exc.tau_ms),
+                   .thresh_span = exc.v_thresh - exc.v_rest,
+                   .theta_decay = std::exp(-exc.dt_ms / config.excitatory.theta_decay_ms),
+                   .theta_plus = config.excitatory.theta_plus,
+                   .refrac_steps = exc.refrac_steps,
+                   .w_inh = config.inh_weight};
+    inh_params_ = {.v_rest = inh.v_rest,
+                   .v_reset = inh.v_reset,
+                   .decay = std::exp(-inh.dt_ms / inh.tau_ms),
+                   .thresh_span = inh.v_thresh - inh.v_rest,
+                   .refrac_steps = inh.refrac_steps,
+                   .w_exc = config.exc_weight};
     // Padded drive buffer: the blocked kernel streams whole padded weight
     // rows, and the padding lanes (always zero in Matrix storage) land in
     // the tail the neuron update never reads.
@@ -118,40 +145,20 @@ FaultOverlay NetworkRuntime::current_effective_overlay() const {
 }
 
 void NetworkRuntime::apply_effective_overlay(const FaultOverlay& effective) {
-    driver_gain_ = effective.has_driver_gain() ? effective.driver_gain() : 1.0f;
-    exc_.reset_faults();
-    inh_.reset_faults();
-    drive_gain_active_ = false;
-    exc_neuron_faults_ = false;
-    inh_neuron_faults_ = false;
+    const DiehlCookConfig& config = model_->config();
+    exc_params_.driver_gain =
+        effective.has_driver_gain() ? effective.driver_gain() : 1.0f;
+    exc_.reset_faults(config.excitatory.lif);
+    inh_.reset_faults(config.inhibitory);
     apply_overlay_ops(effective);
-    rebuild_patch_lists();
+    exc_.rebuild_patch(config.excitatory.lif);
+    inh_.rebuild_patch(config.inhibitory);
+    patch_save_.resize(std::max(exc_.patch.size(), inh_.patch.size()));
     if (learned_) {
         apply_weight_ops_learning(effective);
     } else {
         rebuild_weight_patches(effective);
     }
-}
-
-void NetworkRuntime::rebuild_patch_lists() {
-    exc_patch_.clear();
-    inh_patch_.clear();
-    const std::size_t n = model_->config().n_neurons;
-    // Identity values are excluded on purpose: multiplying by 1.0f and
-    // scaling a threshold by 1.0f are bitwise no-ops, so a neuron whose
-    // ops compose to the identity behaves exactly like the clean kernel.
-    const auto scan = [n](const LayerState& layer,
-                          std::vector<std::uint32_t>& out) {
-        for (std::uint32_t i = 0; i < n; ++i) {
-            if (layer.forced[i] != kNominal || layer.input_gain[i] != 1.0f ||
-                layer.thresh_scale[i] != 1.0f ||
-                layer.refrac_override[i] >= 0 || layer.drive_gain[i] != 1.0f)
-                out.push_back(i);
-        }
-    };
-    if (exc_neuron_faults_) scan(exc_, exc_patch_);
-    if (inh_neuron_faults_) scan(inh_, inh_patch_);
-    patch_save_.reserve(std::max(exc_patch_.size(), inh_patch_.size()));
 }
 
 void NetworkRuntime::advance_schedule(std::size_t step) {
@@ -190,13 +197,6 @@ void NetworkRuntime::apply_overlay_ops(const FaultOverlay& effective) {
         const LifParams& params = exc ? config.excitatory.lif : config.inhibitory;
         if (op.neuron >= config.n_neurons)
             throw std::out_of_range("NetworkRuntime: overlay neuron out of range");
-        // Dirty summary: ANY neuron op (even a numeric identity) drops
-        // the layer off the pure fast path until the next overlay/segment
-        // swap. Conservative on purpose — the fast path must be provably
-        // equivalent, not probably. rebuild_patch_lists then decides
-        // whether the faulted layer can still ride the kernel via the
-        // hybrid scalar redo.
-        (exc ? exc_neuron_faults_ : inh_neuron_faults_) = true;
         switch (op.field) {
             case NeuronOp::Field::kThresholdScale:
                 layer.thresh_scale[op.neuron] = op.value;
@@ -213,11 +213,10 @@ void NetworkRuntime::apply_overlay_ops(const FaultOverlay& effective) {
                     static_cast<std::uint8_t>(static_cast<int>(op.value));
                 break;
             case NeuronOp::Field::kRefractoryOverride:
-                layer.refrac_override[op.neuron] = static_cast<std::int32_t>(op.value);
+                layer.refrac_period[op.neuron] = static_cast<std::int32_t>(op.value);
                 break;
             case NeuronOp::Field::kDriverGain:
                 layer.drive_gain[op.neuron] = op.value;
-                drive_gain_active_ = true;
                 break;
         }
     }
@@ -407,11 +406,8 @@ NeuronFault NetworkRuntime::forced_state(OverlayLayer layer,
 
 int NetworkRuntime::refractory_steps(OverlayLayer layer, std::size_t neuron) const {
     const LayerState& state = layer_state(layer);
-    check_neuron_index(neuron, state.refrac_override.size());
-    if (state.refrac_override[neuron] >= 0) return state.refrac_override[neuron];
-    return layer == OverlayLayer::kExcitatory
-               ? model_->config().excitatory.lif.refrac_steps
-               : model_->config().inhibitory.refrac_steps;
+    check_neuron_index(neuron, state.refrac_period.size());
+    return state.refrac_period[neuron];
 }
 
 float NetworkRuntime::effective_threshold(OverlayLayer layer,
@@ -500,235 +496,21 @@ void NetworkRuntime::adopt_drive(std::span<const float> base,
 
 void NetworkRuntime::advance_step(std::span<const std::uint32_t> active,
                                   SampleActivity& activity) {
-    const DiehlCookConfig& config = model_->config();
-    const std::size_t n = config.n_neurons;
-    const LifParams& ep = config.excitatory.lif;
-    const float theta_plus = config.excitatory.theta_plus;
-
+    const std::size_t n = model_->config().n_neurons;
     // Lateral inhibition context from the previous step's IL spikes.
     std::size_t inh_total = 0;
     for (const std::uint8_t s : inh_spiked_) inh_total += s;
-    const float w_inh = config.inh_weight;
-    const bool gain_active = driver_gain_ != 1.0f;
-    const float* drive = drive_;
-
-    // Excitatory pass: drive assembly fused with the DiehlCook update.
-    // Clean fault state takes the branch-free kernel outright; a sparse
-    // set of per-neuron overrides takes the kernel plus an exact scalar
-    // redo of just those neurons (hybrid); a dense override set drops to
-    // the scalar fault-aware loop. All three produce bit-identical state
-    // (see snn/kernels.hpp and rebuild_patch_lists).
-    std::size_t exc_count = 0;
-    // Fault-touched layers with a small override set still take the
-    // vector kernel: the kernel runs over the whole layer, then the few
-    // overridden neurons are redone with the exact scalar semantics from
-    // their saved pre-step state (neurons are independent within a step,
-    // so the redo composes bit-identically with the kernel's output for
-    // every untouched neuron). Dense fault sets fall back to the scalar
-    // loop, where the redo would dominate.
-    const bool exc_hybrid = exc_neuron_faults_ && !force_scalar_ &&
-                            exc_patch_.size() * 8 <= n;
-    if (!exc_neuron_faults_ || exc_hybrid) {
-        if (exc_hybrid) {
-            patch_save_.resize(exc_patch_.size());
-            for (std::size_t k = 0; k < exc_patch_.size(); ++k) {
-                const std::uint32_t i = exc_patch_[k];
-                patch_save_[k] = {exc_.v[i], exc_theta_[i], exc_.refrac[i]};
-            }
-        }
-        kernels::ExcParams p;
-        p.v_rest = ep.v_rest;
-        p.v_reset = ep.v_reset;
-        p.decay = exc_decay_;
-        p.thresh_base = ep.v_rest + (ep.v_thresh - ep.v_rest);
-        p.theta_decay = theta_decay_factor_;
-        p.theta_plus = theta_plus;
-        p.refrac_steps = ep.refrac_steps;
-        p.driver_gain = driver_gain_;
-        p.gain_active = gain_active;
-        p.w_inh = w_inh;
-        exc_count = kernels::exc_fast_step(p, drive, inh_spiked_.data(), inh_total,
-                                           exc_.v.data(), exc_.refrac.data(),
-                                           exc_theta_.data(), exc_spiked_.data(), n);
-        // Scalar redo of the overridden neurons — this block must mirror
-        // the scalar loop below statement for statement.
-        for (std::size_t k = 0; k < exc_patch_.size(); ++k) {
-            const std::uint32_t i = exc_patch_[k];
-            const NeuronSave& s = patch_save_[k];
-            exc_count -= static_cast<std::size_t>(exc_spiked_[i]);
-            float x = drive[i];
-            if (gain_active) x *= driver_gain_;
-            if (drive_gain_active_) x *= exc_.drive_gain[i];
-            if (inh_total > 0) {
-                x += w_inh * (static_cast<float>(inh_total) -
-                              static_cast<float>(inh_spiked_[i]));
-            }
-            float th = s.theta * theta_decay_factor_;
-            float v = s.v;
-            std::int32_t rc = s.refrac;
-            std::uint8_t spike = 0;
-            if (exc_.forced[i] == kDead) {
-                v = ep.v_rest;
-            } else if (exc_.forced[i] == kSaturated) {
-                spike = 1;
-                v = ep.v_reset;
-                th += theta_plus;
-            } else if (rc > 0) {
-                --rc;
-                v = ep.v_reset;
-            } else {
-                v = ep.v_rest + exc_decay_ * (s.v - ep.v_rest);
-                v += exc_.input_gain[i] * x;
-                const float threshold =
-                    ep.v_rest + (ep.v_thresh - ep.v_rest) * exc_.thresh_scale[i] +
-                    th;
-                if (v >= threshold) {
-                    spike = 1;
-                    v = ep.v_reset;
-                    rc = exc_.refrac_override[i] >= 0 ? exc_.refrac_override[i]
-                                                      : ep.refrac_steps;
-                    th += theta_plus;
-                }
-            }
-            exc_.v[i] = v;
-            exc_.refrac[i] = rc;
-            exc_theta_[i] = th;
-            exc_spiked_[i] = spike;
-            exc_count += spike;
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            float x = drive[i];
-            if (gain_active) x *= driver_gain_;
-            if (drive_gain_active_) x *= exc_.drive_gain[i];
-            if (inh_total > 0) {
-                x += w_inh * (static_cast<float>(inh_total) -
-                              static_cast<float>(inh_spiked_[i]));
-            }
-            exc_theta_[i] *= theta_decay_factor_;
-            std::uint8_t spike = 0;
-            if (exc_.forced[i] == kDead) {
-                exc_.v[i] = ep.v_rest;
-            } else if (exc_.forced[i] == kSaturated) {
-                spike = 1;
-                exc_.v[i] = ep.v_reset;
-                exc_theta_[i] += theta_plus;
-            } else if (exc_.refrac[i] > 0) {
-                --exc_.refrac[i];
-                exc_.v[i] = ep.v_reset;
-            } else {
-                float v = ep.v_rest + exc_decay_ * (exc_.v[i] - ep.v_rest);
-                v += exc_.input_gain[i] * x;
-                const float threshold =
-                    ep.v_rest + (ep.v_thresh - ep.v_rest) * exc_.thresh_scale[i] +
-                    exc_theta_[i];
-                if (v >= threshold) {
-                    spike = 1;
-                    v = ep.v_reset;
-                    exc_.refrac[i] = exc_.refrac_override[i] >= 0
-                                         ? exc_.refrac_override[i]
-                                         : ep.refrac_steps;
-                    exc_theta_[i] += theta_plus;
-                }
-                exc_.v[i] = v;
-            }
-            exc_spiked_[i] = spike;
-            exc_count += spike;
-        }
-    }
+    const std::size_t exc_count = kernels::exc_update(
+        exc_params_, exc_.faults(), drive_, inh_spiked_.data(), inh_total,
+        exc_.v.data(), exc_.refrac.data(), exc_theta_.data(), exc_spiked_.data(), n,
+        patch_save_.data());
     activity.total_exc_spikes += exc_count;
 
     if (learned_) learned_->learn(active, exc_spiked_);
 
-    // Inhibitory pass: one-to-one EL drive fused with the LIF update.
-    const LifParams& ip = config.inhibitory;
-    const float w_exc = config.exc_weight;
-    std::size_t inh_count = 0;
-    const bool inh_hybrid = inh_neuron_faults_ && !force_scalar_ &&
-                            inh_patch_.size() * 8 <= n;
-    if (!inh_neuron_faults_ || inh_hybrid) {
-        if (inh_hybrid) {
-            patch_save_.resize(inh_patch_.size());
-            for (std::size_t k = 0; k < inh_patch_.size(); ++k) {
-                const std::uint32_t i = inh_patch_[k];
-                patch_save_[k] = {inh_.v[i], 0.0f, inh_.refrac[i]};
-            }
-        }
-        kernels::InhParams p;
-        p.v_rest = ip.v_rest;
-        p.v_reset = ip.v_reset;
-        p.decay = inh_decay_;
-        p.thresh_base = ip.v_rest + (ip.v_thresh - ip.v_rest);
-        p.refrac_steps = ip.refrac_steps;
-        p.w_exc = w_exc;
-        inh_count = kernels::inh_fast_step(p, exc_spiked_.data(), inh_.v.data(),
-                                           inh_.refrac.data(), inh_spiked_.data(), n);
-        // Scalar redo of the overridden neurons — mirrors the scalar loop
-        // below statement for statement.
-        for (std::size_t k = 0; k < inh_patch_.size(); ++k) {
-            const std::uint32_t i = inh_patch_[k];
-            const NeuronSave& s = patch_save_[k];
-            inh_count -= static_cast<std::size_t>(inh_spiked_[i]);
-            const float x = exc_spiked_[i] ? w_exc : 0.0f;
-            float v = s.v;
-            std::int32_t rc = s.refrac;
-            std::uint8_t spike = 0;
-            if (inh_.forced[i] == kDead) {
-                v = ip.v_rest;
-            } else if (inh_.forced[i] == kSaturated) {
-                spike = 1;
-                v = ip.v_reset;
-            } else if (rc > 0) {
-                --rc;
-                v = ip.v_reset;
-            } else {
-                v = ip.v_rest + inh_decay_ * (s.v - ip.v_rest);
-                v += inh_.input_gain[i] * x;
-                const float threshold =
-                    ip.v_rest + (ip.v_thresh - ip.v_rest) * inh_.thresh_scale[i];
-                if (v >= threshold) {
-                    spike = 1;
-                    v = ip.v_reset;
-                    rc = inh_.refrac_override[i] >= 0 ? inh_.refrac_override[i]
-                                                      : ip.refrac_steps;
-                }
-            }
-            inh_.v[i] = v;
-            inh_.refrac[i] = rc;
-            inh_spiked_[i] = spike;
-            inh_count += spike;
-        }
-    } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            const float x = exc_spiked_[i] ? w_exc : 0.0f;
-            std::uint8_t spike = 0;
-            if (inh_.forced[i] == kDead) {
-                inh_.v[i] = ip.v_rest;
-            } else if (inh_.forced[i] == kSaturated) {
-                spike = 1;
-                inh_.v[i] = ip.v_reset;
-            } else if (inh_.refrac[i] > 0) {
-                --inh_.refrac[i];
-                inh_.v[i] = ip.v_reset;
-            } else {
-                float v = ip.v_rest + inh_decay_ * (inh_.v[i] - ip.v_rest);
-                v += inh_.input_gain[i] * x;
-                const float threshold =
-                    ip.v_rest + (ip.v_thresh - ip.v_rest) * inh_.thresh_scale[i];
-                if (v >= threshold) {
-                    spike = 1;
-                    v = ip.v_reset;
-                    inh_.refrac[i] = inh_.refrac_override[i] >= 0
-                                         ? inh_.refrac_override[i]
-                                         : ip.refrac_steps;
-                }
-                inh_.v[i] = v;
-            }
-            inh_spiked_[i] = spike;
-            inh_count += spike;
-        }
-    }
-    activity.total_inh_spikes += inh_count;
+    activity.total_inh_spikes += kernels::inh_update(
+        inh_params_, inh_.faults(), exc_spiked_.data(), inh_.v.data(),
+        inh_.refrac.data(), inh_spiked_.data(), n, patch_save_.data());
 
     if (exc_count > 0)
         kernels::add_counts(activity.exc_counts.data(), exc_spiked_.data(), n);

@@ -38,6 +38,7 @@
 
 #include "snn/connection.hpp"
 #include "snn/encoding.hpp"
+#include "snn/kernels.hpp"
 #include "snn/model.hpp"
 #include "snn/overlay.hpp"
 #include "snn/tensor.hpp"
@@ -118,12 +119,12 @@ public:
     /// allocation-free (the campaign hot path).
     void run_sample_into(std::span<const float> image, SampleActivity& activity);
 
-    /// True when the next step takes the branch-free fast-path neuron
-    /// kernels (snn/kernels.hpp): the effective overlay touches no
-    /// per-neuron state on either layer. Re-derived once per
-    /// overlay/schedule-segment swap, never per step.
+    /// True when both layers' patch lists are empty: the effective
+    /// overlay leaves every neuron at the identity fault state, so a step
+    /// is the identity loop alone (snn/kernels.hpp). The lists are
+    /// rebuilt once per overlay/schedule-segment swap, never per step.
     bool fast_path_active() const noexcept {
-        return !exc_neuron_faults_ && !inh_neuron_faults_;
+        return exc_.patch.empty() && inh_.patch.empty();
     }
 
     /// Freezes the replica's current learned parameters (weights incl.
@@ -131,7 +132,7 @@ public:
     std::shared_ptr<const NetworkModel> freeze() const;
 
     util::Rng& rng() noexcept { return rng_; }
-    float driver_gain() const noexcept { return driver_gain_; }
+    float driver_gain() const noexcept { return exc_params_.driver_gain; }
     std::span<const float> exc_theta() const noexcept { return exc_theta_; }
     /// Effective weight row (materialised patches included).
     std::span<const float> weight_row(std::size_t pre) const;
@@ -148,11 +149,17 @@ private:
         std::vector<float> input_gain;
         std::vector<float> drive_gain;  ///< per-neuron feedforward drive gain
         std::vector<std::uint8_t> forced;
-        std::vector<std::int32_t> refrac_override;
+        std::vector<std::int32_t> refrac_period;
+        /// Ascending indices of the neurons whose fault state is not the
+        /// identity — what the kernels redo or why they take the
+        /// fault-aware loop.
+        std::vector<std::uint32_t> patch;
 
         void init(std::size_t n, const LifParams& params);
         void reset_dynamic(const LifParams& params);
-        void reset_faults();
+        void reset_faults(const LifParams& params);
+        void rebuild_patch(const LifParams& params);
+        kernels::LayerFaults faults() const;
     };
 
     /// One materialised copy-on-write weight cell: effective minus model.
@@ -198,13 +205,9 @@ private:
     /// merge-joins its sorted deltas against the ascending active list.
     void adopt_drive(std::span<const float> base,
                      std::span<const std::uint32_t> active);
-    /// The fused step: driver gain + lateral inhibition + excitatory
-    /// DiehlCook update + STDP + one-to-one + inhibitory LIF update, one
-    /// pass per layer over contiguous spans. Reads drive_; each layer
-    /// dispatches to the branch-free kernel when its fault state is
-    /// clean, to the kernel plus an exact scalar redo of the overridden
-    /// neurons when the override set is sparse, and to the full scalar
-    /// fault-aware loop otherwise. All three are bit-identical.
+    /// The fused step: excitatory DiehlCook update (driver gain + lateral
+    /// inhibition included) + STDP + inhibitory LIF update, one kernel
+    /// call per layer over contiguous spans. Reads drive_.
     void advance_step(std::span<const std::uint32_t> active, SampleActivity& activity);
 
     std::shared_ptr<const NetworkModel> model_;
@@ -218,35 +221,12 @@ private:
     LayerState exc_;
     LayerState inh_;
     std::vector<float> exc_theta_;
-    float exc_decay_ = 0.0f;
-    float inh_decay_ = 0.0f;
-    float theta_decay_factor_ = 1.0f;
-    float driver_gain_ = 1.0f;
-    bool drive_gain_active_ = false;  ///< any per-neuron kDriverGain op applied
-    bool exc_neuron_faults_ = false;  ///< dirty summary: any EL neuron op applied
-    bool inh_neuron_faults_ = false;  ///< dirty summary: any IL neuron op applied
+    kernels::ExcParams exc_params_;  ///< driver_gain follows the overlay
+    kernels::InhParams inh_params_;
     bool learning_ = false;
-
-    /// Hybrid-step worklists: the neurons whose per-step behavior deviates
-    /// from the clean kernel under the current effective overlay (forced
-    /// state, non-identity gain/threshold, refractory override). When the
-    /// list is a small fraction of the layer, advance_step runs the vector
-    /// kernel over the whole layer and then redoes just these neurons with
-    /// the exact scalar semantics from their saved pre-step state — the
-    /// full scalar loop is kept for dense fault sets. Rebuilt on every
-    /// overlay/schedule-segment swap, never per step.
-    std::vector<std::uint32_t> exc_patch_;
-    std::vector<std::uint32_t> inh_patch_;
-    /// Pre-kernel (v, theta, refrac) of the patched neurons, captured per
-    /// step so the scalar redo starts from the same state the kernel read.
-    struct NeuronSave {
-        float v = 0.0f;
-        float theta = 0.0f;
-        std::int32_t refrac = 0;
-    };
-    std::vector<NeuronSave> patch_save_;
-    bool force_scalar_ = false;  ///< test hook: always take the scalar loop
-    void rebuild_patch_lists();
+    /// Kernel scratch: the patched neurons' pre-step state, sized to the
+    /// longer patch list.
+    std::vector<kernels::NeuronState> patch_save_;
 
     /// Learning path: materialised weights + STDP state.
     std::optional<DenseConnection> learned_;

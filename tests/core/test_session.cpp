@@ -1,9 +1,11 @@
 // Registry invariants and Session engine behavior: declarative sweeps,
-// artifact-cache reuse (one shared baseline), and parallel determinism.
+// artifact-cache reuse (one shared baseline), parallel determinism, and
+// the circuit figures' shape against the paper.
 #include "core/session.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <set>
 
@@ -80,6 +82,74 @@ TEST(Session, EveryRegisteredScenarioRunsQuick) {
         EXPECT_EQ(json.front(), '{') << spec.id;
         EXPECT_NE(json.find("\"table\":{"), std::string::npos) << spec.id;
     }
+}
+
+TEST(RunOptions, QuickOptionsShrinkWorkload) {
+    RunOptions options;
+    options.quick = true;
+    EXPECT_LT(options.samples(), options.train_samples);
+    EXPECT_LT(options.neurons(), options.n_neurons);
+    options.quick = false;
+    EXPECT_EQ(options.samples(), options.train_samples);
+    EXPECT_EQ(options.neurons(), options.n_neurons);
+}
+
+// --- circuit figures against the paper, quick grids -----------------------
+
+util::ResultTable quick_table(const std::string& id) {
+    RunOptions options;
+    options.quick = true;
+    return Session(options).run(id).table;
+}
+
+TEST(PaperFigures, Fig5bDriverAmplitudeShape) {
+    const auto table = quick_table("fig5b");
+    ASSERT_EQ(table.num_rows(), 3u);  // quick grid: 0.8, 1.0, 1.2
+    // Amplitude strictly increasing with VDD.
+    const auto amps = table.numeric_column(1);
+    EXPECT_LT(amps[0], amps[1]);
+    EXPECT_LT(amps[1], amps[2]);
+    // Change percentages bracket the paper's -32/+32.
+    EXPECT_NEAR(table.number_at(0, 2), -30.0, 6.0);
+    EXPECT_NEAR(table.number_at(2, 2), +30.0, 6.0);
+}
+
+TEST(PaperFigures, Fig6aThresholdVsVdd) {
+    const auto table = quick_table("fig6a");
+    ASSERT_EQ(table.num_rows(), 6u);  // 2 neurons x 3 VDDs
+    // First row: AH at 0.8 V, about -18%.
+    EXPECT_NEAR(table.number_at(0, 3), -18.0, 4.0);
+    // Last row: I&F at 1.2 V, positive change.
+    EXPECT_GT(table.number_at(5, 3), 10.0);
+}
+
+TEST(PaperFigures, Fig9bRobustDriverFlat) {
+    const auto table = quick_table("fig9b");
+    for (std::size_t r = 0; r < table.num_rows(); ++r)
+        EXPECT_LT(std::abs(table.number_at(r, 2)), 1.0);
+}
+
+TEST(PaperFigures, Fig9cDroopShrinksWithRatio) {
+    const auto table = quick_table("fig9c");
+    ASSERT_EQ(table.num_rows(), 2u);  // ratios 1 and 32
+    EXPECT_GT(table.number_at(1, 2), table.number_at(0, 2));  // less droop
+}
+
+TEST(PaperFigures, Fig10aComparatorFlat) {
+    const auto table = quick_table("fig10a");
+    for (std::size_t r = 0; r < table.num_rows(); ++r)
+        EXPECT_LT(std::abs(table.number_at(r, 2)), 1.5);
+}
+
+TEST(PaperFigures, Fig3WaveformSummaryHasSpikes) {
+    const auto table = quick_table("fig3");
+    EXPECT_GE(table.number_at(0, 1), 2.0);  // spike count row
+}
+
+TEST(PaperFigures, OverheadTableCoversAllDefenses) {
+    const auto table = quick_table("overheads");
+    EXPECT_EQ(table.num_rows(), 5u);
+    EXPECT_EQ(table.columns().size(), 5u);
 }
 
 TEST(Session, SharedBaselineTrainedExactlyOnceAcrossAttackTag) {

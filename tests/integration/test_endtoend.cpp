@@ -6,7 +6,6 @@
 
 #include "attack/calibration.hpp"
 #include "attack/scenarios.hpp"
-#include "core/experiments.hpp"
 #include "data/synthetic_digits.hpp"
 #include "defense/defenses.hpp"
 
@@ -69,16 +68,6 @@ TEST_F(EndToEnd, ThetaAttackMildAsInFig7b) {
     const double baseline = suite.baseline_accuracy();
     for (const auto& o : outcomes)
         EXPECT_GT(o.accuracy, 0.55 * baseline) << "gain " << o.fault.driver_gain;
-}
-
-TEST_F(EndToEnd, QuickExperimentTablesAreWellFormed) {
-    core::ExperimentOptions options;
-    options.quick = true;
-    for (const auto* id : {"baseline", "fig7b", "fig8c"}) {
-        const auto table = core::find_experiment(id).run(options);
-        EXPECT_GT(table.num_rows(), 0u) << id;
-        EXPECT_FALSE(table.to_csv().empty()) << id;
-    }
 }
 
 TEST_F(EndToEnd, InferenceOnlyMilderThanTrainingTime) {

@@ -125,58 +125,5 @@ TEST(DenseConnection, NormalizePreservesBudget) {
     EXPECT_NEAR(conn.weights().column_sum(1), 3.0f, 1e-4);
 }
 
-TEST(OneToOneConnection, DeliversOnlyToPartner) {
-    OneToOneConnection conn(3, 22.5f);
-    std::vector<float> out(3, 0.0f);
-    conn.propagate(std::vector<std::uint8_t>{0, 1, 0}, out);
-    EXPECT_FLOAT_EQ(out[0], 0.0f);
-    EXPECT_FLOAT_EQ(out[1], 22.5f);
-    EXPECT_FLOAT_EQ(out[2], 0.0f);
-    EXPECT_THROW(conn.propagate(std::vector<std::uint8_t>{1}, out),
-                 std::invalid_argument);
-}
-
-TEST(LateralInhibition, AllButSelf) {
-    LateralInhibitionConnection conn(3, -10.0f);
-    std::vector<float> out(3, 0.0f);
-    conn.propagate(std::vector<std::uint8_t>{1, 0, 1}, out);
-    EXPECT_FLOAT_EQ(out[0], -10.0f);  // sees the other spike only
-    EXPECT_FLOAT_EQ(out[1], -20.0f);  // sees both
-    EXPECT_FLOAT_EQ(out[2], -10.0f);
-}
-
-TEST(LateralInhibition, NoSpikesNoEffect) {
-    LateralInhibitionConnection conn(4, -10.0f);
-    std::vector<float> out(4, 1.0f);
-    conn.propagate(std::vector<std::uint8_t>{0, 0, 0, 0}, out);
-    for (const float x : out) EXPECT_FLOAT_EQ(x, 1.0f);
-}
-
-/// Property: the O(n) aggregated lateral inhibition equals the naive
-/// all-pairs implementation for random spike patterns.
-class LateralEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(LateralEquivalence, MatchesNaive) {
-    util::Rng rng(GetParam());
-    const std::size_t n = 37;
-    LateralInhibitionConnection conn(n, -7.5f);
-    std::vector<std::uint8_t> spiked(n);
-    for (auto& s : spiked) s = rng.bernoulli(0.3);
-
-    std::vector<float> fast(n, 0.0f);
-    conn.propagate(spiked, fast);
-
-    std::vector<float> naive(n, 0.0f);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            if (i != j && spiked[j]) naive[i] += -7.5f;
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i) EXPECT_FLOAT_EQ(fast[i], naive[i]) << i;
-}
-
-INSTANTIATE_TEST_SUITE_P(Patterns, LateralEquivalence,
-                         ::testing::Values(1u, 2u, 3u, 17u, 255u));
-
 }  // namespace
 }  // namespace snnfi::snn

@@ -1,8 +1,8 @@
 // Kernel-layer equivalence: the blocked/predicated hot-path kernels must
 // be BIT-identical to their naive scalar references — across shapes that
-// exercise every unroll tail and padding edge, across fault
-// configurations, and end-to-end through NetworkRuntime/BatchRunner
-// (fast path vs scalar path, merge-join vs binary-search adopt_drive).
+// exercise every unroll tail and padding edge, across random fault state
+// in both layer-update shapes, and through NetworkRuntime/BatchRunner
+// (patch lists, merge-join vs binary-search adopt_drive).
 // Plus the steady-state no-allocation guarantee of the sample loop.
 #include "snn/kernels.hpp"
 
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <numeric>
 #include <vector>
 
 #include "snn/runtime.hpp"
@@ -54,8 +55,8 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
 
 namespace snnfi::snn {
 
-/// White-box access to NetworkRuntime internals for the adopt_drive and
-/// drive-aliasing checks (friend of NetworkRuntime).
+/// White-box access to NetworkRuntime internals for the adopt_drive,
+/// drive-aliasing and patch-list checks (friend of NetworkRuntime).
 struct RuntimeTestPeer {
     static void adopt_drive(NetworkRuntime& runtime, std::span<const float> base,
                             std::span<const std::uint32_t> active) {
@@ -64,17 +65,11 @@ struct RuntimeTestPeer {
     static const float* drive(const NetworkRuntime& runtime) {
         return runtime.drive_;
     }
-    /// Pins the runtime to the full scalar fault-aware loop, bypassing
-    /// both the fast kernel and the hybrid patch redo — the reference
-    /// semantics the other paths must reproduce bit for bit.
-    static void force_scalar(NetworkRuntime& runtime) {
-        runtime.force_scalar_ = true;
+    static std::vector<std::uint32_t> exc_patch(const NetworkRuntime& runtime) {
+        return runtime.exc_.patch;
     }
-    static std::size_t exc_patch_size(const NetworkRuntime& runtime) {
-        return runtime.exc_patch_.size();
-    }
-    static std::size_t inh_patch_size(const NetworkRuntime& runtime) {
-        return runtime.inh_patch_.size();
+    static std::vector<std::uint32_t> inh_patch(const NetworkRuntime& runtime) {
+        return runtime.inh_.patch;
     }
     static std::vector<std::tuple<std::uint32_t, std::uint32_t, float>> deltas(
         const NetworkRuntime& runtime) {
@@ -166,240 +161,174 @@ TEST(Kernels, BlockedAccumulationBitIdenticalToReference) {
     }
 }
 
-// --- neuron update: fast path vs scalar transliteration -------------------
+// --- neuron update: both layer shapes vs the scalar oracle ------------------
 
-struct ExcState {
+/// One layer's fault arrays with `n_faulty` random neurons carrying one
+/// random non-identity field each; `patch` lists them, ascending.
+struct RandomFaults {
+    std::vector<float> thresh_scale, input_gain, drive_gain;
+    std::vector<std::uint8_t> forced;
+    std::vector<std::int32_t> refrac_period;
+    std::vector<std::uint32_t> everyone, patch;
+
+    RandomFaults(util::Rng& rng, std::size_t n, std::size_t n_faulty, std::int32_t refrac)
+        : thresh_scale(n, 1.0f), input_gain(n, 1.0f), drive_gain(n, 1.0f), forced(n, 0),
+          refrac_period(n, refrac), everyone(n) {
+        std::iota(everyone.begin(), everyone.end(), 0u);
+        patch = everyone;
+        rng.shuffle(std::span<std::uint32_t>(patch));
+        patch.resize(n_faulty);
+        std::sort(patch.begin(), patch.end());
+        for (const std::uint32_t i : patch) {
+            switch (rng.below(5)) {
+                case 0: forced[i] = static_cast<std::uint8_t>(1 + rng.below(2)); break;
+                case 1: input_gain[i] = static_cast<float>(rng.uniform(0.3, 2.0)); break;
+                case 2: drive_gain[i] = static_cast<float>(rng.uniform(0.3, 2.0)); break;
+                case 3: thresh_scale[i] = static_cast<float>(rng.uniform(0.6, 1.4));
+                        break;
+                default:  // any period in 0..9 but the nominal one
+                    refrac_period[i] =
+                        (refrac + 1 + static_cast<std::int32_t>(rng.below(9))) % 10;
+            }
+        }
+    }
+    kernels::LayerFaults view(std::span<const std::uint32_t> list) const {
+        return {thresh_scale.data(), input_gain.data(), drive_gain.data(),
+                forced.data(),       refrac_period.data(), list};
+    }
+};
+
+struct LayerRun {
     std::vector<float> v, theta;
     std::vector<std::int32_t> refrac;
     std::vector<std::uint8_t> spiked;
+    std::size_t count = 0;
+
+    LayerRun(std::size_t n, float v_rest)
+        : v(n, v_rest), theta(n, 0.0f), refrac(n, 0), spiked(n, 0) {}
+    bool operator==(const LayerRun& o) const {
+        return count == o.count && same_bits(v, o.v) && same_bits(theta, o.theta) &&
+               refrac == o.refrac && spiked == o.spiked;
+    }
 };
 
-/// Straight transliteration of the scalar excitatory loop in
-/// NetworkRuntime::advance_step with all per-neuron fault values at
-/// identity — the semantics the fast kernel must reproduce bit-for-bit.
-std::size_t exc_reference_step(const kernels::ExcParams& p, const float* drive,
-                               const std::uint8_t* inh_spiked,
-                               std::size_t inh_total, ExcState& st) {
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < st.v.size(); ++i) {
-        float x = drive[i];
-        if (p.gain_active) x *= p.driver_gain;
-        if (inh_total > 0) {
-            x += p.w_inh * (static_cast<float>(inh_total) -
-                            static_cast<float>(inh_spiked[i]));
-        }
-        st.theta[i] *= p.theta_decay;
-        std::uint8_t spike = 0;
-        if (st.refrac[i] > 0) {
-            --st.refrac[i];
-            st.v[i] = p.v_reset;
-        } else {
-            float v = p.v_rest + p.decay * (st.v[i] - p.v_rest);
-            v += 1.0f * x;  // identity input gain, like the scalar path
-            const float threshold = p.thresh_base + st.theta[i];
-            if (v >= threshold) {
-                spike = 1;
-                v = p.v_reset;
-                st.refrac[i] = p.refrac_steps;
-                st.theta[i] += p.theta_plus;
-            }
-            st.v[i] = v;
-        }
-        st.spiked[i] = spike;
-        count += spike;
-    }
-    return count;
-}
-
-TEST(Kernels, ExcFastStepBitIdenticalToScalarReference) {
+/// Each layer runs three ways from the same state: exc_update/inh_update
+/// with the true patch list (the identity loop, plus a redo when the list
+/// is short), with every neuron listed (the fault-aware loop over the
+/// layer; identity neurons must come out unchanged), and the oracle. All
+/// three must agree bit for bit, step after step.
+TEST(Kernels, LayerUpdateShapesBitIdenticalToOracle) {
     util::Rng rng(97);
-    for (const bool gain_active : {false, true}) {
-        for (const std::size_t n : {5u, 16u, 24u, 33u}) {
-            kernels::ExcParams p;
-            p.v_rest = -65.0f;
-            p.v_reset = -60.0f;
-            p.decay = 0.99f;
-            p.thresh_base = p.v_rest + (-52.0f - p.v_rest);
-            p.theta_decay = 0.999999f;
-            p.theta_plus = 0.05f;
-            p.refrac_steps = 5;
-            p.driver_gain = gain_active ? 0.7f : 1.0f;
-            p.gain_active = gain_active;
-            p.w_inh = -17.5f;
-            ExcState fast{std::vector<float>(n, p.v_rest),
-                          std::vector<float>(n, 0.0f),
-                          std::vector<std::int32_t>(n, 0),
-                          std::vector<std::uint8_t>(n, 0)};
-            ExcState ref = fast;
-            std::vector<std::uint8_t> inh_spiked(n, 0);
-            std::vector<float> drive(n, 0.0f);
-            for (std::size_t step = 0; step < 200; ++step) {
-                for (float& d : drive)
-                    d = static_cast<float>(rng.uniform(0.0, 30.0));
-                std::size_t inh_total = 0;
-                for (auto& s : inh_spiked) {
-                    s = rng.uniform() < 0.2 ? 1 : 0;
-                    inh_total += s;
+    kernels::ExcParams ep{.v_rest = -65.0f, .v_reset = -60.0f, .decay = 0.99f,
+                          .thresh_span = 13.0f, .theta_decay = 0.999999f,
+                          .theta_plus = 0.05f, .refrac_steps = 5, .w_inh = -17.5f};
+    const kernels::InhParams ip{.v_rest = -60.0f, .v_reset = -45.0f, .decay = 0.9f,
+                                .thresh_span = 20.0f, .refrac_steps = 2, .w_exc = 22.5f};
+    for (const float driver_gain : {1.0f, 0.7f}) {
+        ep.driver_gain = driver_gain;
+        for (const std::size_t n : {5u, 16u, 24u, 33u, 100u}) {
+            for (const std::size_t n_faulty : {std::size_t{0}, n / 8, n / 2, n}) {
+                const RandomFaults ef(rng, n, n_faulty, ep.refrac_steps);
+                const RandomFaults hf(rng, n, n_faulty, ip.refrac_steps);
+                std::vector<kernels::NeuronState> save(n);
+                // [0] true patch list, [1] every neuron listed, [2] oracle.
+                std::vector<LayerRun> exc(3, LayerRun(n, ep.v_rest));
+                std::vector<LayerRun> inh(3, LayerRun(n, ip.v_rest));
+                std::vector<std::uint8_t> inh_spiked(n, 0);
+                std::vector<float> drive(n, 0.0f);
+                for (std::size_t step = 0; step < 200; ++step) {
+                    for (float& d : drive) d = static_cast<float>(rng.uniform(0.0, 30.0));
+                    std::size_t inh_total = 0;
+                    for (auto& s : inh_spiked) inh_total += s = rng.uniform() < 0.2;
+                    for (std::size_t k = 0; k < 2; ++k) {
+                        LayerRun& e = exc[k];
+                        LayerRun& h = inh[k];
+                        e.count = kernels::exc_update(
+                            ep, ef.view(k == 0 ? ef.patch : ef.everyone), drive.data(),
+                            inh_spiked.data(), inh_total, e.v.data(), e.refrac.data(),
+                            e.theta.data(), e.spiked.data(), n, save.data());
+                        h.count = kernels::inh_update(
+                            ip, hf.view(k == 0 ? hf.patch : hf.everyone), e.spiked.data(),
+                            h.v.data(), h.refrac.data(), h.spiked.data(), n, save.data());
+                    }
+                    LayerRun& e = exc[2];
+                    LayerRun& h = inh[2];
+                    e.count = kernels::exc_update_reference(
+                        ep, ef.view(ef.patch), drive.data(), inh_spiked.data(), inh_total,
+                        e.v.data(), e.refrac.data(), e.theta.data(), e.spiked.data(), n);
+                    h.count = kernels::inh_update_reference(
+                        ip, hf.view(hf.patch), e.spiked.data(), h.v.data(),
+                        h.refrac.data(), h.spiked.data(), n);
+                    for (std::size_t k = 0; k < 2; ++k) {
+                        ASSERT_TRUE(exc[k] == e && inh[k] == h)
+                            << "shape " << k << ", n=" << n << " faulty=" << n_faulty
+                            << " step " << step;
+                    }
                 }
-                const std::size_t fast_count = kernels::exc_fast_step(
-                    p, drive.data(), inh_spiked.data(), inh_total,
-                    fast.v.data(), fast.refrac.data(), fast.theta.data(),
-                    fast.spiked.data(), n);
-                const std::size_t ref_count = exc_reference_step(
-                    p, drive.data(), inh_spiked.data(), inh_total, ref);
-                ASSERT_EQ(fast_count, ref_count) << "step " << step;
-                ASSERT_TRUE(same_bits(fast.v, ref.v)) << "step " << step;
-                ASSERT_TRUE(same_bits(fast.theta, ref.theta)) << "step " << step;
-                ASSERT_EQ(fast.refrac, ref.refrac) << "step " << step;
-                ASSERT_EQ(fast.spiked, ref.spiked) << "step " << step;
             }
         }
     }
 }
 
-TEST(Kernels, InhFastStepBitIdenticalToScalarReference) {
-    util::Rng rng(131);
-    const std::size_t n = 24;
-    kernels::InhParams p;
-    p.v_rest = -60.0f;
-    p.v_reset = -45.0f;
-    p.decay = 0.9f;
-    p.thresh_base = p.v_rest + (-40.0f - p.v_rest);
-    p.refrac_steps = 2;
-    p.w_exc = 22.5f;
-    std::vector<float> v_fast(n, p.v_rest), v_ref(n, p.v_rest);
-    std::vector<std::int32_t> r_fast(n, 0), r_ref(n, 0);
-    std::vector<std::uint8_t> s_fast(n, 0), s_ref(n, 0), exc_spiked(n, 0);
-    for (std::size_t step = 0; step < 200; ++step) {
-        for (auto& s : exc_spiked) s = rng.uniform() < 0.3 ? 1 : 0;
-        const std::size_t fast_count = kernels::inh_fast_step(
-            p, exc_spiked.data(), v_fast.data(), r_fast.data(), s_fast.data(), n);
-        // Scalar reference: the fault-aware loop at identity fault state.
-        std::size_t ref_count = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const float x = exc_spiked[i] ? p.w_exc : 0.0f;
-            std::uint8_t spike = 0;
-            if (r_ref[i] > 0) {
-                --r_ref[i];
-                v_ref[i] = p.v_reset;
-            } else {
-                float vi = p.v_rest + p.decay * (v_ref[i] - p.v_rest);
-                vi += 1.0f * x;
-                if (vi >= p.thresh_base) {
-                    spike = 1;
-                    vi = p.v_reset;
-                    r_ref[i] = p.refrac_steps;
-                }
-                v_ref[i] = vi;
-            }
-            s_ref[i] = spike;
-            ref_count += spike;
-        }
-        ASSERT_EQ(fast_count, ref_count) << "step " << step;
-        ASSERT_TRUE(same_bits(v_fast, v_ref)) << "step " << step;
-        ASSERT_EQ(r_fast, r_ref) << "step " << step;
-        ASSERT_EQ(s_fast, s_ref) << "step " << step;
-    }
-}
+// --- the runtime's patch lists ----------------------------------------------
 
-// --- end-to-end: fast path vs scalar path through the runtime -------------
-
-/// A numerically-identity neuron op (gain 1.0) drops the runtime to the
-/// scalar fault-aware path without changing semantics; a clean runtime
-/// takes the fast path. Same seed, same images: every observable must be
-/// bit-identical.
-TEST(Kernels, RuntimeFastAndScalarPathsBitIdentical) {
+/// Ops that compose to the identity (gain 1.0, scale 1.0, the nominal
+/// refractory period) leave the patch lists empty: the runtime stays on
+/// the identity loop and matches a clean runtime bit for bit, standalone
+/// and as a batch member.
+TEST(Kernels, IdentityOpsKeepTheIdentityLoop) {
     const auto model = NetworkModel::random(tiny_config(), 21);
-    NetworkRuntime fast(model);
     FaultOverlay identity;
-    const std::size_t targets[] = {0};
-    identity.scale_input_gain(OverlayLayer::kExcitatory, targets, 1.0f);
-    identity.scale_input_gain(OverlayLayer::kInhibitory, targets, 1.0f);
-    NetworkRuntime scalar(model, identity);
-    RuntimeTestPeer::force_scalar(scalar);
-    EXPECT_TRUE(fast.fast_path_active());
-    EXPECT_FALSE(scalar.fast_path_active());
+    const std::size_t targets[] = {0, 5};
+    identity.scale_input_gain(OverlayLayer::kExcitatory, targets, 1.0f)
+        .scale_threshold(OverlayLayer::kInhibitory, targets, 1.0f)
+        .override_refractory(OverlayLayer::kExcitatory, targets,
+                             tiny_config().excitatory.lif.refrac_steps);
+    NetworkRuntime clean(model);
+    NetworkRuntime touched(model, identity);
+    EXPECT_TRUE(touched.fast_path_active());
+    NetworkRuntime batch_clean(model);
+    NetworkRuntime batch_touched(model, identity);
+    BatchRunner batch(*model, {&batch_clean, &batch_touched});
+    std::vector<SampleActivity> activities(batch.size());
+    util::Rng batch_rng(91);
 
-    fast.rng().reseed(7);
-    scalar.rng().reseed(7);
+    clean.rng().reseed(7);
+    touched.rng().reseed(7);
     util::Rng image_rng(55);
     for (std::size_t sample = 0; sample < 4; ++sample) {
         const auto image = random_image(image_rng, model->config().n_input);
-        const SampleActivity a = fast.run_sample(image);
-        const SampleActivity b = scalar.run_sample(image);
+        const SampleActivity a = clean.run_sample(image);
+        const SampleActivity b = touched.run_sample(image);
         ASSERT_EQ(a.exc_counts, b.exc_counts) << "sample " << sample;
-        ASSERT_EQ(a.total_exc_spikes, b.total_exc_spikes) << "sample " << sample;
         ASSERT_EQ(a.total_inh_spikes, b.total_inh_spikes) << "sample " << sample;
-        ASSERT_TRUE(same_bits(fast.exc_theta(), scalar.exc_theta()))
-            << "sample " << sample;
-    }
-}
-
-/// Property: a runtime carrying real per-neuron faults (forced states,
-/// gains, threshold scale, refractory override) takes the hybrid path —
-/// vector kernel plus an exact scalar redo of the overridden neurons —
-/// and must match the full scalar fault-aware loop bit for bit.
-TEST(Kernels, HybridPatchPathBitIdenticalToScalarLoop) {
-    const auto model = NetworkModel::random(tiny_config(), 29);
-    FaultOverlay faults;
-    const std::size_t dead[] = {1};
-    const std::size_t saturated[] = {4};
-    const std::size_t gained[] = {2};
-    const std::size_t scaled[] = {0};
-    const std::size_t refrac[] = {3};
-    faults.force_state(OverlayLayer::kExcitatory, dead, NeuronFault::kDead);
-    faults.force_state(OverlayLayer::kExcitatory, saturated,
-                       NeuronFault::kSaturated);
-    faults.scale_input_gain(OverlayLayer::kExcitatory, gained, 0.5f);
-    faults.scale_driver_gain(gained, 0.25f);
-    faults.scale_threshold(OverlayLayer::kInhibitory, scaled, 1.3f);
-    faults.override_refractory(OverlayLayer::kInhibitory, refrac, 9.0f);
-
-    NetworkRuntime hybrid(model, faults);
-    NetworkRuntime scalar(model, faults);
-    RuntimeTestPeer::force_scalar(scalar);
-    EXPECT_FALSE(hybrid.fast_path_active());
-    // Patch lists small enough for the hybrid (<= n/8 of 24 per layer).
-    EXPECT_EQ(RuntimeTestPeer::exc_patch_size(hybrid), 3u);
-    EXPECT_EQ(RuntimeTestPeer::inh_patch_size(hybrid), 2u);
-
-    hybrid.rng().reseed(17);
-    scalar.rng().reseed(17);
-    util::Rng image_rng(63);
-    for (std::size_t sample = 0; sample < 4; ++sample) {
-        const auto image = random_image(image_rng, model->config().n_input);
-        const SampleActivity a = hybrid.run_sample(image);
-        const SampleActivity b = scalar.run_sample(image);
-        ASSERT_EQ(a.exc_counts, b.exc_counts) << "sample " << sample;
-        ASSERT_EQ(a.total_exc_spikes, b.total_exc_spikes) << "sample " << sample;
-        ASSERT_EQ(a.total_inh_spikes, b.total_inh_spikes) << "sample " << sample;
-        ASSERT_TRUE(same_bits(hybrid.exc_theta(), scalar.exc_theta()))
-            << "sample " << sample;
-    }
-}
-
-/// Same check through the BatchRunner: a clean member (aliases the shared
-/// base drive, fast kernels) against an identity-op member (pinned to the
-/// scalar loop) in ONE batch over one shared Poisson stream.
-TEST(Kernels, BatchMembersFastAndScalarPathsBitIdentical) {
-    const auto model = NetworkModel::random(tiny_config(), 23);
-    NetworkRuntime clean(model);
-    FaultOverlay identity;
-    const std::size_t targets[] = {1, 3};
-    identity.scale_input_gain(OverlayLayer::kExcitatory, targets, 1.0f);
-    NetworkRuntime scalar(model, identity);
-    RuntimeTestPeer::force_scalar(scalar);
-    BatchRunner batch(*model, {&clean, &scalar});
-    util::Rng rng(91);
-    util::Rng image_rng(92);
-    std::vector<SampleActivity> activities(batch.size());
-    for (std::size_t sample = 0; sample < 4; ++sample) {
-        const auto image = random_image(image_rng, model->config().n_input);
-        batch.run_sample_into(image, rng, activities);
+        ASSERT_TRUE(same_bits(clean.exc_theta(), touched.exc_theta()));
+        batch.run_sample_into(image, batch_rng, activities);
         ASSERT_EQ(activities[0].exc_counts, activities[1].exc_counts);
-        ASSERT_EQ(activities[0].total_exc_spikes, activities[1].total_exc_spikes);
         ASSERT_EQ(activities[0].total_inh_spikes, activities[1].total_inh_spikes);
     }
+}
+
+/// Every kind of non-identity op puts its neuron on its layer's patch
+/// list, ascending, whatever order the ops came in.
+TEST(Kernels, NonIdentityOpsBuildSortedPatchLists) {
+    const auto model = NetworkModel::random(tiny_config(), 29);
+    FaultOverlay faults;
+    const std::size_t dead[] = {11}, saturated[] = {4}, gained[] = {2},
+                      scaled[] = {7}, refrac[] = {3};
+    faults.force_state(OverlayLayer::kExcitatory, dead, NeuronFault::kDead)
+        .force_state(OverlayLayer::kExcitatory, saturated, NeuronFault::kSaturated)
+        .scale_input_gain(OverlayLayer::kExcitatory, gained, 0.5f)
+        .scale_driver_gain(gained, 0.25f)
+        .scale_threshold(OverlayLayer::kInhibitory, scaled, 1.3f)
+        .override_refractory(OverlayLayer::kInhibitory, refrac, 9);
+    NetworkRuntime runtime(model, faults);
+    EXPECT_FALSE(runtime.fast_path_active());
+    EXPECT_EQ(RuntimeTestPeer::exc_patch(runtime),
+              (std::vector<std::uint32_t>{2, 4, 11}));
+    EXPECT_EQ(RuntimeTestPeer::inh_patch(runtime), (std::vector<std::uint32_t>{3, 7}));
+    runtime.set_overlay({});
+    EXPECT_TRUE(runtime.fast_path_active());
 }
 
 // --- adopt_drive: aliasing + merge-join ------------------------------------

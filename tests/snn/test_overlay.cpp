@@ -1,12 +1,15 @@
 // FaultOverlay semantics: bit-flip weight patches round-trip bit-exactly,
 // composition is order-independent on distinct targets (the paper's
-// combined attacks), last-writer-wins on conflicting targets, and every
-// field kind expands into the runtime's fault state.
+// combined attacks), last-writer-wins on conflicting targets, every field
+// kind expands into the runtime's fault state, and the two threshold
+// semantics read back through NetworkRuntime::effective_threshold.
 #include "snn/overlay.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "data/synthetic_digits.hpp"
 #include "snn/model.hpp"
@@ -110,6 +113,52 @@ TEST(FaultOverlay, EveryFieldKindExpandsIntoRuntimeState) {
               NeuronFault::kNominal);
     EXPECT_EQ(runtime.refractory_steps(OverlayLayer::kExcitatory, 3),
               tiny_config().excitatory.lif.refrac_steps);
+}
+
+/// The two threshold semantics move the threshold in opposite directions:
+/// scaling the rest-to-threshold distance by (1 + delta) lowers it for
+/// delta < 0, while BindsNET's value delta (v_thresh * (1 + delta)) on a
+/// negative threshold raises it.
+TEST(FaultOverlay, ValueDeltaAndDistanceScaleMoveThresholdOppositeWays) {
+    const auto model = NetworkModel::random(tiny_config(), 3);
+    const LifParams& lif = tiny_config().excitatory.lif;
+    const std::size_t target[] = {0};
+    const OverlayLayer exc = OverlayLayer::kExcitatory;
+    const auto threshold = [&](const FaultOverlay& overlay) {
+        return NetworkRuntime(model, overlay).effective_threshold(exc, 0);
+    };
+    for (const float delta : {-0.2f, -0.1f, 0.1f, 0.2f}) {
+        const float by_distance =
+            threshold(FaultOverlay().scale_threshold(exc, target, 1.0f + delta));
+        const float by_value =
+            threshold(FaultOverlay().shift_threshold_value(exc, target, delta));
+        EXPECT_NEAR(by_distance, lif.v_rest + (lif.v_thresh - lif.v_rest) * (1 + delta),
+                    1e-4);
+        EXPECT_NEAR(by_value, lif.v_thresh * (1 + delta), 1e-3);
+        // delta < 0: the distance scale lowers the threshold (easier
+        // firing), the value delta raises it (harder); delta > 0 inverts.
+        const float sign = delta < 0.0f ? -1.0f : 1.0f;
+        EXPECT_GT(sign * (by_distance - lif.v_thresh), 0.0f) << delta;
+        EXPECT_LT(sign * (by_value - lif.v_thresh), 0.0f) << delta;
+    }
+}
+
+/// A threshold fault scales the rest-to-threshold distance only; the
+/// adaptive theta is added on top unscaled.
+TEST(FaultOverlay, ThresholdFaultDoesNotScaleTheta) {
+    const DiehlCookConfig config = tiny_config();
+    const auto random = NetworkModel::random(config, 3);
+    std::vector<float> theta(config.n_neurons, 0.0f);
+    theta[0] = 0.05f;
+    const auto model = std::make_shared<const NetworkModel>(
+        config, random->input_weights(), theta);
+    const std::size_t target[] = {0};
+    FaultOverlay halved;
+    halved.scale_threshold(OverlayLayer::kExcitatory, target, 0.5f);
+    const NetworkRuntime runtime(model, halved);
+    const LifParams& lif = config.excitatory.lif;
+    EXPECT_NEAR(runtime.effective_threshold(OverlayLayer::kExcitatory, 0),
+                lif.v_rest + (lif.v_thresh - lif.v_rest) * 0.5f + 0.05f, 1e-4);
 }
 
 TEST(FaultOverlay, Validation) {

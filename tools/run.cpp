@@ -1,10 +1,12 @@
-// Unified experiment runner — the batch front-end of the Session engine.
+// Unified experiment runner — the one front-end of the Session engine:
+// every paper figure, attack, defense, ablation and fault-injection
+// campaign in the scenario registry runs through it.
 //
 //   $ run --list
 //   $ run --experiment=fig8b                      # one figure
 //   $ run --experiment=attack --quick --json      # every attack, shared
 //                                                 # baseline, JSON output
-//   $ run --experiment=fig5b,defense --workers=4
+//   $ run --experiment=fig5b,defense --threads=4 --csv
 //
 // All selected scenarios execute through ONE Session: trained baselines,
 // datasets and circuit characterisations are cached and shared, and the
@@ -53,7 +55,6 @@ int main(int argc, char** argv) {
     parser.add_option("threads", "0",
                       "Session thread-pool size (0 = SNNFI_THREADS env or all "
                       "cores)");
-    parser.add_option("workers", "0", "Deprecated alias for --threads");
     parser.add_option("cache-capacity", "0",
                       "Artifact-cache entry cap with LRU eviction (0 = unbounded)");
     parser.add_option("store-dir", "",
@@ -117,9 +118,7 @@ int main(int argc, char** argv) {
     options.quick = parser.get_bool("quick");
     options.train_samples = static_cast<std::size_t>(parser.get_int("samples"));
     options.n_neurons = static_cast<std::size_t>(parser.get_int("neurons"));
-    const auto threads = static_cast<std::size_t>(parser.get_int("threads"));
-    options.max_workers =
-        threads != 0 ? threads : static_cast<std::size_t>(parser.get_int("workers"));
+    options.max_workers = static_cast<std::size_t>(parser.get_int("threads"));
     options.cache_capacity =
         static_cast<std::size_t>(parser.get_int("cache-capacity"));
     options.store_dir = parser.get("store-dir");
