@@ -1,8 +1,11 @@
 #include "circuits/dummy_neuron.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "obs/span.hpp"
 #include "spice/engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnfi::circuits {
 
@@ -23,7 +26,10 @@ double measure_dummy_spike_period(const DummyNeuronConfig& config, double vdd) {
         cfg.iin_period = config.iin_period;
         netlist = build_vamp_if(cfg);
     }
-    spice::Simulator sim(netlist);
+    // Only V(vout) is read: skip recording the branch currents.
+    spice::SimOptions lean;
+    lean.record_branch_currents = false;
+    spice::Simulator sim(netlist, lean);
     const auto result = sim.run_transient(config.sim_window, config.dt);
     const auto spikes = result.crossings("V(vout)", 0.5 * vdd, +1);
     if (spikes.size() < 3)
@@ -33,16 +39,33 @@ double measure_dummy_spike_period(const DummyNeuronConfig& config, double vdd) {
 
 std::vector<DummyNeuronReading> dummy_neuron_sweep(const DummyNeuronConfig& config,
                                                    const std::vector<double>& vdds,
-                                                   double nominal_vdd) {
-    const double nominal_period = measure_dummy_spike_period(config, nominal_vdd);
-    const double nominal_count = config.sampling_window / nominal_period;
+                                                   double nominal_vdd,
+                                                   util::ThreadPool* pool) {
+    // One transient per distinct supply: the nominal usually sits in the grid.
+    std::vector<double> supplies = vdds;
+    supplies.push_back(nominal_vdd);
+    std::sort(supplies.begin(), supplies.end());
+    supplies.erase(std::unique(supplies.begin(), supplies.end()), supplies.end());
+    std::vector<double> periods(supplies.size());
+    const obs::Context parent = obs::current_context();
+    util::for_each_index(pool, supplies.size(), [&](std::size_t i) {
+        obs::Span span("circuit.dummy", parent);
+        span.tag("kind", to_string(config.kind));
+        span.tag("vdd", supplies[i]);
+        periods[i] = measure_dummy_spike_period(config, supplies[i]);
+    });
+    const auto period_at = [&](double vdd) {
+        return periods[static_cast<std::size_t>(
+            std::lower_bound(supplies.begin(), supplies.end(), vdd) - supplies.begin())];
+    };
 
+    const double nominal_count = config.sampling_window / period_at(nominal_vdd);
     std::vector<DummyNeuronReading> readings;
     readings.reserve(vdds.size());
     for (double vdd : vdds) {
         DummyNeuronReading r;
         r.vdd = vdd;
-        r.spike_period = measure_dummy_spike_period(config, vdd);
+        r.spike_period = period_at(vdd);
         r.spike_count = config.sampling_window / r.spike_period;
         r.deviation_pct = 100.0 * (r.spike_count - nominal_count) / nominal_count;
         readings.push_back(r);

@@ -40,8 +40,11 @@ struct DummyNeuronReading {
 double measure_dummy_spike_period(const DummyNeuronConfig& config, double vdd);
 
 /// Full VDD sweep with deviations referenced to `nominal_vdd` (Fig. 10c).
+/// Each distinct supply, the nominal included, is simulated once; the
+/// transients fan out over `pool` when one is supplied.
 std::vector<DummyNeuronReading> dummy_neuron_sweep(const DummyNeuronConfig& config,
                                                    const std::vector<double>& vdds,
-                                                   double nominal_vdd = 1.0);
+                                                   double nominal_vdd = 1.0,
+                                                   util::ThreadPool* pool = nullptr);
 
 }  // namespace snnfi::circuits

@@ -25,7 +25,8 @@ ScenarioSpec fig9b_spec() {
     spec.paper_order = 130;
     spec.custom_run = [](Session& session, const RunOptions& options) {
         const auto points =
-            *session.driver_sweep(paper_vdd_grid(options.quick), true);
+            *session.sweep({.quantity = circuits::Quantity::kRobustDriverAmplitude,
+                            .grid = paper_vdd_grid(options.quick)});
         ResultTable table("Fig. 9b — Robust current driver output vs VDD",
                           {"vdd_V", "amplitude_nA", "change_pct"});
         table.add_note("Paper: constant output amplitude under VDD manipulation "
@@ -103,10 +104,11 @@ ScenarioSpec fig10c_spec() {
     spec.description = "Spike-count deviation vs VDD";
     spec.tags = {"figure", "defense", "detector"};
     spec.paper_order = 160;
-    spec.custom_run = [](Session&, const RunOptions& options) {
+    spec.custom_run = [](Session& session, const RunOptions& options) {
         defense::DetectorConfig config;
         defense::DummyNeuronDetector detector(config);
-        const auto readings = detector.sweep(paper_vdd_grid(options.quick));
+        const auto readings =
+            detector.sweep(paper_vdd_grid(options.quick), &session.pool());
         ResultTable table("Fig. 10c — Dummy-neuron output vs VDD (detector)",
                           {"vdd_V", "spike_count_100ms", "deviation_pct", "flagged"});
         table.add_note("Paper: >= 10% deviation in dummy output spike count flags a "

@@ -72,21 +72,28 @@ Session::Session(RunOptions options)
 
 std::shared_ptr<void> Session::cached(
     const std::string& key, const std::function<std::shared_ptr<void>()>& make) {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = artifacts_.find(key);
-        if (it != artifacts_.end()) {
-            ++hits_;
-            CacheMetrics::get().hits.add();
-            lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-            return it->second.value;
-        }
-        ++misses_;
-        CacheMetrics::get().misses.add();
-    }
+    if (auto hit = find_cached(key)) return hit;
     // Built outside the lock so factories may request other artifacts
     // (e.g. an attack suite pulling its dataset) without deadlocking.
-    std::shared_ptr<void> artifact = make();
+    return insert_cached(key, make());
+}
+
+std::shared_ptr<void> Session::find_cached(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = artifacts_.find(key);
+    if (it == artifacts_.end()) {
+        ++misses_;
+        CacheMetrics::get().misses.add();
+        return nullptr;
+    }
+    ++hits_;
+    CacheMetrics::get().hits.add();
+    lru_.splice(lru_.begin(), lru_, it->second.lru_position);
+    return it->second.value;
+}
+
+std::shared_ptr<void> Session::insert_cached(const std::string& key,
+                                             std::shared_ptr<void> artifact) {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = artifacts_.find(key);
     if (it != artifacts_.end()) {
@@ -159,70 +166,108 @@ std::shared_ptr<const attack::VddCalibration> Session::calibration(
         // runs interpolate the same curves as full runs. The sweeps behind
         // it are themselves cached (and pool-parallel), so a calibration
         // after a fig5b/fig6a scenario costs nothing extra.
-        const auto thresholds = threshold_sweep(kind, paper_vdd_grid(false));
-        const auto amplitudes = driver_sweep(paper_vdd_grid(false), false);
+        const auto curves = sweeps(
+            {{.quantity = circuits::Quantity::kThreshold,
+              .kind = kind,
+              .grid = paper_vdd_grid(false)},
+             {.quantity = circuits::Quantity::kDriverAmplitude, .grid = paper_vdd_grid(false)}});
         return std::make_shared<attack::VddCalibration>(
-            attack::VddCalibration::from_points(*thresholds, *amplitudes));
+            attack::VddCalibration::from_points(*curves[0], *curves[1]));
     });
     return std::static_pointer_cast<const attack::VddCalibration>(artifact);
 }
 
-std::shared_ptr<const std::vector<circuits::VddPoint>> Session::stored_sweep(
-    const std::string& key,
-    const std::function<std::vector<circuits::VddPoint>()>& measure) {
-    return artifact<std::vector<circuits::VddPoint>>(key, [&] {
-        if (store_) {
-            if (const auto payload = store_->load(store::kSweepKind, key)) {
+namespace {
+
+/// Store key of a characterisation sweep. The threshold, driver and VDD
+/// time-to-spike layouts predate the amplitude sweeps; persisted blobs
+/// depend on them, so they must not change.
+std::string sweep_key(const circuits::Characterizer& characterizer,
+                      const circuits::SweepSpec& sweep) {
+    sweep.validate();
+    std::ostringstream key;
+    key << "char_sweep|" << characterizer.config().cache_key() << "|";
+    switch (sweep.quantity) {
+        case circuits::Quantity::kThreshold:
+            key << "thr|" << circuits::to_string(sweep.kind);
+            break;
+        case circuits::Quantity::kTimeToSpike:
+            key << (sweep.over_amplitude ? "tts_amp|" : "tts|")
+                << circuits::to_string(sweep.kind);
+            break;
+        case circuits::Quantity::kDriverAmplitude:
+            key << "drv|robust=0";
+            break;
+        case circuits::Quantity::kRobustDriverAmplitude:
+            key << "drv|robust=1";
+            break;
+    }
+    key << "|" << grid_key(sweep.grid);
+    return key.str();
+}
+
+}  // namespace
+
+std::vector<Session::Sweep> Session::sweeps(
+    const std::vector<circuits::SweepSpec>& specs) {
+    const auto characterizer = this->characterizer();
+    std::vector<Sweep> curves(specs.size());
+    std::vector<std::string> keys(specs.size());
+    std::vector<std::size_t> pending;  // neither cached nor stored
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        keys[i] = sweep_key(*characterizer, specs[i]);
+        curves[i] = std::static_pointer_cast<Sweep::element_type>(
+            find_cached(keys[i]));
+        if (!curves[i] && store_) {
+            if (const auto payload = store_->load(store::kSweepKind, keys[i])) {
                 try {
-                    return std::make_shared<std::vector<circuits::VddPoint>>(
-                        store::decode_vdd_points(*payload));
+                    curves[i] = std::static_pointer_cast<Sweep::element_type>(
+                        insert_cached(keys[i], std::make_shared<std::vector<circuits::VddPoint>>(
+                                                   store::decode_vdd_points(*payload))));
                 } catch (const store::BlobError&) {
                     // Undecodable content re-measures below (and the fresh
                     // save overwrites the bad blob).
                 }
             }
         }
-        auto points = [&] {
-            obs::Span span("session.characterize");
-            span.tag("key", key);
-            return std::make_shared<std::vector<circuits::VddPoint>>(measure());
-        }();
-        if (store_) store_->save(store::kSweepKind, key, store::encode_vdd_points(*points));
-        return points;
-    });
+        if (!curves[i]) pending.push_back(i);
+    }
+    if (pending.empty()) return curves;
+
+    obs::Span span("session.characterize");
+    span.tag("sweeps", static_cast<double>(pending.size()));
+    std::vector<circuits::SweepSpec> batch;
+    batch.reserve(pending.size());
+    for (const std::size_t i : pending) batch.push_back(specs[i]);
+    const auto measured = circuits::assemble_sweeps(
+        batch, measure_points(*characterizer, characterizer->sweep_points(batch)));
+    for (std::size_t j = 0; j < pending.size(); ++j) {
+        const std::size_t i = pending[j];
+        if (store_) store_->save(store::kSweepKind, keys[i], store::encode_vdd_points(measured[j]));
+        curves[i] = std::static_pointer_cast<Sweep::element_type>(insert_cached(
+            keys[i], std::make_shared<std::vector<circuits::VddPoint>>(measured[j])));
+    }
+    return curves;
 }
 
-std::shared_ptr<const std::vector<circuits::VddPoint>> Session::threshold_sweep(
-    circuits::NeuronKind kind, const std::vector<double>& vdds) {
-    auto characterizer = this->characterizer();
-    std::ostringstream key;
-    key << "char_sweep|" << characterizer->config().cache_key()
-        << "|thr|" << circuits::to_string(kind) << "|" << grid_key(vdds);
-    return stored_sweep(key.str(), [&] {
-        return characterizer->threshold_vs_vdd(kind, vdds, &pool_);
-    });
-}
-
-std::shared_ptr<const std::vector<circuits::VddPoint>> Session::driver_sweep(
-    const std::vector<double>& vdds, bool robust) {
-    auto characterizer = this->characterizer();
-    std::ostringstream key;
-    key << "char_sweep|" << characterizer->config().cache_key()
-        << "|drv|robust=" << robust << "|" << grid_key(vdds);
-    return stored_sweep(key.str(), [&] {
-        return characterizer->driver_amplitude_vs_vdd(vdds, robust, &pool_);
-    });
-}
-
-std::shared_ptr<const std::vector<circuits::VddPoint>> Session::time_to_spike_sweep(
-    circuits::NeuronKind kind, const std::vector<double>& vdds) {
-    auto characterizer = this->characterizer();
-    std::ostringstream key;
-    key << "char_sweep|" << characterizer->config().cache_key()
-        << "|tts|" << circuits::to_string(kind) << "|" << grid_key(vdds);
-    return stored_sweep(key.str(), [&] {
-        return characterizer->time_to_spike_vs_vdd(kind, vdds, &pool_);
-    });
+std::vector<double> Session::measure_points(
+    const circuits::Characterizer& characterizer,
+    const std::vector<circuits::PointSpec>& points) {
+    std::vector<circuits::PointSpec> missing;
+    {
+        std::lock_guard<std::mutex> lock(points_mutex_);
+        for (const circuits::PointSpec& point : points)
+            if (points_.count(point) == 0) missing.push_back(point);
+    }
+    // Simulated outside the lock; a concurrent request measuring the same
+    // point computes the same value.
+    const std::vector<double> measured = characterizer.measure(missing, &pool_);
+    std::lock_guard<std::mutex> lock(points_mutex_);
+    for (std::size_t i = 0; i < missing.size(); ++i) points_.emplace(missing[i], measured[i]);
+    std::vector<double> values;
+    values.reserve(points.size());
+    for (const circuits::PointSpec& point : points) values.push_back(points_.at(point));
+    return values;
 }
 
 std::shared_ptr<const attack::GlitchProfile> Session::glitch_profile(

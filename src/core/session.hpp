@@ -68,15 +68,15 @@ public:
         circuits::NeuronKind kind);
 
     // --- cached characterisation sweeps ---------------------------------
-    // Keyed by the characterizer config hash + grid and computed in
-    // parallel over the session pool, so scenario batches simulate each
-    // sweep once instead of serially re-measuring per run.
-    std::shared_ptr<const std::vector<circuits::VddPoint>> threshold_sweep(
-        circuits::NeuronKind kind, const std::vector<double>& vdds);
-    std::shared_ptr<const std::vector<circuits::VddPoint>> driver_sweep(
-        const std::vector<double>& vdds, bool robust);
-    std::shared_ptr<const std::vector<circuits::VddPoint>> time_to_spike_sweep(
-        circuits::NeuronKind kind, const std::vector<double>& vdds);
+    // Each sweep of the default characterizer is cached in memory and in
+    // the store, keyed by the config hash + quantity + grid. The sweeps of
+    // one request that neither holds run as one point batch on the session
+    // pool, and the Session remembers every point it has measured, so a
+    // point shared by several requests (a nominal, say) is simulated once
+    // per Session.
+    using Sweep = std::shared_ptr<const std::vector<circuits::VddPoint>>;
+    std::vector<Sweep> sweeps(const std::vector<circuits::SweepSpec>& specs);
+    Sweep sweep(const circuits::SweepSpec& spec) { return sweeps({spec}).front(); }
 
     /// Cached time-resolved glitch calibration: characterises `spec`
     /// transiently (per-window driver + threshold measurements over the
@@ -130,14 +130,18 @@ public:
 private:
     std::shared_ptr<void> cached(const std::string& key,
                                  const std::function<std::shared_ptr<void>()>& make);
+    /// The cached artifact under `key`, or nullptr; counts a hit or a miss.
+    std::shared_ptr<void> find_cached(const std::string& key);
+    /// Caches a freshly built artifact and returns the cached one (another
+    /// thread's, if it cached the same key first).
+    std::shared_ptr<void> insert_cached(const std::string& key, std::shared_ptr<void> value);
     /// `setup_seconds` receives the shared-artifact acquisition time (suite
     /// + calibration) so RunResult can report the setup/run split.
     util::ResultTable run_sweep(const ScenarioSpec& spec, double& setup_seconds);
-    /// Store-backed sweep artifact: consult the store before running
-    /// `measure`, persist on a miss. Used by every characterisation sweep.
-    std::shared_ptr<const std::vector<circuits::VddPoint>> stored_sweep(
-        const std::string& key,
-        const std::function<std::vector<circuits::VddPoint>()>& measure);
+    /// Values of `points` under the default characterizer: looked up in
+    /// points_, with the missing ones simulated as one batch on the pool.
+    std::vector<double> measure_points(const circuits::Characterizer& characterizer,
+                                       const std::vector<circuits::PointSpec>& points);
 
     struct CacheEntry {
         std::shared_ptr<void> value;
@@ -155,6 +159,8 @@ private:
     std::atomic<std::size_t> hits_{0};
     std::atomic<std::size_t> misses_{0};
     std::atomic<std::size_t> evictions_{0};
+    std::mutex points_mutex_;  ///< guards points_
+    std::map<circuits::PointSpec, double> points_;  ///< measured by this Session
 };
 
 /// The JSON envelope shared by every CLI front-end (`run`, bench binaries).

@@ -15,9 +15,9 @@ bool DummyNeuronDetector::flags(double observed_count, double golden_count) cons
 }
 
 std::vector<DetectorReading> DummyNeuronDetector::sweep(
-    const std::vector<double>& vdds) const {
+    const std::vector<double>& vdds, util::ThreadPool* pool) const {
     const auto readings =
-        circuits::dummy_neuron_sweep(config_.cell, vdds, config_.nominal_vdd);
+        circuits::dummy_neuron_sweep(config_.cell, vdds, config_.nominal_vdd, pool);
     std::vector<DetectorReading> results;
     results.reserve(readings.size());
     for (const auto& r : readings) {

@@ -101,4 +101,13 @@ void ThreadPool::parallel_for(std::size_t count,
     }
 }
 
+void for_each_index(ThreadPool* pool, std::size_t count,
+                    const std::function<void(std::size_t)>& body) {
+    if (pool != nullptr) {
+        pool->parallel_for(count, body);
+    } else {
+        for (std::size_t i = 0; i < count; ++i) body(i);
+    }
+}
+
 }  // namespace snnfi::util

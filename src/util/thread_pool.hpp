@@ -63,4 +63,9 @@ private:
 /// positive count.
 std::size_t resolve_worker_count(std::size_t requested) noexcept;
 
+/// Runs body(0..count-1) through `pool` when one is given, serially on the
+/// caller when `pool` is nullptr.
+void for_each_index(ThreadPool* pool, std::size_t count,
+                    const std::function<void(std::size_t)>& body);
+
 }  // namespace snnfi::util

@@ -5,6 +5,7 @@
 #include "circuits/comparator_ah.hpp"
 #include "circuits/dummy_neuron.hpp"
 #include "spice/engine.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnfi::circuits {
 namespace {
@@ -114,6 +115,17 @@ TEST(DummyNeuron, SpikeCountMovesWithVdd) {
     EXPECT_LT(readings[2].spike_count, readings[1].spike_count);
     EXPECT_GT(readings[0].deviation_pct, 10.0);   // detectable
     EXPECT_LT(readings[2].deviation_pct, -10.0);  // detectable
+
+    // The pooled sweep is bit-identical to the serial one.
+    util::ThreadPool pool(3);
+    const auto pooled = dummy_neuron_sweep(cfg, {0.8, 1.0, 1.2}, 1.0, &pool);
+    ASSERT_EQ(pooled.size(), readings.size());
+    for (std::size_t i = 0; i < readings.size(); ++i) {
+        EXPECT_EQ(pooled[i].vdd, readings[i].vdd);
+        EXPECT_EQ(pooled[i].spike_period, readings[i].spike_period);
+        EXPECT_EQ(pooled[i].spike_count, readings[i].spike_count);
+        EXPECT_EQ(pooled[i].deviation_pct, readings[i].deviation_pct);
+    }
 }
 
 TEST(DummyNeuron, PeriodMeasurementRequiresSpikes) {
