@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     fault.layer = attack::TargetLayer::kBoth;
     fault.fraction = 1.0;
     fault.threshold_delta = -0.20;
-    const attack::AttackOutcome attacked = suite->run(fault);
+    const attack::AttackOutcome attacked = suite->run_many({fault})[0];
     std::cout << "      attacked accuracy: " << attacked.accuracy * 100.0 << "% ("
               << attacked.degradation_pct << "% vs baseline)\n";
 
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     const circuits::BandgapModel bandgap;
     attack::FaultSpec defended = fault;
     defended.threshold_delta = bandgap.deviation_pct(0.8) / 100.0;
-    const attack::AttackOutcome recovered = suite->run(defended);
+    const attack::AttackOutcome recovered = suite->run_many({defended})[0];
     std::cout << "      defended accuracy: " << recovered.accuracy * 100.0 << "% ("
               << recovered.degradation_pct << "% vs baseline)\n";
 

@@ -1,4 +1,7 @@
-// The paper's five attack scenarios (§IV) as parameter-sweep runners.
+// The paper's attack scenarios (§IV) all reduce to one operation: train
+// the Diehl&Cook network from the shared seed model under a fault and
+// report the online accuracy (the paper's metric) next to the attack-free
+// baseline.
 //
 //   Attack 1 (white box): corrupt the input current drivers -> scale the
 //             per-spike membrane voltage change ("theta") by -20%..+20%.
@@ -8,18 +11,20 @@
 //   Attack 5 (black box): shared VDD corrupts driver amplitude *and* both
 //             layers' thresholds simultaneously, via the calibration bridge.
 //
-// Every sweep point trains a fresh Diehl&Cook network under the fault and
-// reports the online accuracy (the paper's metric) next to the attack-free
-// baseline. Sweep points run in parallel (they are independent trainings).
+// The sweeps themselves are data (core::ScenarioSpec axes); this suite runs
+// their points. train_many() is the one train-under-fault primitive, over
+// snn::FaultOverlay descriptions; run_many() adapts the paper's FaultSpec
+// vocabulary onto it. Points run in parallel (they are independent
+// trainings) with index-addressed results.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "attack/calibration.hpp"
 #include "attack/fault_model.hpp"
 #include "snn/model.hpp"
 #include "snn/overlay.hpp"
@@ -33,32 +38,31 @@ struct AttackRunConfig {
     std::size_t train_samples = 1000;
     std::uint64_t data_seed = 42;
     std::uint64_t network_seed = 7;
-    AttackPhase phase = AttackPhase::kTrainingAndInference;
     std::size_t eval_window = 250;
     /// Parallel workers for sweeps; 0 = hardware concurrency.
     std::size_t max_workers = 0;
 };
 
 struct AttackOutcome {
-    FaultSpec fault;
-    double vdd = 0.0;              ///< attack-5 sweeps; 0 otherwise
     double accuracy = 0.0;         ///< online accuracy under the fault
     double retro_accuracy = 0.0;
     double degradation_pct = 0.0;  ///< relative to baseline (paper convention)
     double exc_spikes_per_sample = 0.0;
 };
 
-/// A training-time glitch: a per-sample step-axis fault schedule applied
-/// while STDP is learning, over a window of the training pass. The paper's
-/// high-leverage threat model — a transient supply dip that corrupts
-/// crucial training parameters and persists after the rail recovers.
-struct ScheduledTrainingSpec {
+/// One training pass from the shared seed model under a fault. A static
+/// fault fills `overlay`, installed for the whole pass. A training-time
+/// glitch fills `schedule`: a per-sample step-axis fault schedule that STDP
+/// learns under for a window of the pass — the paper's high-leverage
+/// threat model, a transient supply dip that corrupts crucial training
+/// parameters and persists after the rail recovers.
+struct TrainingFault {
+    snn::FaultOverlay overlay;
     snn::OverlaySchedule schedule;
-    /// The glitched slice of the training pass, as fractions of the
-    /// sample stream: the schedule is installed for samples in
-    /// [sample_begin, sample_end) and retracted outside. [0, 1) hits the
-    /// whole pass — with a full-range constant schedule that is exactly
-    /// the static train-under-fault path, bit for bit.
+    /// The glitched slice of the training pass, as fractions of the sample
+    /// stream: `schedule` is installed for samples in [sample_begin,
+    /// sample_end) and retracted outside. [0, 1) with a full-range constant
+    /// schedule is exactly the static path, bit for bit.
     double sample_begin = 0.0;
     double sample_end = 1.0;
 };
@@ -90,43 +94,32 @@ public:
     /// of this shared model instead of snapshot/restoring a network.
     std::shared_ptr<const snn::NetworkModel> baseline_model();
 
-    /// Runs one fault configuration.
-    AttackOutcome run(const FaultSpec& fault);
-    /// Runs many fault configurations in parallel. Results are
-    /// index-addressed, so the output is identical for any worker count.
-    std::vector<AttackOutcome> run_many(const std::vector<FaultSpec>& faults);
-
-    /// Trains one replica from the shared seed model with `spec.schedule`
-    /// installed for the glitched sample window — STDP runs under the
-    /// mid-epoch glitch, inference outside the window is clean.
-    AttackOutcome run_scheduled(const ScheduledTrainingSpec& spec);
-    /// Parallel form of run_scheduled (index-addressed, worker-count
-    /// independent, like run_many).
-    std::vector<AttackOutcome> run_scheduled_many(
-        const std::vector<ScheduledTrainingSpec>& specs);
+    /// Trains one replica from the shared seed model per fault, in
+    /// parallel. Results are index-addressed, so the output is identical
+    /// for any worker count. Throws std::invalid_argument on a sample
+    /// window outside [0, 1] or an empty one.
+    std::vector<AttackOutcome> train_many(const std::vector<TrainingFault>& faults);
+    /// The paper's vocabulary: each FaultSpec becomes its overlay_for()
+    /// overlay. kTrainingAndInference trains under it (train_many, the
+    /// paper's setting); kInferenceOnly injects it into the clean-trained
+    /// baseline with frozen weights and assignments (ablation).
+    std::vector<AttackOutcome> run_many(
+        const std::vector<FaultSpec>& faults,
+        AttackPhase phase = AttackPhase::kTrainingAndInference);
 
     /// Shares an external worker pool (e.g. a core::Session's) instead of
-    /// this suite building its own per run_many call. The pool must outlive
-    /// the suite; pass nullptr to detach.
+    /// this suite building its own per call. The pool must outlive the
+    /// suite; pass nullptr to detach.
     void set_thread_pool(util::ThreadPool* pool) noexcept { pool_ = pool; }
 
-    // --- paper sweeps ----------------------------------------------------
-    /// Attack 1, Fig. 7b: theta (driver gain) deltas, e.g. {-.2,-.1,.1,.2}.
-    std::vector<AttackOutcome> attack1_theta(const std::vector<double>& gain_deltas);
-    /// Attacks 2/3, Figs. 8a/8b: threshold deltas x fractions on one layer.
-    std::vector<AttackOutcome> attack_layer_grid(TargetLayer layer,
-                                                 const std::vector<double>& deltas,
-                                                 const std::vector<double>& fractions);
-    /// Attack 4, Fig. 8c: both layers at 100%.
-    std::vector<AttackOutcome> attack4_both(const std::vector<double>& deltas);
-    /// Attack 5, Fig. 9a: VDD sweep through the calibration bridge.
-    std::vector<AttackOutcome> attack5_vdd(const VddCalibration& calibration,
-                                           const std::vector<double>& vdds);
-
 private:
-    AttackOutcome evaluate(const FaultSpec& fault);
-    AttackOutcome evaluate_inference_only(const FaultSpec& fault);
-    AttackOutcome evaluate_scheduled(const ScheduledTrainingSpec& spec);
+    /// Runs `point` for every index of `modes` on the pool, each under an
+    /// attack.point span tagged with its mode, and fills in the degradation
+    /// against the baseline (trained, if need be, before dispatch).
+    std::vector<AttackOutcome> for_each_point(
+        const std::vector<const char*>& modes,
+        const std::function<AttackOutcome(std::size_t)>& point);
+    AttackOutcome evaluate_inference_only(const snn::FaultOverlay& overlay);
     /// The shared untrained model every sweep point trains from (same
     /// random init + RNG stream as the legacy per-point construction).
     const std::shared_ptr<const snn::NetworkModel>& seed_model();

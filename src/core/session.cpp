@@ -315,16 +315,15 @@ std::shared_ptr<const attack::GlitchProfile> Session::glitch_profile(
 }
 
 std::shared_ptr<attack::AttackSuite> Session::attack_suite() {
-    return attack_suite(WorkloadOverrides{},
-                        attack::AttackPhase::kTrainingAndInference);
+    return attack_suite(WorkloadOverrides{});
 }
 
 std::shared_ptr<attack::AttackSuite> Session::attack_suite(const ScenarioSpec& spec) {
-    return attack_suite(spec.workload, spec.phase);
+    return attack_suite(spec.workload);
 }
 
 std::shared_ptr<attack::AttackSuite> Session::attack_suite(
-    const WorkloadOverrides& overrides, attack::AttackPhase phase) {
+    const WorkloadOverrides& overrides) {
     const std::size_t samples = overrides.train_samples.value_or(options_.samples());
     const std::size_t neurons = overrides.n_neurons.value_or(options_.neurons());
     const std::uint64_t data_seed = overrides.data_seed.value_or(options_.data_seed);
@@ -335,9 +334,7 @@ std::shared_ptr<attack::AttackSuite> Session::attack_suite(
     std::ostringstream key;
     key << "attack_suite|samples=" << samples << "|neurons=" << neurons
         << "|data_seed=" << data_seed << "|network_seed=" << network_seed
-        << "|eval_window=" << eval_window
-        << "|phase=" << (phase == attack::AttackPhase::kInferenceOnly ? "inference"
-                                                                      : "training");
+        << "|eval_window=" << eval_window;
     auto artifact = cached(key.str(), [&]() -> std::shared_ptr<void> {
         auto data = dataset(samples, data_seed);
         attack::AttackRunConfig config;
@@ -346,17 +343,14 @@ std::shared_ptr<attack::AttackSuite> Session::attack_suite(
         config.data_seed = data_seed;
         config.network_seed = network_seed;
         config.eval_window = eval_window;
-        config.phase = phase;
         config.max_workers = options_.max_workers;
         auto suite =
             std::make_shared<attack::AttackSuite>(snn::Dataset(*data), config);
         suite->set_thread_pool(&pool_);
         if (store_) {
-            // The baseline training is phase-independent, so the store key
-            // deliberately drops `phase` (both phases share one blob) and
-            // instead pins everything the trained model depends on: the
-            // full topology config, the dataset identity, and the training
-            // knobs.
+            // The store key pins everything the trained model depends on:
+            // the full topology config, the dataset identity, and the
+            // training knobs.
             std::ostringstream bk;
             bk << store::network_config_key(config.network)
                << "|samples=" << samples << "|data_seed=" << data_seed
@@ -485,7 +479,7 @@ util::ResultTable Session::run_sweep(const ScenarioSpec& spec,
         obs::Span span("session.sweep");
         span.tag("scenario", spec.id);
         span.tag("cells", static_cast<double>(total));
-        return suite->run_many(faults);
+        return suite->run_many(faults, spec.phase);
     }();
 
     std::vector<std::string> columns;

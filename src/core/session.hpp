@@ -102,9 +102,10 @@ public:
     std::shared_ptr<attack::AttackSuite> attack_suite();
     std::shared_ptr<attack::AttackSuite> attack_suite(const ScenarioSpec& spec);
     /// Explicit-override form (campaign replica training etc.): same cache
-    /// and store behaviour as the spec form.
-    std::shared_ptr<attack::AttackSuite> attack_suite(
-        const WorkloadOverrides& overrides, attack::AttackPhase phase);
+    /// and store behaviour as the spec form. The attack phase is not part
+    /// of a suite: it is an argument of AttackSuite::run_many, so both
+    /// phases share one suite and one trained baseline.
+    std::shared_ptr<attack::AttackSuite> attack_suite(const WorkloadOverrides& overrides);
 
     /// Generic typed artifact slot: new subsystems (e.g. fi:: campaign
     /// results) share the session cache without core:: knowing their types.

@@ -4,43 +4,37 @@
 
 namespace snnfi::defense {
 
-namespace {
-
-DefenseOutcome make_outcome(const std::string& name, double vdd, double thr_delta_pct,
-                            double gain, const attack::AttackOutcome& run) {
-    DefenseOutcome outcome;
-    outcome.defense = name;
-    outcome.vdd = vdd;
-    outcome.residual_threshold_delta_pct = thr_delta_pct;
-    outcome.residual_gain = gain;
-    outcome.accuracy = run.accuracy;
-    outcome.degradation_pct = run.degradation_pct;
-    return outcome;
-}
-
-}  // namespace
-
-std::vector<DefenseOutcome> DefenseSuite::bandgap_vthr(
-    const circuits::BandgapModel& bandgap, const std::vector<double>& vdds) {
+std::vector<DefenseOutcome> DefenseSuite::replay(const std::string& name,
+                                                 const std::vector<double>& vdds,
+                                                 const std::vector<Residual>& residuals) {
     std::vector<attack::FaultSpec> faults;
-    std::vector<double> deltas;
-    faults.reserve(vdds.size());
-    for (const double vdd : vdds) {
-        const double delta_pct = bandgap.deviation_pct(vdd);
-        deltas.push_back(delta_pct);
+    faults.reserve(residuals.size());
+    for (const Residual& residual : residuals) {
         attack::FaultSpec fault;
         fault.layer = attack::TargetLayer::kBoth;
         fault.fraction = 1.0;
-        fault.threshold_delta = delta_pct / 100.0;
+        fault.threshold_delta = residual.threshold_delta_pct / 100.0;
+        fault.driver_gain = residual.gain;
         faults.push_back(fault);
     }
     const auto runs = attacks_->run_many(faults);
-    std::vector<DefenseOutcome> outcomes;
-    outcomes.reserve(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        outcomes.push_back(
-            make_outcome("bandgap-vthr", vdds[i], deltas[i], 1.0, runs[i]));
+    std::vector<DefenseOutcome> outcomes(runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        outcomes[i].defense = name;
+        outcomes[i].vdd = vdds[i];
+        outcomes[i].residual_threshold_delta_pct = residuals[i].threshold_delta_pct;
+        outcomes[i].residual_gain = residuals[i].gain;
+        outcomes[i].accuracy = runs[i].accuracy;
+        outcomes[i].degradation_pct = runs[i].degradation_pct;
+    }
     return outcomes;
+}
+
+std::vector<DefenseOutcome> DefenseSuite::bandgap_vthr(
+    const circuits::BandgapModel& bandgap, const std::vector<double>& vdds) {
+    std::vector<Residual> residuals;
+    for (const double vdd : vdds) residuals.push_back({bandgap.deviation_pct(vdd), 1.0});
+    return replay("bandgap-vthr", vdds, residuals);
 }
 
 std::vector<DefenseOutcome> DefenseSuite::transistor_sizing(
@@ -48,80 +42,48 @@ std::vector<DefenseOutcome> DefenseSuite::transistor_sizing(
     // Measure the hardened inverter's threshold curve once.
     const double nominal =
         circuits_->measure_ah_threshold_with_sizing(1.0, sizing_ratio);
-    std::vector<attack::FaultSpec> faults;
-    std::vector<double> deltas;
+    std::vector<Residual> residuals;
     for (const double vdd : vdds) {
         const double thr = circuits_->measure_ah_threshold_with_sizing(vdd, sizing_ratio);
-        const double delta_pct = util::percent_change(thr, nominal);
-        deltas.push_back(delta_pct);
-        attack::FaultSpec fault;
-        fault.layer = attack::TargetLayer::kBoth;
-        fault.fraction = 1.0;
-        fault.threshold_delta = delta_pct / 100.0;
-        faults.push_back(fault);
+        residuals.push_back({util::percent_change(thr, nominal), 1.0});
     }
-    const auto runs = attacks_->run_many(faults);
-    std::vector<DefenseOutcome> outcomes;
-    outcomes.reserve(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        outcomes.push_back(
-            make_outcome("mp1-sizing", vdds[i], deltas[i], 1.0, runs[i]));
-    return outcomes;
+    return replay("mp1-sizing", vdds, residuals);
 }
 
 std::vector<DefenseOutcome> DefenseSuite::comparator_first_stage(
     const std::vector<double>& vdds) {
     const double nominal = circuits_->measure_comparator_ah_threshold(1.0);
-    std::vector<attack::FaultSpec> faults;
-    std::vector<double> deltas;
+    std::vector<Residual> residuals;
     for (const double vdd : vdds) {
         const double thr = circuits_->measure_comparator_ah_threshold(vdd);
-        const double delta_pct = util::percent_change(thr, nominal);
-        deltas.push_back(delta_pct);
-        attack::FaultSpec fault;
-        fault.layer = attack::TargetLayer::kBoth;
-        fault.fraction = 1.0;
-        fault.threshold_delta = delta_pct / 100.0;
-        faults.push_back(fault);
+        residuals.push_back({util::percent_change(thr, nominal), 1.0});
     }
-    const auto runs = attacks_->run_many(faults);
-    std::vector<DefenseOutcome> outcomes;
-    outcomes.reserve(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        outcomes.push_back(
-            make_outcome("comparator-ah", vdds[i], deltas[i], 1.0, runs[i]));
-    return outcomes;
+    return replay("comparator-ah", vdds, residuals);
 }
 
 std::vector<DefenseOutcome> DefenseSuite::robust_driver(
     const std::vector<double>& vdds) {
     const double nominal = circuits_->measure_robust_driver_amplitude(1.0);
-    std::vector<attack::FaultSpec> faults;
-    std::vector<double> gains;
+    std::vector<Residual> residuals;
     for (const double vdd : vdds) {
         const double amp = circuits_->measure_robust_driver_amplitude(vdd);
-        const double gain = amp / nominal;
-        gains.push_back(gain);
-        attack::FaultSpec fault;
-        fault.layer = attack::TargetLayer::kNone;
-        fault.driver_gain = gain;
-        faults.push_back(fault);
+        residuals.push_back({0.0, amp / nominal});
     }
-    const auto runs = attacks_->run_many(faults);
-    std::vector<DefenseOutcome> outcomes;
-    outcomes.reserve(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        outcomes.push_back(make_outcome("robust-driver", vdds[i], 0.0, gains[i],
-                                        runs[i]));
-    return outcomes;
+    return replay("robust-driver", vdds, residuals);
 }
 
 std::vector<double> DefenseSuite::undefended_accuracy(
     const attack::VddCalibration& calibration, const std::vector<double>& vdds) {
-    const auto runs = attacks_->attack5_vdd(calibration, vdds);
+    // Attack 5 straight through the calibration bridge, as fig9a builds it
+    // (the threshold curve is in percent).
+    std::vector<Residual> residuals;
+    for (const double vdd : vdds) {
+        residuals.push_back(
+            {calibration.threshold_curve()(vdd), calibration.driver_gain(vdd)});
+    }
     std::vector<double> accuracies;
-    accuracies.reserve(runs.size());
-    for (const auto& run : runs) accuracies.push_back(run.accuracy);
+    for (const DefenseOutcome& outcome : replay("undefended", vdds, residuals))
+        accuracies.push_back(outcome.accuracy);
     return accuracies;
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/calibration.hpp"
 #include "attack/scenarios.hpp"
 #include "circuits/bandgap.hpp"
 #include "circuits/characterization.hpp"
@@ -59,6 +60,17 @@ public:
                                             const std::vector<double>& vdds);
 
 private:
+    /// What a defended circuit still lets the attack corrupt at one VDD.
+    struct Residual {
+        double threshold_delta_pct = 0.0;  ///< both layers, 100%
+        double gain = 1.0;                 ///< input-driver amplitude ratio
+    };
+    /// Replays the attack with each VDD's residual corruption (one
+    /// run_many batch) and labels the outcomes `name`.
+    std::vector<DefenseOutcome> replay(const std::string& name,
+                                       const std::vector<double>& vdds,
+                                       const std::vector<Residual>& residuals);
+
     attack::AttackSuite* attacks_;
     const circuits::Characterizer* circuits_;
 };

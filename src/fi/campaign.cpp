@@ -222,9 +222,7 @@ struct CampaignEngine::Plan {
     std::vector<CellResult> cells;             ///< skeletons, plan_index set
     std::vector<const FaultModel*> cell_model; ///< nullptr for glitch cells
     std::vector<std::size_t> training_cells;
-    std::vector<attack::FaultSpec> training_specs;  ///< parallel to training_cells
-    std::vector<std::size_t> train_sched_cells;
-    std::vector<attack::ScheduledTrainingSpec> train_sched_specs;
+    std::vector<attack::TrainingFault> training_faults;  ///< parallel to training_cells
     std::vector<std::size_t> inference_cells;
     std::vector<snn::OverlaySchedule> schedules;    ///< per cell
 };
@@ -300,7 +298,8 @@ CampaignEngine::Plan CampaignEngine::make_plan() {
                 cell.trained = model->trains_under_fault();
                 if (cell.trained) {
                     plan.training_cells.push_back(plan.cells.size());
-                    plan.training_specs.push_back(model->to_fault_spec(site, severity));
+                    plan.training_faults.emplace_back().overlay =
+                        model->overlay(plan.network_config, site, severity);
                 } else {
                     plan.inference_cells.push_back(plan.cells.size());
                 }
@@ -329,16 +328,16 @@ CampaignEngine::Plan CampaignEngine::make_plan() {
         if (glitch.train) {
             cell.trained = true;
             cell.scheduled = true;
-            plan.train_sched_cells.push_back(plan.cells.size());
-            attack::ScheduledTrainingSpec spec;
-            spec.schedule = compiler.compile(glitch.profile, glitch.footprint);
-            spec.sample_begin = glitch.train_begin;
-            spec.sample_end = glitch.train_end;
-            plan.train_sched_specs.push_back(std::move(spec));
+            plan.training_cells.push_back(plan.cells.size());
+            attack::TrainingFault& fault = plan.training_faults.emplace_back();
+            fault.schedule = compiler.compile(glitch.profile, glitch.footprint);
+            fault.sample_begin = glitch.train_begin;
+            fault.sample_end = glitch.train_end;
         } else if (glitch.profile.is_constant() && glitch.footprint.is_uniform()) {
             cell.trained = true;
             plan.training_cells.push_back(plan.cells.size());
-            plan.training_specs.push_back(glitch.profile.to_fault_spec());
+            plan.training_faults.emplace_back().overlay =
+                attack::overlay_for(glitch.profile.to_fault_spec(), plan.network_config);
         } else {
             cell.scheduled = true;
             plan.inference_cells.push_back(plan.cells.size());
@@ -379,33 +378,23 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
     // train_replicas == 1 campaign is bit-identical to the classic
     // engine; replicas >= 1 retrain under derived data/network seed
     // streams and are paired against *their own* suite's baseline.
-    std::vector<std::size_t> tr_cells;          // plan indices, selected
-    std::vector<attack::FaultSpec> tr_specs;
+    std::vector<std::size_t> train_cells;  // plan indices, selected
+    std::vector<attack::TrainingFault> train_faults;
     for (std::size_t f = 0; f < plan.training_cells.size(); ++f) {
         if (!include[plan.training_cells[f]]) continue;
-        tr_cells.push_back(plan.training_cells[f]);
-        tr_specs.push_back(plan.training_specs[f]);
-    }
-    std::vector<std::size_t> ts_cells;
-    std::vector<attack::ScheduledTrainingSpec> ts_specs;
-    for (std::size_t f = 0; f < plan.train_sched_cells.size(); ++f) {
-        if (!include[plan.train_sched_cells[f]]) continue;
-        ts_cells.push_back(plan.train_sched_cells[f]);
-        ts_specs.push_back(plan.train_sched_specs[f]);
+        train_cells.push_back(plan.training_cells[f]);
+        train_faults.push_back(plan.training_faults[f]);
     }
 
-    if (!tr_cells.empty() || !ts_cells.empty()) {
+    if (!train_cells.empty()) {
         const std::size_t train_reps =
             std::max<std::size_t>(1, config_.train_replicas);
-        std::vector<std::vector<double>> tr_drops(tr_cells.size());
-        std::vector<std::vector<double>> tr_accs(tr_cells.size());
-        std::vector<std::vector<double>> ts_drops(ts_cells.size());
-        std::vector<std::vector<double>> ts_accs(ts_cells.size());
+        std::vector<std::vector<double>> train_drops(train_cells.size());
+        std::vector<std::vector<double>> train_accs(train_cells.size());
         for (std::size_t r = 0; r < train_reps; ++r) {
             obs::Span replica_span("fi.train");
             replica_span.tag("replica", static_cast<double>(r));
-            replica_span.tag("cells",
-                             static_cast<double>(tr_cells.size() + ts_cells.size()));
+            replica_span.tag("cells", static_cast<double>(train_cells.size()));
             const auto replica_start = std::chrono::steady_clock::now();
             std::shared_ptr<attack::AttackSuite> suite = plan.suite;
             if (r > 0) {
@@ -418,45 +407,30 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
                     util::derive_seed(options.data_seed, kTrainReplicaStream + r);
                 overrides.network_seed = util::derive_seed(
                     options.network_seed, kTrainReplicaStream + r);
-                suite = session_.attack_suite(
-                    overrides, attack::AttackPhase::kTrainingAndInference);
+                suite = session_.attack_suite(overrides);
             }
             const double replica_baseline_pct = suite->baseline_accuracy() * 100.0;
-            if (!tr_specs.empty()) {
-                const std::vector<attack::AttackOutcome> outcomes =
-                    suite->run_many(tr_specs);
-                for (std::size_t f = 0; f < tr_cells.size(); ++f) {
-                    const double accuracy_pct = outcomes[f].accuracy * 100.0;
-                    tr_accs[f].push_back(accuracy_pct);
-                    tr_drops[f].push_back(replica_baseline_pct - accuracy_pct);
-                }
-            }
-            if (!ts_specs.empty()) {
-                const std::vector<attack::AttackOutcome> outcomes =
-                    suite->run_scheduled_many(ts_specs);
-                for (std::size_t f = 0; f < ts_cells.size(); ++f) {
-                    const double accuracy_pct = outcomes[f].accuracy * 100.0;
-                    ts_accs[f].push_back(accuracy_pct);
-                    ts_drops[f].push_back(replica_baseline_pct - accuracy_pct);
-                }
+            const std::vector<attack::AttackOutcome> outcomes =
+                suite->train_many(train_faults);
+            for (std::size_t f = 0; f < train_cells.size(); ++f) {
+                const double accuracy_pct = outcomes[f].accuracy * 100.0;
+                train_accs[f].push_back(accuracy_pct);
+                train_drops[f].push_back(replica_baseline_pct - accuracy_pct);
             }
             FiMetrics::get().train_ms.observe(ms_since(replica_start));
         }
-        const auto finalize = [&](CellResult& cell, const std::vector<double>& drops,
-                                  const std::vector<double>& accs) {
-            const std::size_t n = drops.size();
+        for (std::size_t f = 0; f < train_cells.size(); ++f) {
+            CellResult& cell = result.cells[slot[train_cells[f]]];
+            const std::size_t n = train_drops[f].size();
             cell.replicas = n;
-            cell.accuracy_pct = util::mean(accs);
-            cell.drop_pct = util::mean(drops);
+            cell.accuracy_pct = util::mean(train_accs[f]);
+            cell.drop_pct = util::mean(train_drops[f]);
             cell.ci_halfwidth_pct =
-                n > 1 ? kZ95 * util::stddev(drops) / std::sqrt(static_cast<double>(n))
+                n > 1 ? kZ95 * util::stddev(train_drops[f]) /
+                            std::sqrt(static_cast<double>(n))
                       : 0.0;
             cell.critical = cell.drop_pct > config_.critical_drop_pct;
-        };
-        for (std::size_t f = 0; f < tr_cells.size(); ++f)
-            finalize(result.cells[slot[tr_cells[f]]], tr_drops[f], tr_accs[f]);
-        for (std::size_t f = 0; f < ts_cells.size(); ++f)
-            finalize(result.cells[slot[ts_cells[f]]], ts_drops[f], ts_accs[f]);
+        }
     }
 
     // --- behavioural models: batched Model/Runtime inference path -------

@@ -11,9 +11,10 @@
 //     snapshot/restore, no weight copy — and runtimes are advanced in
 //     lockstep batches (snn::BatchRunner) so the Poisson encoding and the
 //     dense input propagation are computed once per batch, not per cell;
-//   * drift models (trains_under_fault()) are routed through the
-//     AttackSuite's train-under-fault pipeline, so the paper's attacks
-//     fall out as special cases with identical numbers;
+//   * drift models (trains_under_fault()) train under their overlay
+//     through AttackSuite::train_many, the same primitive the paper's
+//     attack scenarios use, so those attacks fall out as special cases
+//     with identical numbers;
 //   * glitch cells (GlitchCellSpec) carry a time-resolved GlitchProfile:
 //     constant profiles collapse onto the train-under-fault path (bit-for-
 //     bit the static attacks), time-localised profiles compile into

@@ -66,11 +66,6 @@ std::string FaultSite::id() const {
 
 std::vector<double> FaultModel::severity_grid(bool) const { return {1.0}; }
 
-attack::FaultSpec FaultModel::to_fault_spec(const FaultSite&, double) const {
-    throw std::logic_error(std::string("fault model '") + name() +
-                           "' has no FaultSpec form (not a drift model)");
-}
-
 snn::FaultOverlay FaultModel::overlay(const snn::DiehlCookConfig& config,
                                       const FaultSite& site, double severity) const {
     snn::FaultOverlay result;
@@ -197,16 +192,6 @@ std::vector<double> ThresholdDriftFault::severity_grid(bool quick) const {
     return {-0.2, -0.1, 0.1, 0.2};
 }
 
-attack::FaultSpec ThresholdDriftFault::to_fault_spec(const FaultSite& site,
-                                                     double severity) const {
-    attack::FaultSpec spec;
-    spec.layer = site.layer;
-    spec.fraction = 1.0;
-    spec.threshold_delta = severity;
-    spec.semantics = attack::ThresholdSemantics::kBindsNetValue;
-    return spec;
-}
-
 void ThresholdDriftFault::build_overlay(snn::FaultOverlay& overlay,
                                         const snn::DiehlCookConfig& config,
                                         const FaultSite& site, double severity) const {
@@ -229,14 +214,6 @@ std::vector<double> DriverGainDriftFault::severity_grid(bool quick) const {
     // reproduce the published attack-1 numbers exactly.
     if (quick) return {-0.2, 0.2};
     return {-0.2, -0.1, -0.05, 0.05, 0.1, 0.2};
-}
-
-attack::FaultSpec DriverGainDriftFault::to_fault_spec(const FaultSite&,
-                                                      double severity) const {
-    attack::FaultSpec spec;
-    spec.layer = attack::TargetLayer::kNone;
-    spec.driver_gain = 1.0 + severity;
-    return spec;
 }
 
 void DriverGainDriftFault::build_overlay(snn::FaultOverlay& overlay,

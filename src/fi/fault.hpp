@@ -20,10 +20,9 @@
 // (build_overlay), which the campaign engine hands to one NetworkRuntime
 // per (cell, replica) over the shared trained NetworkModel — no baseline
 // snapshot/restore. The two *_drift models are the paper's attacks
-// re-expressed: they carry trains_under_fault() == true and convert to an
-// attack::FaultSpec, so the campaign engine routes them through the
-// AttackSuite's train-under-fault pipeline and reproduces the published
-// scenarios exactly.
+// re-expressed: they carry trains_under_fault() == true, so the campaign
+// engine trains under their overlay (AttackSuite::train_many) and
+// reproduces the published scenarios exactly.
 #pragma once
 
 #include <cstddef>
@@ -78,8 +77,8 @@ public:
     virtual std::vector<double> severity_grid(bool quick) const;
 
     /// True for analog drift models that must corrupt *training* (the
-    /// paper's setting); the campaign engine routes these through the
-    /// AttackSuite instead of the inference-time overlay path.
+    /// paper's setting); the campaign engine trains under their overlay
+    /// (AttackSuite::train_many) instead of the inference-time path.
     virtual bool trains_under_fault() const { return false; }
 
     /// True when the fault hits the whole network at once (one site)
@@ -87,11 +86,6 @@ public:
     /// drivers. Campaigns then plan a single kParameter site with
     /// layer == TargetLayer::kNone.
     virtual bool network_wide() const { return false; }
-
-    /// Expresses (site, severity) as the attack layer's FaultSpec. Only
-    /// valid when trains_under_fault(); the default implementation throws.
-    virtual attack::FaultSpec to_fault_spec(const FaultSite& site,
-                                            double severity) const;
 
     /// Appends the overlay operations expressing (site, severity) for a
     /// network of this topology. Validates the site against `config` with
@@ -169,8 +163,6 @@ public:
     SiteKind site_kind() const override { return SiteKind::kParameter; }
     std::vector<double> severity_grid(bool quick) const override;
     bool trains_under_fault() const override { return true; }
-    attack::FaultSpec to_fault_spec(const FaultSite& site,
-                                    double severity) const override;
     void build_overlay(snn::FaultOverlay& overlay, const snn::DiehlCookConfig& config,
                        const FaultSite& site, double severity) const override;
 };
@@ -186,8 +178,6 @@ public:
     std::vector<double> severity_grid(bool quick) const override;
     bool trains_under_fault() const override { return true; }
     bool network_wide() const override { return true; }
-    attack::FaultSpec to_fault_spec(const FaultSite& site,
-                                    double severity) const override;
     void build_overlay(snn::FaultOverlay& overlay, const snn::DiehlCookConfig& config,
                        const FaultSite& site, double severity) const override;
 };

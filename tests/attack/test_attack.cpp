@@ -153,45 +153,51 @@ TEST(AttackSuite, InhibitoryAttackWorseThanExcitatory) {
 
 TEST(AttackSuite, Attack1ThetaIsMild) {
     auto suite = tiny_suite();
-    const auto outcomes = suite.attack1_theta({-0.2, 0.2});
-    for (const auto& o : outcomes) {
-        EXPECT_GT(o.accuracy, 0.5 * suite.baseline_accuracy())
-            << "gain=" << o.fault.driver_gain;
+    std::vector<FaultSpec> faults(2);
+    faults[0].driver_gain = 0.8;
+    faults[1].driver_gain = 1.2;
+    const auto outcomes = suite.run_many(faults);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        EXPECT_GT(outcomes[i].accuracy, 0.5 * suite.baseline_accuracy())
+            << "gain=" << faults[i].driver_gain;
     }
-}
-
-TEST(AttackSuite, GridShapesAndMetadata) {
-    auto suite = tiny_suite();
-    const auto grid = suite.attack_layer_grid(TargetLayer::kExcitatory,
-                                              {-0.2, 0.2}, {0.5, 1.0});
-    ASSERT_EQ(grid.size(), 4u);
-    EXPECT_EQ(grid[0].fault.layer, TargetLayer::kExcitatory);
-    EXPECT_DOUBLE_EQ(grid[0].fault.threshold_delta, -0.2);
-    EXPECT_DOUBLE_EQ(grid[1].fault.fraction, 1.0);
 }
 
 TEST(AttackSuite, Attack5UsesCalibration) {
     auto suite = tiny_suite();
     const auto calibration = VddCalibration::paper_reference();
-    const auto outcomes = suite.attack5_vdd(calibration, {0.8, 1.0});
+    std::vector<FaultSpec> faults;
+    for (const double vdd : {0.8, 1.0}) {
+        FaultSpec fault;
+        fault.layer = TargetLayer::kBoth;
+        fault.threshold_delta = calibration.threshold_delta(vdd);
+        fault.driver_gain = calibration.driver_gain(vdd);
+        faults.push_back(fault);
+    }
+    EXPECT_NEAR(faults[0].driver_gain, 0.68, 1e-6);
+    const auto outcomes = suite.run_many(faults);
     ASSERT_EQ(outcomes.size(), 2u);
-    EXPECT_DOUBLE_EQ(outcomes[0].vdd, 0.8);
-    EXPECT_NEAR(outcomes[0].fault.driver_gain, 0.68, 1e-6);
     // Nominal VDD is a no-op fault: accuracy equals the baseline.
     EXPECT_NEAR(outcomes[1].accuracy, suite.baseline_accuracy(), 1e-9);
     // 0.8 V attack collapses relative to nominal.
     EXPECT_LT(outcomes[0].accuracy, outcomes[1].accuracy);
 }
 
-TEST(AttackSuite, RunManyMatchesRunSingle) {
+TEST(AttackSuite, RunManyEqualsTrainManyOverOverlayFor) {
     auto suite = tiny_suite();
     FaultSpec fault;
     fault.layer = TargetLayer::kInhibitory;
     fault.threshold_delta = -0.2;
-    const auto single = suite.run(fault);
     const auto many = suite.run_many({fault});
+    TrainingFault training;
+    training.overlay = overlay_for(fault, suite.config().network);
+    const auto trained = suite.train_many({training});
     ASSERT_EQ(many.size(), 1u);
-    EXPECT_DOUBLE_EQ(single.accuracy, many[0].accuracy);
+    ASSERT_EQ(trained.size(), 1u);
+    EXPECT_DOUBLE_EQ(many[0].accuracy, trained[0].accuracy);
+    EXPECT_DOUBLE_EQ(many[0].retro_accuracy, trained[0].retro_accuracy);
+    EXPECT_DOUBLE_EQ(many[0].exc_spikes_per_sample, trained[0].exc_spikes_per_sample);
+    EXPECT_DOUBLE_EQ(many[0].degradation_pct, trained[0].degradation_pct);
 }
 
 TEST(AttackSuite, TruncatesDatasetToTrainSamples) {
@@ -220,21 +226,22 @@ TEST(AttackSuite, ScheduledTrainingNarrowWindowStillGlitchesOneSample) {
     saturate.force_state(snn::OverlayLayer::kExcitatory, all,
                          snn::NeuronFault::kSaturated);
 
-    ScheduledTrainingSpec narrow;
+    TrainingFault narrow;
     narrow.schedule = {{0, config.network.steps_per_sample, saturate}};
     narrow.sample_begin = 0.5;
     narrow.sample_end = 0.5001;  // rounds to [30, 30) without the clamp
-    const AttackOutcome glitched = suite.run_scheduled(narrow);
-
-    ScheduledTrainingSpec clean = narrow;
+    TrainingFault clean = narrow;
     clean.schedule = {};  // same window, no fault
-    const AttackOutcome reference = suite.run_scheduled(clean);
+    const auto outcomes = suite.train_many({narrow, clean});
 
     // The one saturated sample fires every EL neuron every step — an
     // unmistakable spike-count signature.
-    EXPECT_GT(glitched.exc_spikes_per_sample, reference.exc_spikes_per_sample);
+    EXPECT_GT(outcomes[0].exc_spikes_per_sample, outcomes[1].exc_spikes_per_sample);
 
-    EXPECT_THROW(suite.run_scheduled({{}, 0.5, 0.4}), std::invalid_argument);
+    TrainingFault reversed;
+    reversed.sample_begin = 0.5;
+    reversed.sample_end = 0.4;
+    EXPECT_THROW(suite.train_many({reversed}), std::invalid_argument);
 }
 
 TEST(ToString, LayerNames) {

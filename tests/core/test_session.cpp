@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "core/scenario.hpp"
 #include "obs/metrics.hpp"
@@ -156,10 +157,12 @@ TEST(PaperFigures, OverheadTableCoversAllDefenses) {
 
 TEST(Session, SharedBaselineTrainedExactlyOnceAcrossAttackTag) {
     Session session(tiny_options());
-    const auto results = session.run_selector("baseline,fig7b,fig8c");
-    ASSERT_EQ(results.size(), 3u);
+    const auto results =
+        session.run_selector("baseline,fig7b,fig8c,ablation_inference");
+    ASSERT_EQ(results.size(), 4u);
     // First scenario misses (builds dataset + suite, trains the baseline);
-    // the others are pure cache hits — nothing is retrained.
+    // the others are pure cache hits — nothing is retrained, including the
+    // inference-only ablation (the phase is a run argument, not a suite).
     EXPECT_GE(results[0].cache_misses, 1u);
     for (std::size_t r = 1; r < results.size(); ++r) {
         EXPECT_EQ(results[r].cache_misses, 0u) << results[r].id;
@@ -333,18 +336,26 @@ TEST(Session, StoreAdoptsTrainedBaselineAcrossSessions) {
     options.store_dir = store_dir.string();
 
     double baseline = 0.0;
+    std::string fig7b;
     {
         Session first(options);
         baseline = first.attack_suite()->baseline_accuracy();
         EXPECT_GE(first.store()->misses(), 1u);  // baseline trained + saved
+        fig7b = first.run("fig7b").table.to_json();
     }
-    Session second(options);
+    RunOptions cold = options;
+    cold.max_workers = 4;
+    Session second(cold);
     const std::size_t misses_before = second.store()->misses();
     // The cold process adopts the persisted model: a store hit, no
     // training, and the exact same baseline accuracy.
     EXPECT_EQ(second.attack_suite()->baseline_accuracy(), baseline);
     EXPECT_GE(second.store()->hits(), 1u);
     EXPECT_EQ(second.store()->misses(), misses_before);
+    // Training under faults over the adopted baseline builds the untrained
+    // seed model before the pool workers start, and reproduces the warm
+    // process's sweep.
+    EXPECT_EQ(second.run("fig7b").table.to_json(), fig7b);
 
     // A different workload misses: the key covers the training config.
     RunOptions other = options;

@@ -111,7 +111,11 @@ TEST(DefenseSuite, BandgapRecoversAccuracy) {
 
     // Undefended attack at 0.8 V collapses...
     const auto calibration = attack::VddCalibration::paper_reference();
-    const auto undefended = suite.attack5_vdd(calibration, {0.8});
+    attack::FaultSpec vdd_attack;
+    vdd_attack.layer = attack::TargetLayer::kBoth;
+    vdd_attack.threshold_delta = calibration.threshold_delta(0.8);
+    vdd_attack.driver_gain = calibration.driver_gain(0.8);
+    const auto undefended = suite.run_many({vdd_attack});
     EXPECT_LT(undefended[0].degradation_pct, -40.0);
 
     // ...the bandgap-clamped threshold keeps accuracy near the baseline.
@@ -134,7 +138,7 @@ TEST(DefenseSuite, ComparatorRecoversAccuracy) {
     attack::FaultSpec undefended;
     undefended.layer = attack::TargetLayer::kBoth;
     undefended.threshold_delta = -0.18;
-    EXPECT_GT(defended[0].accuracy, 2.0 * suite.run(undefended).accuracy);
+    EXPECT_GT(defended[0].accuracy, 2.0 * suite.run_many({undefended})[0].accuracy);
 }
 
 TEST(DefenseSuite, SizingReducesResidualCorruption) {

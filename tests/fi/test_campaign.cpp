@@ -1,9 +1,15 @@
 // Campaign engine behaviour through a real (tiny) Session: baseline reuse,
 // quick-mode early-stopping guarantees, worker-count determinism, and the
-// paper's attack 1 falling out of the drift model with identical numbers.
+// paper's attacks 1-3 falling out of the drift models with identical
+// numbers.
 #include "fi/campaign.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "core/session.hpp"
 
@@ -119,6 +125,38 @@ TEST(Campaign, DriftDriverGainScenarioReproducesFig7bBitForBit) {
     // The scenario only missed its own campaign artifact: the baseline
     // (inside the suite) was trained exactly once, for fig7b.
     EXPECT_EQ(session.cache_misses(), misses_after_fig7b + 1);
+}
+
+TEST(Campaign, ThresholdDriftReproducesFig8aAndFig8bFullLayerRows) {
+    core::Session session(tiny_options());
+    const util::ResultTable drift = session.run("fi.drift").table;
+    const auto text_at = [&](std::size_t row, std::size_t col) {
+        return std::get<std::string>(drift.at(row, col));
+    };
+    std::size_t pinned = 0;
+    const std::vector<std::pair<std::string, std::string>> figures = {
+        {"fig8a", "exc.param"}, {"fig8b", "inh.param"}};
+    for (const auto& [figure, site] : figures) {
+        const util::ResultTable attack = session.run(figure).table;
+        for (std::size_t row = 0; row < attack.num_rows(); ++row) {
+            if (attack.number_at(row, 1) != 100.0) continue;  // fraction_pct
+            const double delta_pct = attack.number_at(row, 0);
+            std::size_t matches = 0;
+            for (std::size_t d = 0; d < drift.num_rows(); ++d) {
+                if (text_at(d, 0) != "threshold_drift" || text_at(d, 1) != site ||
+                    drift.number_at(d, 2) * 100.0 != delta_pct)
+                    continue;
+                // Same seed model, same threshold overlay on every neuron
+                // of the layer: the accuracy is the scenario's, bit for bit.
+                EXPECT_DOUBLE_EQ(drift.number_at(d, 4), attack.number_at(row, 2))
+                    << figure << " delta " << delta_pct;
+                ++matches;
+            }
+            EXPECT_EQ(matches, 1u) << figure << " delta " << delta_pct;
+            ++pinned;
+        }
+    }
+    EXPECT_EQ(pinned, 4u);  // quick grids: deltas -20% and +20% per layer
 }
 
 TEST(Campaign, EvaluationsCountCleanAndFaultyRuntimePasses) {

@@ -1,10 +1,11 @@
 // The fault library: taxonomy integrity, bit-exact overlay round trips,
 // behavioural fault expression through the runtime, and the drift models'
-// FaultSpec equivalence.
+// equivalence with the paper's attacks.
 #include "fi/fault.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <set>
 
@@ -154,26 +155,55 @@ TEST(FaultLibrary, DriftModelsExpressThePaperAttacks) {
     EXPECT_TRUE(threshold->trains_under_fault());
     EXPECT_TRUE(gain->trains_under_fault());
     EXPECT_TRUE(gain->network_wide());
+    const auto config = small_config();
 
+    // Attacks 2-4: a BindsNET-semantics threshold shift on every neuron of
+    // the site's layer, and nothing else.
     FaultSite layer_site;
     layer_site.kind = SiteKind::kParameter;
     layer_site.layer = attack::TargetLayer::kInhibitory;
-    const attack::FaultSpec thr = threshold->to_fault_spec(layer_site, -0.2);
-    EXPECT_EQ(thr.layer, attack::TargetLayer::kInhibitory);
-    EXPECT_DOUBLE_EQ(thr.threshold_delta, -0.2);
-    EXPECT_DOUBLE_EQ(thr.fraction, 1.0);
-    EXPECT_EQ(thr.semantics, attack::ThresholdSemantics::kBindsNetValue);
+    const snn::FaultOverlay thr = threshold->overlay(config, layer_site, -0.2);
+    EXPECT_FALSE(thr.has_driver_gain());
+    EXPECT_TRUE(thr.weight_ops().empty());
+    std::set<std::uint32_t> shifted;
+    for (const snn::NeuronOp& op : thr.neuron_ops()) {
+        EXPECT_EQ(op.layer, snn::OverlayLayer::kInhibitory);
+        EXPECT_EQ(op.field, snn::NeuronOp::Field::kThresholdValueDelta);
+        EXPECT_FLOAT_EQ(op.value, -0.2f);
+        shifted.insert(op.neuron);
+    }
+    EXPECT_EQ(thr.neuron_ops().size(), config.n_neurons);
+    EXPECT_EQ(shifted.size(), config.n_neurons);
 
+    // The same fault in the paper's vocabulary expands to the same state.
+    attack::FaultSpec spec;
+    spec.layer = attack::TargetLayer::kInhibitory;
+    spec.threshold_delta = -0.2;
+    const snn::NetworkRuntime drift(small_model(), thr);
+    const snn::NetworkRuntime paper(small_model(), attack::overlay_for(spec, config));
+    for (const auto layer :
+         {snn::OverlayLayer::kExcitatory, snn::OverlayLayer::kInhibitory}) {
+        for (std::size_t n = 0; n < config.n_neurons; ++n) {
+            EXPECT_EQ(drift.effective_threshold(layer, n),
+                      paper.effective_threshold(layer, n));
+        }
+    }
+    EXPECT_EQ(drift.driver_gain(), paper.driver_gain());
+
+    // Attack 1: the network-wide input-driver gain.
     FaultSite network_site;
     network_site.kind = SiteKind::kParameter;
     network_site.layer = attack::TargetLayer::kNone;
-    const attack::FaultSpec theta = gain->to_fault_spec(network_site, -0.2);
-    EXPECT_EQ(theta.layer, attack::TargetLayer::kNone);
-    EXPECT_DOUBLE_EQ(theta.driver_gain, 0.8);  // attack 1's -20% point
+    const snn::FaultOverlay theta = gain->overlay(config, network_site, -0.2);
+    EXPECT_TRUE(theta.has_driver_gain());
+    EXPECT_FLOAT_EQ(theta.driver_gain(), 0.8f);  // attack 1's -20% point
+    EXPECT_TRUE(theta.neuron_ops().empty());
+    EXPECT_TRUE(theta.weight_ops().empty());
 
-    // Non-drift models have no FaultSpec form.
-    EXPECT_THROW(find_fault_model("dead_neuron")->to_fault_spec(layer_site, 1.0),
-                 std::logic_error);
+    // Drift models only live on parameter sites.
+    FaultSite neuron_site;
+    EXPECT_THROW(threshold->overlay(config, neuron_site, -0.2), std::invalid_argument);
+    EXPECT_THROW(gain->overlay(config, neuron_site, -0.2), std::invalid_argument);
 }
 
 TEST(FaultLibrary, FaultedReplicasNeverTouchTheSharedModel) {

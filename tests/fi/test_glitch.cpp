@@ -87,8 +87,8 @@ TEST(GlitchCampaign, ConstantProfileFromCalibrationMatchesAttack5Point) {
     // The equivalent static attack-5 fault through the same cached suite.
     const attack::FaultSpec spec = cell.profile.to_fault_spec();
     EXPECT_EQ(spec.layer, attack::TargetLayer::kBoth);
-    const attack::AttackOutcome outcome = session.attack_suite()->run(spec);
-    EXPECT_DOUBLE_EQ(campaign->cells[0].accuracy_pct, outcome.accuracy * 100.0);
+    const auto outcomes = session.attack_suite()->run_many({spec});
+    EXPECT_DOUBLE_EQ(campaign->cells[0].accuracy_pct, outcomes[0].accuracy * 100.0);
 }
 
 TEST(GlitchCampaign, ScheduledCellsRunThroughTheBatchedInferencePath) {

@@ -6,6 +6,7 @@
 
 #include "attack/calibration.hpp"
 #include "attack/scenarios.hpp"
+#include "core/session.hpp"
 #include "data/synthetic_digits.hpp"
 #include "defense/defenses.hpp"
 
@@ -14,12 +15,13 @@ namespace {
 
 class EndToEnd : public ::testing::Test {
 protected:
-    static attack::AttackSuite make_suite() {
-        attack::AttackRunConfig config;
-        config.network.n_neurons = 50;
-        config.train_samples = 300;
-        config.eval_window = 100;
-        return attack::AttackSuite(data::make_synthetic_dataset(300, 42), config);
+    /// The quick workload: 300 synthetic samples (seed 42), 50 neurons per
+    /// layer, network seed 7, with a 100-sample accuracy window.
+    static core::RunOptions workload() {
+        core::RunOptions options;
+        options.quick = true;
+        options.eval_window = 100;
+        return options;
     }
 };
 
@@ -32,16 +34,21 @@ TEST_F(EndToEnd, FullPipelineStoryHolds) {
     EXPECT_LT(calibration.driver_gain(0.8), 0.8);
 
     // 2. Baseline learns.
-    auto suite = make_suite();
-    const double baseline = suite.baseline_accuracy();
-    EXPECT_GT(suite.baseline_retro_accuracy(), 0.3);
+    core::Session session(workload());
+    auto suite = session.attack_suite();
+    const double baseline = suite->baseline_accuracy();
+    EXPECT_GT(suite->baseline_retro_accuracy(), 0.3);
 
     // 3. Black-box VDD attack collapses accuracy.
-    const auto attacked = suite.attack5_vdd(calibration, {0.8});
+    attack::FaultSpec vdd_attack;
+    vdd_attack.layer = attack::TargetLayer::kBoth;
+    vdd_attack.threshold_delta = calibration.threshold_delta(0.8);
+    vdd_attack.driver_gain = calibration.driver_gain(0.8);
+    const auto attacked = suite->run_many({vdd_attack});
     EXPECT_LT(attacked[0].accuracy, 0.6 * baseline);
 
     // 4. The bandgap defense recovers it.
-    defense::DefenseSuite defenses(suite, characterizer);
+    defense::DefenseSuite defenses(*suite, characterizer);
     const auto defended = defenses.bandgap_vthr(circuits::BandgapModel{}, {0.8});
     EXPECT_GT(defended[0].accuracy, attacked[0].accuracy);
     EXPECT_GT(defended[0].accuracy, 0.8 * baseline);
@@ -49,7 +56,7 @@ TEST_F(EndToEnd, FullPipelineStoryHolds) {
 
 TEST_F(EndToEnd, AttackRankingMatchesPaper) {
     // Paper ordering at -20%/100%: Attack 4 <= Attack 3 << Attack 2 <= base.
-    auto suite = make_suite();
+    core::Session session(workload());
     attack::FaultSpec exc;
     exc.layer = attack::TargetLayer::kExcitatory;
     exc.threshold_delta = -0.2;
@@ -57,17 +64,23 @@ TEST_F(EndToEnd, AttackRankingMatchesPaper) {
     inh.layer = attack::TargetLayer::kInhibitory;
     attack::FaultSpec both = exc;
     both.layer = attack::TargetLayer::kBoth;
-    const auto results = suite.run_many({exc, inh, both});
+    const auto results = session.attack_suite()->run_many({exc, inh, both});
     EXPECT_GT(results[0].accuracy, results[1].accuracy);          // EL > IL
     EXPECT_LE(results[2].accuracy, results[1].accuracy + 0.05);   // both worst
 }
 
 TEST_F(EndToEnd, ThetaAttackMildAsInFig7b) {
-    auto suite = make_suite();
-    const auto outcomes = suite.attack1_theta({-0.2, 0.2});
-    const double baseline = suite.baseline_accuracy();
-    for (const auto& o : outcomes)
-        EXPECT_GT(o.accuracy, 0.55 * baseline) << "gain " << o.fault.driver_gain;
+    core::Session session(workload());
+    auto suite = session.attack_suite();
+    std::vector<attack::FaultSpec> faults(2);
+    faults[0].driver_gain = 0.8;
+    faults[1].driver_gain = 1.2;
+    const auto outcomes = suite->run_many(faults);
+    const double baseline = suite->baseline_accuracy();
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        EXPECT_GT(outcomes[i].accuracy, 0.55 * baseline)
+            << "gain " << faults[i].driver_gain;
+    }
 }
 
 TEST_F(EndToEnd, InferenceOnlyMilderThanTrainingTime) {
@@ -82,12 +95,10 @@ TEST_F(EndToEnd, InferenceOnlyMilderThanTrainingTime) {
     config.network.steps_per_sample = 150;
     config.train_samples = 150;
     config.eval_window = 50;
-    attack::AttackSuite training_suite(data::make_synthetic_dataset(150, 42), config);
-    const auto training_time = training_suite.run(fault);
-
-    config.phase = attack::AttackPhase::kInferenceOnly;
-    attack::AttackSuite inference_suite(data::make_synthetic_dataset(150, 42), config);
-    const auto inference_only = inference_suite.run(fault);
+    attack::AttackSuite suite(data::make_synthetic_dataset(150, 42), config);
+    const auto training_time = suite.run_many({fault})[0];
+    const auto inference_only =
+        suite.run_many({fault}, attack::AttackPhase::kInferenceOnly)[0];
 
     EXPECT_GE(inference_only.accuracy, 0.0);
     EXPECT_LE(inference_only.accuracy, 1.0);
