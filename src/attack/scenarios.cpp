@@ -1,6 +1,7 @@
 #include "attack/scenarios.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <utility>
 
@@ -10,16 +11,27 @@
 
 namespace snnfi::attack {
 
-AttackSuite::AttackSuite(snn::Dataset dataset, AttackRunConfig config)
+AttackSuite::AttackSuite(std::shared_ptr<const snn::Dataset> dataset,
+                         AttackRunConfig config)
     : dataset_(std::move(dataset)), config_(config) {
-    if (dataset_.size() == 0) throw std::invalid_argument("AttackSuite: empty dataset");
-    if (config_.train_samples > dataset_.size())
-        config_.train_samples = dataset_.size();
-    if (config_.train_samples < dataset_.size()) {
-        dataset_.images.resize(config_.train_samples);
-        dataset_.labels.resize(config_.train_samples);
+    if (!dataset_ || dataset_->size() == 0)
+        throw std::invalid_argument("AttackSuite: empty dataset");
+    if (config_.train_samples > dataset_->size())
+        config_.train_samples = dataset_->size();
+    if (config_.train_samples < dataset_->size()) {
+        const auto n = static_cast<std::ptrdiff_t>(config_.train_samples);
+        auto truncated = std::make_shared<snn::Dataset>();
+        truncated->image_size = dataset_->image_size;
+        truncated->images.assign(dataset_->images.begin(),
+                                 dataset_->images.begin() + n);
+        truncated->labels.assign(dataset_->labels.begin(),
+                                 dataset_->labels.begin() + n);
+        dataset_ = std::move(truncated);
     }
 }
+
+AttackSuite::AttackSuite(snn::Dataset dataset, AttackRunConfig config)
+    : AttackSuite(std::make_shared<const snn::Dataset>(std::move(dataset)), config) {}
 
 const std::shared_ptr<const snn::NetworkModel>& AttackSuite::seed_model() {
     if (!seed_model_)
@@ -27,11 +39,23 @@ const std::shared_ptr<const snn::NetworkModel>& AttackSuite::seed_model() {
     return seed_model_;
 }
 
+const snn::SpikeRaster& AttackSuite::raster() {
+    if (!raster_) {
+        obs::Span span("attack.raster");
+        raster_ = snn::SpikeRaster::encode(config_.network.encoder,
+                                           config_.network.steps_per_sample,
+                                           dataset_->images, seed_model()->init_rng());
+        span.tag("samples", static_cast<double>(raster_->samples()));
+        span.tag("bytes", static_cast<double>(raster_->bytes()));
+    }
+    return *raster_;
+}
+
 double AttackSuite::baseline_accuracy() {
     if (!baseline_) {
         snn::NetworkRuntime runtime(seed_model());
-        snn::Trainer trainer(runtime, config_.eval_window);
-        baseline_ = trainer.run(dataset_);
+        snn::Trainer trainer(runtime, config_.eval_window, &raster());
+        baseline_ = trainer.run(*dataset_);
         baseline_model_ = runtime.freeze();
     }
     return baseline_->train_accuracy;
@@ -87,7 +111,7 @@ std::vector<AttackOutcome> AttackSuite::for_each_point(
 
 std::vector<AttackOutcome> AttackSuite::train_many(
     const std::vector<TrainingFault>& faults) {
-    const std::size_t n = dataset_.size();
+    const std::size_t n = dataset_->size();
     const auto samples = static_cast<double>(n);
     std::vector<std::pair<std::size_t, std::size_t>> windows;
     std::vector<const char*> modes;
@@ -109,14 +133,15 @@ std::vector<AttackOutcome> AttackSuite::train_many(
         windows.emplace_back(begin, end);
         modes.push_back(fault.schedule.empty() ? "train" : "train+sched");
     }
-    // Built here, before dispatch: an adopted baseline never builds it,
-    // and the workers must only read it.
+    // Built here, before dispatch: an adopted baseline never builds them,
+    // and the workers must only read them.
     const std::shared_ptr<const snn::NetworkModel> seed = seed_model();
+    const snn::SpikeRaster& stream = raster();
 
     return for_each_point(modes, [&](std::size_t index) {
         const TrainingFault& fault = faults[index];
         snn::NetworkRuntime runtime(seed, fault.overlay);
-        snn::Trainer trainer(runtime, config_.eval_window);
+        snn::Trainer trainer(runtime, config_.eval_window, &stream);
         // The hook installs/retracts the schedule at the window's sample
         // boundaries; inside the window every sample runs STDP under the
         // glitch's step-axis segments.
@@ -134,7 +159,7 @@ std::vector<AttackOutcome> AttackSuite::train_many(
                 }
             };
         }
-        const snn::TrainResult result = trainer.run(dataset_, nullptr, hook);
+        const snn::TrainResult result = trainer.run(*dataset_, nullptr, hook);
 
         AttackOutcome outcome;
         outcome.accuracy = result.train_accuracy;
@@ -155,27 +180,28 @@ AttackOutcome AttackSuite::evaluate_inference_only(const snn::FaultOverlay& over
     constexpr std::size_t kNumClasses = 10;
     snn::ActivityClassifier classifier(config_.network.n_neurons, kNumClasses);
     // Clean inference pass establishes assignments.
+    const snn::Dataset& data = *dataset_;
     std::vector<snn::SampleActivity> clean;
-    clean.reserve(dataset_.size());
-    for (std::size_t i = 0; i < dataset_.size(); ++i) {
-        clean.push_back(runtime.run_sample(dataset_.images[i]));
-        classifier.accumulate(clean.back().exc_counts, dataset_.labels[i]);
+    clean.reserve(data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        clean.push_back(runtime.run_sample(data.images[i]));
+        classifier.accumulate(clean.back().exc_counts, data.labels[i]);
     }
     classifier.assign_labels();
 
     runtime.set_overlay(overlay);
     std::size_t correct = 0;
     double exc_spikes = 0.0;
-    for (std::size_t i = 0; i < dataset_.size(); ++i) {
-        const snn::SampleActivity activity = runtime.run_sample(dataset_.images[i]);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        const snn::SampleActivity activity = runtime.run_sample(data.images[i]);
         exc_spikes += static_cast<double>(activity.total_exc_spikes);
-        if (classifier.predict(activity.exc_counts) == dataset_.labels[i]) ++correct;
+        if (classifier.predict(activity.exc_counts) == data.labels[i]) ++correct;
     }
 
     AttackOutcome outcome;
-    outcome.accuracy = static_cast<double>(correct) / static_cast<double>(dataset_.size());
+    outcome.accuracy = static_cast<double>(correct) / static_cast<double>(data.size());
     outcome.retro_accuracy = outcome.accuracy;
-    outcome.exc_spikes_per_sample = exc_spikes / static_cast<double>(dataset_.size());
+    outcome.exc_spikes_per_sample = exc_spikes / static_cast<double>(data.size());
     return outcome;
 }
 

@@ -15,7 +15,10 @@
 // their points. train_many() is the one train-under-fault primitive, over
 // snn::FaultOverlay descriptions; run_many() adapts the paper's FaultSpec
 // vocabulary onto it. Points run in parallel (they are independent
-// trainings) with index-addressed results.
+// trainings) with index-addressed results. Every training starts from the
+// same seed model over the same images, so all of them draw the same
+// Poisson stream: the suite encodes it once (snn::SpikeRaster) and the
+// baseline and every train_many training replay it.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "attack/fault_model.hpp"
+#include "snn/encoding.hpp"
 #include "snn/model.hpp"
 #include "snn/overlay.hpp"
 #include "snn/trainer.hpp"
@@ -69,12 +73,15 @@ struct TrainingFault {
 
 class AttackSuite {
 public:
-    /// Builds the suite over a fixed dataset. The baseline (fault-free)
-    /// accuracy is computed lazily on first use and cached.
+    /// Builds the suite over a fixed dataset, shared rather than copied
+    /// unless config.train_samples truncates it. The baseline (fault-free)
+    /// accuracy is computed lazily on first use and cached. Throws
+    /// std::invalid_argument on a null or empty dataset.
+    AttackSuite(std::shared_ptr<const snn::Dataset> dataset, AttackRunConfig config);
     AttackSuite(snn::Dataset dataset, AttackRunConfig config);
 
     const AttackRunConfig& config() const noexcept { return config_; }
-    const snn::Dataset& dataset() const noexcept { return dataset_; }
+    const snn::Dataset& dataset() const noexcept { return *dataset_; }
 
     /// Fault-free reference accuracy (cached).
     double baseline_accuracy();
@@ -123,10 +130,16 @@ private:
     /// The shared untrained model every sweep point trains from (same
     /// random init + RNG stream as the legacy per-point construction).
     const std::shared_ptr<const snn::NetworkModel>& seed_model();
+    /// The Poisson stream every training from seed_model() draws over the
+    /// dataset, encoded on first use under an attack.raster span. Like
+    /// seed_model(), it is built on the calling thread before any pool
+    /// dispatch, and workers only read it.
+    const snn::SpikeRaster& raster();
 
-    snn::Dataset dataset_;
+    std::shared_ptr<const snn::Dataset> dataset_;
     AttackRunConfig config_;
     std::shared_ptr<const snn::NetworkModel> seed_model_;
+    std::optional<snn::SpikeRaster> raster_;
     std::optional<snn::TrainResult> baseline_;
     std::shared_ptr<const snn::NetworkModel> baseline_model_;
     util::ThreadPool* pool_ = nullptr;  ///< not owned; optional shared pool

@@ -344,8 +344,7 @@ std::shared_ptr<attack::AttackSuite> Session::attack_suite(
         config.network_seed = network_seed;
         config.eval_window = eval_window;
         config.max_workers = options_.max_workers;
-        auto suite =
-            std::make_shared<attack::AttackSuite>(snn::Dataset(*data), config);
+        auto suite = std::make_shared<attack::AttackSuite>(data, config);
         suite->set_thread_pool(&pool_);
         if (store_) {
             // The store key pins everything the trained model depends on:

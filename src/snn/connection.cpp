@@ -21,6 +21,8 @@ DenseConnection::DenseConnection(std::size_t n_pre, std::size_t n_post,
     }
     trace_pre_.assign(n_pre, 0.0f);
     trace_post_.assign(n_post, 0.0f);
+    spiked_posts_.reserve(n_post);
+    column_sums_.assign(weights_.stride(), 0.0f);
     if (norm_total_ > 0.0f) normalize();
 }
 
@@ -31,6 +33,8 @@ DenseConnection::DenseConnection(Matrix initial, StdpParams params, float norm_t
     trace_decay_ = std::exp(-params.dt_ms / params.trace_tau_ms);
     trace_pre_.assign(weights_.rows(), 0.0f);
     trace_post_.assign(weights_.cols(), 0.0f);
+    spiked_posts_.reserve(weights_.cols());
+    column_sums_.assign(weights_.stride(), 0.0f);
 }
 
 void DenseConnection::propagate(std::span<const std::uint32_t> active_pre,
@@ -53,30 +57,25 @@ void DenseConnection::learn(std::span<const std::uint32_t> active_pre,
     for (float& t : trace_post_) t *= trace_decay_;
 
     // Pre-synaptic events: depression proportional to the post trace.
-    for (const std::uint32_t pre : active_pre) {
-        auto row = weights_.row(pre);
-        for (std::size_t j = 0; j < row.size(); ++j) {
-            row[j] = std::max(stdp_.wmin, row[j] - stdp_.nu_pre * trace_post_[j]);
-        }
-        trace_pre_[pre] = 1.0f;
-    }
-    // Post-synaptic events: potentiation proportional to the pre trace.
+    kernels::depress(weights_.data(), weights_.stride(), active_pre, trace_post_.data(),
+                     stdp_.nu_pre, stdp_.wmin, n_post());
+    for (const std::uint32_t pre : active_pre) trace_pre_[pre] = 1.0f;
+    // Post-synaptic events: potentiation proportional to the pre trace,
+    // one row-major pass over the matrix for all of this step's posts.
+    spiked_posts_.clear();
     for (std::size_t j = 0; j < post_spiked.size(); ++j) {
-        if (!post_spiked[j]) continue;
-        for (std::size_t i = 0; i < n_pre(); ++i) {
-            float& w = weights_(i, j);
-            w = std::min(stdp_.wmax, w + stdp_.nu_post * trace_pre_[i]);
-        }
-        trace_post_[j] = 1.0f;
+        if (post_spiked[j]) spiked_posts_.push_back(static_cast<std::uint32_t>(j));
     }
+    if (spiked_posts_.empty()) return;
+    kernels::potentiate(weights_.data(), weights_.stride(), n_pre(),
+                        trace_pre_.data(), stdp_.nu_post, stdp_.wmax, spiked_posts_);
+    for (const std::uint32_t j : spiked_posts_) trace_post_[j] = 1.0f;
 }
 
 void DenseConnection::normalize() {
     if (norm_total_ <= 0.0f) return;
-    for (std::size_t j = 0; j < n_post(); ++j) {
-        const float total = weights_.column_sum(j);
-        if (total > 0.0f) weights_.scale_column(j, norm_total_ / total);
-    }
+    kernels::normalize_columns(weights_.data(), weights_.stride(), n_pre(),
+                               norm_total_, column_sums_.data());
 }
 
 void DenseConnection::reset_traces() {

@@ -78,6 +78,10 @@ private:
     bool learning_enabled_ = true;
     std::vector<float> trace_pre_;
     std::vector<float> trace_post_;
+    // Scratch: the posts that spiked this step, and the column sums of
+    // normalize() (one per padded column).
+    std::vector<std::uint32_t> spiked_posts_;
+    std::vector<float> column_sums_;
 };
 
 }  // namespace snnfi::snn

@@ -2,8 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+
+#include "obs/metrics.hpp"
 
 namespace snnfi::snn {
+
+namespace {
+
+/// Which way a sample's input spikes were produced: drawn from the
+/// encoder, or decoded from a raster. No-ops while telemetry is off.
+struct EncodingMetrics {
+    obs::Counter& encoded;
+    obs::Counter& replayed;
+
+    static EncodingMetrics& get() {
+        static EncodingMetrics metrics{
+            obs::Registry::global().counter("snn.samples.encoded"),
+            obs::Registry::global().counter("snn.samples.replayed")};
+        return metrics;
+    }
+};
+
+void put_varint(std::vector<std::uint8_t>& out, std::size_t value) {
+    for (; value >= 0x80; value >>= 7)
+        out.push_back(static_cast<std::uint8_t>(value | 0x80));
+    out.push_back(static_cast<std::uint8_t>(value));
+}
+
+std::size_t get_varint(const std::uint8_t*& in) {
+    std::size_t value = 0;
+    unsigned shift = 0;
+    std::uint8_t byte = 0;
+    do {
+        byte = *in++;
+        value |= static_cast<std::size_t>(byte & 0x7f) << shift;
+        shift += 7;
+    } while (byte & 0x80);
+    return value;
+}
+
+}  // namespace
 
 PoissonEncoder::PoissonEncoder(PoissonEncoderConfig config) : config_(config) {}
 
@@ -27,10 +66,8 @@ void PoissonEncoder::set_image(std::span<const float> image) {
     }
 }
 
-void PoissonEncoder::step(util::Rng& rng, std::vector<std::uint32_t>& out) const {
+std::size_t PoissonEncoder::step_into(util::Rng& rng, std::uint32_t* out) const {
     const std::size_t n_active = active_pixels_.size();
-    out.resize(n_active);
-    std::uint32_t* dst = out.data();
     const std::uint32_t* pixels = active_pixels_.data();
     const std::uint64_t* thresholds = thresholds_.data();
     std::size_t count = 0;
@@ -41,10 +78,31 @@ void PoissonEncoder::step(util::Rng& rng, std::vector<std::uint32_t>& out) const
     // changes every golden in the repo.
     for (std::size_t k = 0; k < n_active; ++k) {
         const std::uint64_t draw = rng.next_u64() >> 11;
-        dst[count] = pixels[k];
+        out[count] = pixels[k];
         count += static_cast<std::size_t>(draw < thresholds[k]);
     }
-    out.resize(count);
+    return count;
+}
+
+void PoissonEncoder::step(util::Rng& rng, std::vector<std::uint32_t>& out) const {
+    out.resize(active_pixels_.size());
+    out.resize(step_into(rng, out.data()));
+}
+
+void PoissonEncoder::encode(util::Rng& rng, std::size_t steps,
+                            SampleSpikes& out) const {
+    const std::size_t n_active = active_pixels_.size();
+    out.offsets.resize(steps + 1);
+    out.offsets[0] = 0;
+    std::size_t count = 0;
+    for (std::size_t s = 0; s < steps; ++s) {
+        // Room for every active pixel to fire; the capacity grows
+        // geometrically, so a reused record soon stops allocating.
+        if (out.indices.size() < count + n_active) out.indices.resize(count + n_active);
+        count += step_into(rng, out.indices.data() + count);
+        out.offsets[s + 1] = count;
+    }
+    EncodingMetrics::get().encoded.add();
 }
 
 std::vector<std::vector<std::uint32_t>> encode_raster(const PoissonEncoder& encoder,
@@ -53,6 +111,66 @@ std::vector<std::vector<std::uint32_t>> encode_raster(const PoissonEncoder& enco
     std::vector<std::vector<std::uint32_t>> raster(steps);
     for (auto& row : raster) encoder.step(rng, row);
     return raster;
+}
+
+SpikeRaster SpikeRaster::encode(const PoissonEncoderConfig& config, std::size_t steps,
+                                std::span<const std::vector<float>> images,
+                                util::Rng start) {
+    SpikeRaster raster;
+    raster.config_ = config;
+    raster.steps_ = steps;
+    raster.image_size_ = images.empty() ? 0 : images.front().size();
+    raster.start_ = start;
+    raster.samples_.reserve(images.size());
+    PoissonEncoder encoder(config);
+    std::vector<std::uint32_t> active;
+    std::vector<std::uint8_t> bytes;
+    util::Rng rng = start;
+    for (const std::vector<float>& image : images) {
+        if (image.size() != raster.image_size_)
+            throw std::invalid_argument("SpikeRaster::encode: images differ in size");
+        encoder.set_image(image);
+        bytes.clear();
+        std::size_t spikes = 0;
+        for (std::size_t s = 0; s < steps; ++s) {
+            encoder.step(rng, active);
+            put_varint(bytes, active.size());
+            std::uint32_t previous = 0;
+            for (const std::uint32_t index : active) {
+                put_varint(bytes, index - previous);
+                previous = index;
+            }
+            spikes += active.size();
+        }
+        // Copied at its exact size: the scratch buffer's slack stays behind.
+        raster.samples_.emplace_back(bytes.begin(), bytes.end());
+        raster.bytes_ += bytes.size();
+        raster.max_spikes_ = std::max(raster.max_spikes_, spikes);
+    }
+    raster.end_ = rng;
+    EncodingMetrics::get().encoded.add(images.size());
+    return raster;
+}
+
+void SpikeRaster::decode(std::size_t sample, SampleSpikes& out) const {
+    if (sample >= samples_.size())
+        throw std::out_of_range("SpikeRaster::decode: sample index out of range");
+    if (out.indices.size() < max_spikes_) out.indices.resize(max_spikes_);
+    out.offsets.resize(steps_ + 1);
+    out.offsets[0] = 0;
+    const std::uint8_t* in = samples_[sample].data();
+    std::uint32_t* indices = out.indices.data();
+    std::size_t count = 0;
+    for (std::size_t s = 0; s < steps_; ++s) {
+        const std::size_t n = get_varint(in);
+        std::size_t index = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            index += get_varint(in);
+            indices[count++] = static_cast<std::uint32_t>(index);
+        }
+        out.offsets[s + 1] = count;
+    }
+    EncodingMetrics::get().replayed.add();
 }
 
 }  // namespace snnfi::snn

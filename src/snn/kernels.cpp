@@ -1,5 +1,6 @@
 #include "snn/kernels.hpp"
 
+#include <algorithm>
 #include <type_traits>
 
 namespace snnfi::snn::kernels {
@@ -246,6 +247,42 @@ std::size_t inh_update_reference(const InhParams& p, const LayerFaults& f,
 void add_counts(std::uint32_t* counts, const std::uint8_t* spiked,
                 std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) counts[i] += spiked[i];
+}
+
+void depress(float* weights, std::size_t stride, std::span<const std::uint32_t> active,
+             const float* trace_post, float nu_pre, float wmin, std::size_t n) {
+    for (const std::uint32_t a : active) {
+        float* SNNFI_RESTRICT row = weights + a * stride;
+        for (std::size_t j = 0; j < n; ++j)
+            row[j] = std::max(wmin, row[j] - nu_pre * trace_post[j]);
+    }
+}
+
+void potentiate(float* weights, std::size_t stride, std::size_t rows,
+                const float* trace_pre, float nu_post, float wmax,
+                std::span<const std::uint32_t> posts) {
+    for (std::size_t i = 0; i < rows; ++i) {
+        float* row = weights + i * stride;
+        const float dw = nu_post * trace_pre[i];
+        for (const std::uint32_t j : posts) row[j] = std::min(wmax, row[j] + dw);
+    }
+}
+
+void normalize_columns(float* SNNFI_RESTRICT weights, std::size_t stride,
+                       std::size_t rows, float total, float* SNNFI_RESTRICT sums) {
+    std::fill(sums, sums + stride, 0.0f);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const float* row = weights + i * stride;
+        for (std::size_t j = 0; j < stride; ++j) sums[j] += row[j];
+    }
+    // A skipped column (and a zero padding lane) is multiplied by 1.0f,
+    // which is exact.
+    for (std::size_t j = 0; j < stride; ++j)
+        sums[j] = sums[j] > 0.0f ? total / sums[j] : 1.0f;
+    for (std::size_t i = 0; i < rows; ++i) {
+        float* row = weights + i * stride;
+        for (std::size_t j = 0; j < stride; ++j) row[j] *= sums[j];
+    }
 }
 
 }  // namespace snnfi::snn::kernels

@@ -37,6 +37,10 @@
 // one runs the fault-aware loop over the whole layer. The scalar
 // *_update_reference oracles restate the rule with branches and are what
 // the tests and bench_kernel check both shapes against.
+//
+// The STDP update (depression, potentiation) and weight normalisation
+// live here too, as row-major passes over the padded matrix, so they get
+// the same lanes.
 #pragma once
 
 #include <cstddef>
@@ -255,5 +259,26 @@ std::size_t inh_update_reference(const InhParams& p, const LayerFaults& f,
 /// counts[i] += spiked[i] — the per-sample spike histogram update.
 void add_counts(std::uint32_t* counts, const std::uint8_t* spiked,
                 std::size_t n);
+
+/// STDP depression on pre-synaptic events, over padded row-major weights:
+/// w[a][j] = max(wmin, w[a][j] - nu_pre * trace_post[j]) for every row a
+/// in `active` and every j < n.
+void depress(float* weights, std::size_t stride, std::span<const std::uint32_t> active,
+             const float* trace_post, float nu_pre, float wmin, std::size_t n);
+
+/// STDP potentiation of the posts that spiked this step, over padded
+/// row-major weights: w[i][j] = min(wmax, w[i][j] + nu_post * trace_pre[i])
+/// for every row i and every j in `posts`. Each weight gets one update,
+/// so walking rows gives the same values as walking each post's column.
+void potentiate(float* weights, std::size_t stride, std::size_t rows,
+                const float* trace_pre, float nu_post, float wmax,
+                std::span<const std::uint32_t> posts);
+
+/// Scales every column of the padded matrix whose sum is positive so that
+/// it sums to `total`; other columns are left as they are. Column sums
+/// accumulate row by row in ascending row order, the same add sequence
+/// per column as a column walk, into `sums` (stride floats of scratch).
+void normalize_columns(float* weights, std::size_t stride, std::size_t rows,
+                       float total, float* sums);
 
 }  // namespace snnfi::snn::kernels

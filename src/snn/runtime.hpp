@@ -116,8 +116,18 @@ public:
     /// Allocation-free variant: accumulates into a caller-owned activity
     /// record. exc_counts is zeroed in place when already correctly
     /// sized, so a reused record makes the per-sample loop steady-state
-    /// allocation-free (the campaign hot path).
+    /// allocation-free (the campaign hot path). The sample's input spikes
+    /// are drawn from the runtime's encoder stream, rng().
     void run_sample_into(std::span<const float> image, SampleActivity& activity);
+
+    /// Runs sample `sample` of `raster` instead of encoding an image: the
+    /// same step loop over spikes decoded from the raster. rng() is not
+    /// touched; a caller replaying a whole pass sets it to the raster's
+    /// end state afterwards (Trainer does). Throws std::invalid_argument
+    /// when the raster's image size or steps per sample differ from the
+    /// network's.
+    void run_sample_into(const SpikeRaster& raster, std::size_t sample,
+                         SampleActivity& activity);
 
     /// True when both layers' patch lists are empty: the effective
     /// overlay leaves every neuron at the identity fault state, so a step
@@ -193,6 +203,10 @@ private:
     const LayerState& layer_state(OverlayLayer layer) const {
         return layer == OverlayLayer::kExcitatory ? exc_ : inh_;
     }
+    /// The one per-sample step loop, over the spikes in spikes_: schedule
+    /// advance, drive, neuron update and STDP per step, then the telemetry
+    /// flush and end-of-sample normalisation.
+    void run_spikes(SampleActivity& activity);
     void begin_sample();
     void end_sample();
     /// Dense input drive of one step into exc_input_ (standalone path:
@@ -253,10 +267,11 @@ private:
     /// ascending active list.
     std::vector<CellDelta> cell_deltas_;
 
-    // Scratch reused across steps. exc_input_ is padded to the kernel
-    // stride; drive_ points at it after accumulate_drive, or at the
-    // batch's shared base drive after a delta-free adopt_drive.
-    std::vector<std::uint32_t> active_inputs_;
+    // Scratch reused across samples and steps. spikes_ holds the current
+    // sample's input spikes. exc_input_ is padded to the kernel stride;
+    // drive_ points at it after accumulate_drive, or at the batch's shared
+    // base drive after a delta-free adopt_drive.
+    SampleSpikes spikes_;
     AlignedVector exc_input_;
     const float* drive_ = nullptr;
     std::vector<std::uint8_t> exc_spiked_;

@@ -90,6 +90,9 @@ public:
     }
     /// Base pointer of the padded storage (row r at data() + r*stride()).
     const float* data() const noexcept { return data_.data(); }
+    /// Mutable padded storage, for kernels that keep the padding lanes
+    /// zero.
+    float* data() noexcept { return data_.data(); }
 
     /// Logical elements in row-major order, padding elided — the
     /// serialisation form (the store blob layout predates padding and

@@ -10,8 +10,15 @@ TrainResult Trainer::run(const Dataset& train, const Dataset* test,
         throw std::invalid_argument("Trainer::run: images/labels size mismatch");
     if (train.size() == 0) throw std::invalid_argument("Trainer::run: empty dataset");
     if (eval_window_ == 0) throw std::invalid_argument("Trainer::run: zero window");
+    const DiehlCookConfig& config = runtime_->config();
+    if (raster_ != nullptr &&
+        (raster_->samples() != train.size() || raster_->config() != config.encoder ||
+         raster_->steps_per_sample() != config.steps_per_sample ||
+         raster_->start_rng() != runtime_->rng()))
+        throw std::invalid_argument(
+            "Trainer::run: raster does not match the dataset and runtime");
 
-    const std::size_t n_neurons = runtime_->config().n_neurons;
+    const std::size_t n_neurons = config.n_neurons;
     constexpr std::size_t kNumClasses = 10;
     ActivityClassifier online(n_neurons, kNumClasses);  // cumulative activity
     ActivityClassifier retro(n_neurons, kNumClasses);
@@ -27,7 +34,12 @@ TrainResult Trainer::run(const Dataset& train, const Dataset* test,
 
     for (std::size_t i = 0; i < train.size(); ++i) {
         if (hook) hook(i);
-        SampleActivity activity = runtime_->run_sample(train.images[i]);
+        SampleActivity activity;
+        if (raster_ != nullptr) {
+            runtime_->run_sample_into(*raster_, i, activity);
+        } else {
+            runtime_->run_sample_into(train.images[i], activity);
+        }
         result.total_exc_spikes += activity.total_exc_spikes;
         result.total_inh_spikes += activity.total_inh_spikes;
 
@@ -48,6 +60,9 @@ TrainResult Trainer::run(const Dataset& train, const Dataset* test,
             assignments_ready = true;
         }
     }
+
+    // Leave the encoder stream where drawing the pass live would have.
+    if (raster_ != nullptr) runtime_->rng() = raster_->end_rng();
 
     result.train_accuracy =
         online_scored > 0

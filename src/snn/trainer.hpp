@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "snn/classifier.hpp"
+#include "snn/encoding.hpp"
 #include "snn/network.hpp"
 #include "snn/runtime.hpp"
 
@@ -44,19 +45,29 @@ class Trainer {
 public:
     /// Trains a Model/Runtime replica: the runtime's learning mode is
     /// enabled for the pass, and runtime.freeze() after run() yields the
-    /// trained immutable NetworkModel.
-    explicit Trainer(NetworkRuntime& runtime, std::size_t eval_window = 250)
-        : runtime_(&runtime), eval_window_(eval_window) {}
+    /// trained immutable NetworkModel. With a `raster` (not owned; it must
+    /// outlive run()), sample i of the pass replays raster sample i
+    /// instead of encoding train.images[i]; the raster must have been
+    /// encoded from those images.
+    explicit Trainer(NetworkRuntime& runtime, std::size_t eval_window = 250,
+                     const SpikeRaster* raster = nullptr)
+        : runtime_(&runtime), eval_window_(eval_window), raster_(raster) {}
 
     /// Trains on `train` (single pass, learning on), computing the online
     /// windowed accuracy and the retrospective accuracy; when `test` is
     /// non-null, also evaluates on the held-out set with learning frozen.
+    /// A replayed pass leaves runtime.rng() at the raster's end state, so
+    /// the results, the test pass and freeze() equal a live-encoding
+    /// pass's bit for bit. Throws std::invalid_argument when the raster's
+    /// sample count, encoder config, steps per sample or start state
+    /// differ from `train` and the runtime.
     TrainResult run(const Dataset& train, const Dataset* test = nullptr,
                     const SampleHook& hook = {});
 
 private:
     NetworkRuntime* runtime_ = nullptr;
     std::size_t eval_window_;
+    const SpikeRaster* raster_ = nullptr;
 };
 
 }  // namespace snnfi::snn

@@ -100,6 +100,9 @@ public:
     Snapshot snapshot() const noexcept;
     void restore(const Snapshot& snapshot) noexcept;
 
+    /// Equal states draw equal streams from here on.
+    bool operator==(const Rng&) const = default;
+
 private:
     static constexpr std::uint64_t rotl_(std::uint64_t x, int k) noexcept {
         return (x << k) | (x >> (64 - k));

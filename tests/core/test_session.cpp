@@ -7,12 +7,14 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 
 #include "core/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "store/hash.hpp"
 
 namespace snnfi::core {
 namespace {
@@ -169,6 +171,45 @@ TEST(Session, SharedBaselineTrainedExactlyOnceAcrossAttackTag) {
         EXPECT_GE(results[r].cache_hits, 1u) << results[r].id;
     }
     EXPECT_GE(session.cache_hits(), 2u);
+}
+
+/// The checked-in golden digest of scenario `id`.
+std::string golden_digest(const std::string& id) {
+    std::ifstream in(SNNFI_GOLDEN_FILE);
+    const std::string key = "{\"id\":\"" + id + "\",\"digest\":\"";
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind(key, 0) == 0)
+            return line.substr(key.size(), line.find('"', key.size()) - key.size());
+    }
+    return "";
+}
+
+TEST(Session, AttackSweepsEncodeTheTrainingStreamOnce) {
+    obs::Registry::global().reset();
+    obs::set_enabled(true);
+    RunOptions options;
+    options.quick = true;
+    Session session(options);
+    const auto results = session.run_selector("fig7b,fig8a,fig8b");
+    const std::uint64_t encoded =
+        obs::Registry::global().counter("snn.samples.encoded").value();
+    const std::uint64_t replayed =
+        obs::Registry::global().counter("snn.samples.replayed").value();
+    obs::set_enabled(false);
+    obs::reset_trace();
+
+    ASSERT_EQ(results.size(), 3u);
+    // One raster over the workload's samples; the baseline and every sweep
+    // point's training replay it.
+    EXPECT_EQ(encoded, options.samples());
+    std::size_t trainings = 1;
+    for (const auto& result : results) trainings += result.table.num_rows();
+    EXPECT_EQ(replayed, trainings * options.samples());
+    for (const auto& result : results) {
+        EXPECT_EQ(store::to_hex(store::fnv1a64(result.table.to_json())),
+                  golden_digest(result.id))
+            << result.id;
+    }
 }
 
 TEST(Session, CircuitPointsSimulatedOncePerSession) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace snnfi::snn {
 namespace {
 
@@ -115,6 +118,102 @@ TEST_P(EncoderRateSweep, MeanRateProportionalToIntensity) {
 
 INSTANTIATE_TEST_SUITE_P(Intensities, EncoderRateSweep,
                          ::testing::Values(0.1f, 0.3f, 0.5f, 0.9f));
+
+// --- SpikeRaster: one stream encoded once, replayed exactly ------------------
+
+/// Random digit-like images (about a third of the pixels dark), an
+/// all-zero image (every step empty) and an all-ones image, which at
+/// 1000 Hz fires every pixel on every step (784-spike steps need a
+/// two-byte count).
+std::vector<std::vector<float>> raster_images() {
+    util::Rng rng(17);
+    std::vector<std::vector<float>> images;
+    for (int i = 0; i < 4; ++i) {
+        std::vector<float> image(784);
+        for (float& x : image)
+            x = rng.uniform() < 0.35 ? 0.0f : static_cast<float>(rng.uniform());
+        images.push_back(std::move(image));
+    }
+    images.emplace_back(784, 0.0f);
+    images.emplace_back(784, 1.0f);
+    return images;
+}
+
+TEST(SpikeRaster, DecodesExactlyWhatTheEncoderEmits) {
+    PoissonEncoderConfig config;
+    config.max_rate_hz = 1000.0;
+    const std::size_t steps = 60;
+    const auto images = raster_images();
+    const util::Rng start(23);
+    const SpikeRaster raster = SpikeRaster::encode(config, steps, images, start);
+    ASSERT_EQ(raster.samples(), images.size());
+    EXPECT_EQ(raster.steps_per_sample(), steps);
+    EXPECT_EQ(raster.image_size(), 784u);
+    EXPECT_EQ(raster.config(), config);
+    EXPECT_EQ(raster.start_rng(), start);
+
+    // The live stream, step by step from the same start state.
+    PoissonEncoder encoder(config);
+    util::Rng live = start;
+    std::vector<std::uint32_t> active;
+    SampleSpikes decoded;
+    std::size_t spikes = 0;
+    for (std::size_t i = 0; i < images.size(); ++i) {
+        encoder.set_image(images[i]);
+        raster.decode(i, decoded);
+        ASSERT_EQ(decoded.offsets.size(), steps + 1);
+        for (std::size_t s = 0; s < steps; ++s) {
+            encoder.step(live, active);
+            const auto step = decoded.step(s);
+            ASSERT_EQ(std::vector<std::uint32_t>(step.begin(), step.end()), active)
+                << "sample " << i << " step " << s;
+            spikes += active.size();
+        }
+    }
+    EXPECT_EQ(raster.end_rng(), live);
+    EXPECT_NE(raster.end_rng(), start);
+
+    // The all-zero sample has only empty steps, the all-ones one fires
+    // every pixel every step.
+    raster.decode(4, decoded);
+    EXPECT_EQ(decoded.offsets.back(), 0u);
+    raster.decode(5, decoded);
+    for (std::size_t s = 0; s < steps; ++s) ASSERT_EQ(decoded.step(s).size(), 784u);
+    // Varints: at least one byte per spike and per step count, and well
+    // under four bytes per spike.
+    EXPECT_GE(raster.bytes(), spikes + steps * images.size());
+    EXPECT_LT(raster.bytes(), 4 * spikes);
+}
+
+TEST(SpikeRaster, EncodeMatchesSteppingIntoASampleRecord) {
+    const auto images = raster_images();
+    PoissonEncoder encoder;
+    util::Rng a(5);
+    util::Rng b(5);
+    SampleSpikes spikes;
+    std::vector<std::uint32_t> active;
+    for (const auto& image : images) {
+        encoder.set_image(image);
+        encoder.encode(a, 40, spikes);
+        for (std::size_t s = 0; s < 40; ++s) {
+            encoder.step(b, active);
+            const auto step = spikes.step(s);
+            ASSERT_EQ(std::vector<std::uint32_t>(step.begin(), step.end()), active);
+        }
+    }
+    EXPECT_EQ(a, b);
+}
+
+TEST(SpikeRaster, RejectsRaggedImagesAndBadSampleIndex) {
+    const std::vector<std::vector<float>> ragged{std::vector<float>(10, 0.5f),
+                                                 std::vector<float>(11, 0.5f)};
+    EXPECT_THROW(SpikeRaster::encode({}, 5, ragged, util::Rng(1)),
+                 std::invalid_argument);
+    const std::vector<std::vector<float>> one{std::vector<float>(10, 0.5f)};
+    const SpikeRaster raster = SpikeRaster::encode({}, 5, one, util::Rng(1));
+    SampleSpikes out;
+    EXPECT_THROW(raster.decode(1, out), std::out_of_range);
+}
 
 }  // namespace
 }  // namespace snnfi::snn

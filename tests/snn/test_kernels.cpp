@@ -14,6 +14,7 @@
 #include <cstring>
 #include <new>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "snn/runtime.hpp"
@@ -390,6 +391,109 @@ TEST(Kernels, AdoptDriveMergeJoinMatchesBinarySearchReference) {
         RuntimeTestPeer::adopt_drive(runtime, {base.data(), base.size()}, active);
         ASSERT_TRUE(same_bits({RuntimeTestPeer::drive(runtime), n}, expected))
             << "trial " << trial;
+    }
+}
+
+// --- STDP potentiation and normalisation ----------------------------------
+
+/// Bitwise equality of two matrices over their full padded storage, so
+/// a kernel that wrote a padding lane fails too.
+bool same_storage(const Matrix& a, const Matrix& b) {
+    return a.rows() == b.rows() && a.stride() == b.stride() &&
+           same_bits({a.data(), a.rows() * a.stride()}, {b.data(), b.rows() * b.stride()});
+}
+
+Matrix random_weights(util::Rng& rng, std::size_t rows, std::size_t cols, double hi) {
+    Matrix w(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (float& x : w.row(r)) x = static_cast<float>(rng.uniform(0.0, hi));
+    }
+    return w;
+}
+
+/// Depression of the active rows equals the per-row scalar loop it
+/// replaced, including weights driven below wmin (clamped).
+TEST(Kernels, DepressBitIdenticalToScalarLoop) {
+    util::Rng rng(39);
+    const float nu_pre = 0.3f;
+    const float wmin = 0.0f;
+    for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{784, 100},
+                                     {37, 5},
+                                     {10, 16},
+                                     {3, 33}}) {
+        Matrix w = random_weights(rng, rows, cols, 0.3);
+        std::vector<float> trace(cols);
+        for (float& t : trace) t = static_cast<float>(rng.uniform());
+        std::vector<std::uint32_t> active;
+        for (std::uint32_t a = 0; a < rows; ++a) {
+            if (rng.uniform() < 0.3) active.push_back(a);
+        }
+        Matrix expected = w;
+        for (const std::uint32_t a : active) {
+            for (std::size_t j = 0; j < cols; ++j)
+                expected(a, j) = std::max(wmin, expected(a, j) - nu_pre * trace[j]);
+        }
+        kernels::depress(w.data(), w.stride(), active, trace.data(), nu_pre, wmin, cols);
+        ASSERT_TRUE(same_storage(w, expected)) << rows << "x" << cols;
+    }
+}
+
+/// Row-major potentiation equals the column walk it replaced, for no,
+/// one, some and all posts, including weights above wmax (clamped) and
+/// rows with a zero trace.
+TEST(Kernels, PotentiateBitIdenticalToColumnWalk) {
+    util::Rng rng(41);
+    const float nu_post = 1e-2f;
+    const float wmax = 1.0f;
+    for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{784, 100},
+                                     {37, 5},
+                                     {10, 16},
+                                     {3, 33}}) {
+        for (int trial = 0; trial < 6; ++trial) {
+            Matrix w = random_weights(rng, rows, cols, 1.2);
+            std::vector<float> trace(rows);
+            for (float& t : trace)
+                t = rng.uniform() < 0.3 ? 0.0f : static_cast<float>(rng.uniform());
+            std::vector<std::uint32_t> posts;
+            if (trial == 1) posts.push_back(static_cast<std::uint32_t>(cols / 2));
+            for (std::uint32_t j = 0; trial > 1 && j < cols; ++j) {
+                if (trial == 5 || rng.uniform() < 0.1 * trial) posts.push_back(j);
+            }
+            Matrix expected = w;
+            for (const std::uint32_t j : posts) {
+                for (std::size_t i = 0; i < rows; ++i)
+                    expected(i, j) = std::min(wmax, expected(i, j) + nu_post * trace[i]);
+            }
+            kernels::potentiate(w.data(), w.stride(), rows, trace.data(), nu_post, wmax,
+                                posts);
+            ASSERT_TRUE(same_storage(w, expected))
+                << rows << "x" << cols << " trial " << trial;
+        }
+    }
+}
+
+/// Row-major normalisation equals the per-column sum-and-scale it
+/// replaced; columns whose sum is zero or negative stay untouched.
+TEST(Kernels, NormalizeColumnsBitIdenticalToColumnWalk) {
+    util::Rng rng(43);
+    const float total = 78.4f;
+    for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{784, 100},
+                                     {37, 5},
+                                     {10, 16},
+                                     {3, 33}}) {
+        Matrix w = random_weights(rng, rows, cols, 0.3);
+        for (std::size_t r = 0; r < rows; ++r) {
+            w(r, 0) = 0.0f;                            // sum 0: skipped
+            w(r, cols - 1) = -w(r, cols - 1) - 0.1f;  // sum < 0: skipped
+        }
+        Matrix expected = w;
+        for (std::size_t j = 0; j < cols; ++j) {
+            const float sum = expected.column_sum(j);
+            if (sum > 0.0f) expected.scale_column(j, total / sum);
+        }
+        std::vector<float> sums(w.stride());
+        kernels::normalize_columns(w.data(), w.stride(), rows, total, sums.data());
+        ASSERT_TRUE(same_storage(w, expected)) << rows << "x" << cols;
     }
 }
 

@@ -1,12 +1,18 @@
 // Trainer metric semantics and fault-interaction edge cases (Model/Runtime).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "data/synthetic_digits.hpp"
+#include "snn/encoding.hpp"
 #include "snn/runtime.hpp"
 #include "snn/trainer.hpp"
+#include "store/artifacts.hpp"
 
 namespace snnfi::snn {
 namespace {
@@ -130,6 +136,110 @@ TEST_P(TrainerDeterminism, ExactReproduction) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrainerDeterminism, ::testing::Values(3u, 9u, 27u));
+
+// --- raster replay: the same pass as live encoding, bit for bit ------------
+
+SpikeRaster raster_for(const Dataset& dataset, const NetworkModel& model) {
+    return SpikeRaster::encode(model.config().encoder, model.config().steps_per_sample,
+                               dataset.images, model.init_rng());
+}
+
+/// Trains one runtime over `model` live and one replaying `raster`, both
+/// under `overlay` and, for samples in [window_begin, window_end), under
+/// `schedule`; everything the pass yields must match.
+void expect_replay_equals_live(const std::shared_ptr<const NetworkModel>& model,
+                               const Dataset& dataset, const SpikeRaster& raster,
+                               const FaultOverlay& overlay,
+                               const OverlaySchedule& schedule = {},
+                               std::size_t window_begin = 0,
+                               std::size_t window_end = 0) {
+    const auto train = [&](const SpikeRaster* replay) {
+        NetworkRuntime runtime(model, overlay);
+        const SampleHook hook = [&](std::size_t sample) {
+            if (sample == window_begin && !schedule.empty()) runtime.set_schedule(schedule);
+            if (sample == window_end && !schedule.empty()) runtime.set_schedule({});
+        };
+        const TrainResult result = Trainer(runtime, 20, replay).run(dataset, nullptr, hook);
+        return std::make_pair(result, runtime.freeze());
+    };
+    const auto [live, live_model] = train(nullptr);
+    const auto [replayed, replayed_model] = train(&raster);
+
+    EXPECT_EQ(replayed.train_accuracy, live.train_accuracy);
+    EXPECT_EQ(replayed.retro_accuracy, live.retro_accuracy);
+    EXPECT_EQ(replayed.total_exc_spikes, live.total_exc_spikes);
+    EXPECT_EQ(replayed.total_inh_spikes, live.total_inh_spikes);
+    EXPECT_EQ(replayed.mean_exc_spikes_per_sample, live.mean_exc_spikes_per_sample);
+    EXPECT_EQ(replayed_model->input_weights().to_vector(),
+              live_model->input_weights().to_vector());
+    const auto theta_live = live_model->exc_theta();
+    const auto theta_replayed = replayed_model->exc_theta();
+    EXPECT_TRUE(std::equal(theta_live.begin(), theta_live.end(), theta_replayed.begin(),
+                           theta_replayed.end()));
+    EXPECT_EQ(replayed_model->init_rng(), live_model->init_rng());
+    // The stored-baseline blob (weights, theta, post-training stream and
+    // metrics) is byte-identical.
+    EXPECT_EQ(store::encode_trained_baseline({replayed_model, replayed}),
+              store::encode_trained_baseline({live_model, live}));
+}
+
+TEST(TrainerReplay, CleanPassEqualsLiveEncoding) {
+    const auto dataset = data::make_synthetic_dataset(60, 5);
+    const auto model = NetworkModel::random(tiny_config(), 7);
+    expect_replay_equals_live(model, dataset, raster_for(dataset, *model), {});
+}
+
+TEST(TrainerReplay, ThresholdOverlayPassEqualsLiveEncoding) {
+    const auto dataset = data::make_synthetic_dataset(60, 5);
+    const auto model = NetworkModel::random(tiny_config(), 7);
+    std::vector<std::size_t> half(15);
+    std::iota(half.begin(), half.end(), 0u);
+    FaultOverlay fault;
+    fault.shift_threshold_value(OverlayLayer::kExcitatory, half, -0.2f);
+    expect_replay_equals_live(model, dataset, raster_for(dataset, *model), fault);
+}
+
+TEST(TrainerReplay, ScheduledGlitchWindowEqualsLiveEncoding) {
+    const auto dataset = data::make_synthetic_dataset(60, 5);
+    const auto model = NetworkModel::random(tiny_config(), 7);
+    std::vector<std::size_t> all(30);
+    std::iota(all.begin(), all.end(), 0u);
+    FaultOverlay glitch;
+    glitch.set_driver_gain(1.4f).shift_threshold_value(OverlayLayer::kInhibitory, all,
+                                                       -0.3f);
+    const OverlaySchedule schedule{ScheduledOverlay{30, 70, glitch}};
+    expect_replay_equals_live(model, dataset, raster_for(dataset, *model), {}, schedule,
+                              20, 40);
+}
+
+TEST(TrainerReplay, RejectsARasterThatDoesNotMatch) {
+    const auto dataset = data::make_synthetic_dataset(30, 5);
+    const auto model = NetworkModel::random(tiny_config(), 7);
+    const auto rejects = [&](const SpikeRaster& raster) {
+        NetworkRuntime runtime(model);
+        Trainer trainer(runtime, 10, &raster);
+        EXPECT_THROW(trainer.run(dataset), std::invalid_argument);
+    };
+    const DiehlCookConfig& config = model->config();
+    // Wrong sample count.
+    const std::vector<std::vector<float>> fewer(dataset.images.begin(),
+                                                dataset.images.end() - 1);
+    rejects(SpikeRaster::encode(config.encoder, config.steps_per_sample, fewer,
+                                model->init_rng()));
+    // A different start state.
+    util::Rng other = model->init_rng();
+    (void)other.next_u64();
+    rejects(SpikeRaster::encode(config.encoder, config.steps_per_sample, dataset.images,
+                                other));
+    // A different steps_per_sample.
+    rejects(SpikeRaster::encode(config.encoder, config.steps_per_sample - 1,
+                                dataset.images, model->init_rng()));
+    // A different encoder config.
+    PoissonEncoderConfig faster = config.encoder;
+    faster.max_rate_hz *= 2.0;
+    rejects(SpikeRaster::encode(faster, config.steps_per_sample, dataset.images,
+                                model->init_rng()));
+}
 
 }  // namespace
 }  // namespace snnfi::snn
