@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -76,7 +78,6 @@ std::string layer_label(const FaultSite& site) {
 struct CleanReplica {
     snn::ActivityClassifier classifier{1, kNumClasses};
     double accuracy_pct = 0.0;
-    bool built = false;
 };
 
 }  // namespace
@@ -434,9 +435,9 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
     }
 
     // --- behavioural models: batched Model/Runtime inference path -------
-    std::vector<std::size_t> selected_inference;
+    std::vector<std::size_t> open;
     for (const std::size_t c : plan.inference_cells) {
-        if (include[c]) selected_inference.push_back(c);
+        if (include[c]) open.push_back(c);
     }
 
     EarlyStopPolicy es = config_.early_stop;
@@ -452,25 +453,39 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
     // topology. Scheduled glitch cells have an empty base overlay: their
     // faults arrive through the compiled schedule instead.
     std::vector<snn::FaultOverlay> overlays(plan.cells.size());
-    for (const std::size_t c : selected_inference) {
+    for (const std::size_t c : open) {
         if (plan.cell_model[c] == nullptr) continue;
         plan.cell_model[c]->build_overlay(overlays[c], plan.network_config,
                                           plan.cells[c].site,
                                           plan.cells[c].severity);
     }
 
+    // Replica r's Poisson stream over the eval subset, encoded once: the
+    // clean pass and every batch of replica r replay the same raster.
+    const snn::DiehlCookConfig& network = plan.baseline->config();
+    const std::span<const std::vector<float>> eval_images(data.images.data(), eval_n);
+    std::vector<std::optional<snn::SpikeRaster>> rasters(max_reps);
     std::vector<CleanReplica> clean(max_reps);
+    // Cross-thread span hand-off: capture before dispatch (see
+    // obs/span.hpp), so every fi.clean and fi.batch nests under fi.execute
+    // even though it runs on an arbitrary pool worker.
+    const obs::Context exec_ctx = obs::current_context();
     const auto build_clean = [&](std::size_t replica) {
+        obs::Span span("fi.clean", exec_ctx);
+        span.tag("replica", static_cast<double>(replica));
+        const auto start = std::chrono::steady_clock::now();
+        const snn::SpikeRaster& raster = rasters[replica].emplace(
+            snn::SpikeRaster::encode(network.encoder, network.steps_per_sample,
+                                     eval_images,
+                                     util::Rng(util::derive_seed(
+                                         config_.seed, kReplicaStream + replica))));
         snn::NetworkRuntime runtime(plan.baseline);
-        runtime.rng().reseed(
-            util::derive_seed(config_.seed, kReplicaStream + replica));
         snn::ActivityClassifier classifier(plan.network_config.n_neurons,
                                            kNumClasses);
-        std::vector<snn::SampleActivity> activity;
-        activity.reserve(eval_n);
+        std::vector<snn::SampleActivity> activity(eval_n);
         for (std::size_t i = 0; i < eval_n; ++i) {
-            activity.push_back(runtime.run_sample(data.images[i]));
-            classifier.accumulate(activity.back().exc_counts, data.labels[i]);
+            runtime.run_sample_into(raster, i, activity[i]);
+            classifier.accumulate(activity[i].exc_counts, data.labels[i]);
         }
         classifier.assign_labels();
         std::size_t correct = 0;
@@ -478,65 +493,50 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
             if (classifier.predict(activity[i].exc_counts) == data.labels[i])
                 ++correct;
         }
-        CleanReplica& slot_ref = clean[replica];
-        slot_ref.classifier = std::move(classifier);
-        slot_ref.accuracy_pct =
+        clean[replica].classifier = std::move(classifier);
+        clean[replica].accuracy_pct =
             100.0 * static_cast<double>(correct) / static_cast<double>(eval_n);
-        slot_ref.built = true;
-    };
-    const auto ensure_clean = [&](std::size_t replicas) {
-        std::vector<std::size_t> missing;
-        for (std::size_t r = 0; r < replicas; ++r) {
-            if (!clean[r].built) missing.push_back(r);
-        }
-        // Capture the span context BEFORE dispatch: the task bodies run on
-        // pool workers where this thread's current span is invisible.
-        const obs::Context ctx = obs::current_context();
-        session_.pool().parallel_for(missing.size(), [&](std::size_t m) {
-            obs::Span span("fi.clean", ctx);
-            span.tag("replica", static_cast<double>(missing[m]));
-            const auto start = std::chrono::steady_clock::now();
-            build_clean(missing[m]);
-            FiMetrics::get().clean_ms.observe(ms_since(start));
-        });
+        FiMetrics::get().clean_ms.observe(ms_since(start));
     };
 
-    // Per-cell replica outcomes, grown round by round. Every open cell has
-    // the same replica count each round; a round is cut into fixed-size
-    // lockstep batches (one pre-faulted runtime per cell, shared encoder
-    // and propagation per batch), so results stay byte-identical for any
-    // worker count — and a cell's replica sequence never depends on which
-    // other cells are included, which is what makes shard outputs
-    // bit-identical to single-process runs.
+    // Round r runs replica r of every open cell, cut into balanced lockstep
+    // batches: at most kBatchCells cells each, and at least one batch per
+    // worker while there are cells to spread. Task 0 of the same
+    // parallel_for builds replica r + 1 meanwhile (wasted only when every
+    // open cell closes after round r), so only round 0 waits for a clean
+    // pass before its batches start. ThreadPool runs index 0 on this
+    // thread, so every raster is allocated by one thread; built on pool
+    // workers they would spread over per-thread malloc arenas and raise the
+    // peak RSS. Raster r is dropped after round r, so at most two are live.
+    //
+    // A cell's outcome depends only on (cell, replica), never on its
+    // batch-mates or the worker count: each member reads the raster and its
+    // own runtime, and its replica sequence is the round order. So results
+    // are byte-identical for any worker count, and a subset of cells
+    // (run_cells, shards) reproduces those cells of the full run.
     std::vector<std::vector<double>> drops(plan.cells.size());
     std::vector<std::vector<double>> accuracies(plan.cells.size());
-    std::vector<std::size_t> open = selected_inference;
-    std::size_t replicas_done = 0;
-    while (!open.empty() && replicas_done < max_reps) {
-        const std::size_t round_replicas =
-            replicas_done == 0 ? min_reps : replicas_done + 1;
-        ensure_clean(round_replicas);
-        struct Task {
-            std::size_t replica;
-            std::size_t begin;  ///< chunk bounds into `open`
-            std::size_t end;
-        };
-        std::vector<Task> tasks;
-        for (std::size_t r = replicas_done; r < round_replicas; ++r) {
-            for (std::size_t b = 0; b < open.size(); b += kBatchCells)
-                tasks.push_back({r, b, std::min(b + kBatchCells, open.size())});
-        }
-        // Paired (drop_pct, accuracy_pct) per cell of each task's chunk.
-        std::vector<std::vector<std::pair<double, double>>> outcomes(tasks.size());
-        // Cross-thread span hand-off: capture before dispatch (see
-        // obs/span.hpp), so every fi.batch nests under fi.execute even
-        // though it runs on an arbitrary pool worker.
-        const obs::Context exec_ctx = obs::current_context();
-        session_.pool().parallel_for(tasks.size(), [&](std::size_t t) {
-            const Task& task = tasks[t];
-            const std::size_t count = task.end - task.begin;
+    const std::size_t workers = session_.pool().max_workers();
+    if (!open.empty()) build_clean(0);
+    for (std::size_t replica = 0; !open.empty() && replica < max_reps; ++replica) {
+        const std::size_t builds = replica + 1 < max_reps ? 1 : 0;
+        const std::size_t batches =
+            std::max((open.size() + kBatchCells - 1) / kBatchCells,
+                     std::min(open.size(), workers));
+        const snn::SpikeRaster& raster = *rasters[replica];
+        const CleanReplica& reference = clean[replica];
+        // Paired (drop_pct, accuracy_pct) per open cell.
+        std::vector<std::pair<double, double>> outcomes(open.size());
+        session_.pool().parallel_for(builds + batches, [&](std::size_t t) {
+            if (t < builds) {
+                build_clean(replica + 1);
+                return;
+            }
+            const std::size_t b = t - builds;
+            const std::size_t begin = b * open.size() / batches;
+            const std::size_t count = (b + 1) * open.size() / batches - begin;
             obs::Span batch_span("fi.batch", exec_ctx);
-            batch_span.tag("replica", static_cast<double>(task.replica));
+            batch_span.tag("replica", static_cast<double>(replica));
             batch_span.tag("cells", static_cast<double>(count));
             const auto batch_start = std::chrono::steady_clock::now();
             std::vector<snn::NetworkRuntime> runtimes;
@@ -544,7 +544,7 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
             std::vector<snn::NetworkRuntime*> members;
             members.reserve(count);
             for (std::size_t k = 0; k < count; ++k) {
-                const std::size_t cell = open[task.begin + k];
+                const std::size_t cell = open[begin + k];
                 // Per-cell span: overlay + runtime construction. (The
                 // lockstep propagation below is shared by the whole batch,
                 // so per-cell *inference* time is not separable by design.)
@@ -552,7 +552,7 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
                 cell_span.tag("cell", static_cast<double>(cell));
                 cell_span.tag("model", plan.cells[cell].model);
                 cell_span.tag("severity", plan.cells[cell].severity);
-                cell_span.tag("replica", static_cast<double>(task.replica));
+                cell_span.tag("replica", static_cast<double>(replica));
                 runtimes.emplace_back(plan.baseline, overlays[cell]);
                 if (!plan.schedules[cell].empty())
                     runtimes.back().set_schedule(plan.schedules[cell]);
@@ -560,43 +560,34 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
             for (snn::NetworkRuntime& runtime : runtimes)
                 members.push_back(&runtime);
             snn::BatchRunner batch(*plan.baseline, std::move(members));
-            util::Rng rng(
-                util::derive_seed(config_.seed, kReplicaStream + task.replica));
-            const snn::ActivityClassifier& reference =
-                clean[task.replica].classifier;
             std::vector<std::size_t> correct(count, 0);
             // One reusable activity per batch member: run_sample_into
             // zeroes them in place, so the sample loop is steady-state
             // allocation-free.
             std::vector<snn::SampleActivity> activities(count);
             for (std::size_t i = 0; i < eval_n; ++i) {
-                batch.run_sample_into(data.images[i], rng, activities);
+                batch.run_sample_into(raster, i, activities);
                 for (std::size_t k = 0; k < count; ++k) {
-                    if (reference.predict(activities[k].exc_counts) ==
+                    if (reference.classifier.predict(activities[k].exc_counts) ==
                         data.labels[i])
                         ++correct[k];
                 }
             }
-            outcomes[t].reserve(count);
             for (std::size_t k = 0; k < count; ++k) {
                 const double accuracy_pct = 100.0 *
                                             static_cast<double>(correct[k]) /
                                             static_cast<double>(eval_n);
-                outcomes[t].emplace_back(
-                    clean[task.replica].accuracy_pct - accuracy_pct, accuracy_pct);
+                outcomes[begin + k] = {reference.accuracy_pct - accuracy_pct,
+                                       accuracy_pct};
             }
             FiMetrics::get().infer_batch_ms.observe(ms_since(batch_start));
         });
-        // Merge in task order (replica-major, then chunk, then cell): the
-        // per-cell replica sequence is identical for any worker count.
-        for (std::size_t t = 0; t < tasks.size(); ++t) {
-            for (std::size_t k = 0; k < outcomes[t].size(); ++k) {
-                const std::size_t c = open[tasks[t].begin + k];
-                drops[c].push_back(outcomes[t][k].first);
-                accuracies[c].push_back(outcomes[t][k].second);
-            }
+        rasters[replica].reset();
+        for (std::size_t k = 0; k < open.size(); ++k) {
+            drops[open[k]].push_back(outcomes[k].first);
+            accuracies[open[k]].push_back(outcomes[k].second);
         }
-        replicas_done = round_replicas;
+        if (replica + 1 < min_reps) continue;  // judged from min_replicas on
 
         std::vector<std::size_t> still_open;
         for (const std::size_t c : open) {

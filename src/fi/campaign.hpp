@@ -9,8 +9,8 @@
 //     refractory stretch) each get ONE pre-faulted snn::NetworkRuntime per
 //     (cell, replica) — a FaultOverlay over the shared model, no baseline
 //     snapshot/restore, no weight copy — and runtimes are advanced in
-//     lockstep batches (snn::BatchRunner) so the Poisson encoding and the
-//     dense input propagation are computed once per batch, not per cell;
+//     lockstep batches (snn::BatchRunner) so the dense input propagation
+//     is computed once per batch, not per cell;
 //   * drift models (trains_under_fault()) train under their overlay
 //     through AttackSuite::train_many, the same primitive the paper's
 //     attack scenarios use, so those attacks fall out as special cases
@@ -21,13 +21,19 @@
 //     snn::OverlaySchedules and ride the same lockstep inference batches
 //     with per-segment overlay swaps;
 //   * every injection is replicated over independent Poisson-encoding
-//     streams, paired with a clean run of the same stream; a cell stops
-//     early once the 95% CI of its accuracy drop is tight (statistical
-//     early stopping), bounded by max_replicas.
+//     streams, paired with a clean run of the same stream. Each replica's
+//     stream is encoded once over the eval subset (snn::SpikeRaster); its
+//     clean pass and every batch replay it. The campaign runs one replica
+//     per round over the still-open cells and builds the next replica's
+//     raster and clean pass during the current round. From min_replicas
+//     on, a cell stops early once the 95% CI of its accuracy drop is tight
+//     (statistical early stopping), bounded by max_replicas.
 //
-// All replica seeds are index-derived and batch composition is fixed, so
-// campaign output is byte-identical for any worker count. Results cache in
-// the Session keyed by the campaign config, so several scenarios can
+// A cell's outcome depends only on (cell, replica): replica seeds are
+// index-derived, and a batch member never reads its batch-mates. So batch
+// sizes may follow the worker count while campaign output stays
+// byte-identical for any worker count and any cell subset. Results cache
+// in the Session keyed by the campaign config, so several scenarios can
 // present one campaign (detail table, sensitivity map) without
 // re-executing it.
 #pragma once
@@ -159,11 +165,12 @@ struct CampaignResult {
 
 class CampaignEngine {
 public:
-    /// Replicas advanced in one lockstep batch (shared encoder + dense
-    /// propagation). Fixed — batch composition must not depend on the
-    /// worker count, or campaign output would stop being byte-identical
-    /// across machines. Shared with bench_runtime_replicas so the
-    /// benchmark measures the engine that actually ships.
+    /// Most cells advanced in one lockstep batch (shared input stream +
+    /// dense propagation). A round with fewer than kBatchCells open cells
+    /// per worker cuts smaller batches so every worker gets one; results
+    /// do not change, because a cell's outcome never depends on its
+    /// batch-mates. Shared with the benchmarks (bench_runtime_replicas,
+    /// snnbench) so they measure the batch size that actually ships.
     static constexpr std::size_t kBatchCells = 8;
     /// Stream id offset separating replica rng seeds from everything else
     /// derived from the campaign seed.

@@ -602,7 +602,6 @@ BatchRunner::BatchRunner(const NetworkModel& model,
                 "BatchRunner: learning runtimes cannot join a batch");
     }
     base_drive_.assign(kernels::padded_size(model_.n_neurons()), 0.0f);
-    active_.reserve(model_.n_input());
     model_rows_.resize(model_.n_input());
     for (std::size_t pre = 0; pre < model_.n_input(); ++pre)
         model_rows_[pre] = model_.input_weights().padded_row(pre).data();
@@ -615,13 +614,32 @@ std::vector<SampleActivity> BatchRunner::run_sample(std::span<const float> image
     return activities;
 }
 
+void BatchRunner::check_batch(std::span<SampleActivity> activities) const {
+    if (activities.size() != runtimes_.size())
+        throw std::invalid_argument("BatchRunner: activity batch size mismatch");
+}
+
 void BatchRunner::run_sample_into(std::span<const float> image, util::Rng& rng,
                                   std::span<SampleActivity> activities) {
     if (image.size() != model_.n_input())
         throw std::invalid_argument("BatchRunner: image size mismatch");
-    if (activities.size() != runtimes_.size())
-        throw std::invalid_argument("BatchRunner: activity batch size mismatch");
+    check_batch(activities);
     encoder_.set_image(image);
+    encoder_.encode(rng, model_.config().steps_per_sample, spikes_);
+    run_spikes(activities);
+}
+
+void BatchRunner::run_sample_into(const SpikeRaster& raster, std::size_t sample,
+                                  std::span<SampleActivity> activities) {
+    if (raster.image_size() != model_.n_input() ||
+        raster.steps_per_sample() != model_.config().steps_per_sample)
+        throw std::invalid_argument("BatchRunner: raster shape mismatch");
+    check_batch(activities);
+    raster.decode(sample, spikes_);
+    run_spikes(activities);
+}
+
+void BatchRunner::run_spikes(std::span<SampleActivity> activities) {
     for (std::size_t k = 0; k < runtimes_.size(); ++k) {
         runtimes_[k]->begin_sample();
         reset_activity(activities[k], model_.n_neurons());
@@ -633,22 +651,21 @@ void BatchRunner::run_sample_into(std::span<const float> image, util::Rng& rng,
     std::uint64_t scalar_steps = 0;
     const std::span<const float> base(base_drive_.data(), base_drive_.size());
     for (std::size_t step = 0; step < model_.config().steps_per_sample; ++step) {
-        encoder_.step(rng, active_);
+        const std::span<const std::uint32_t> active = spikes_.step(step);
         // Shared blocked propagation over the frozen weights, once per
         // step, over the full padded length (padding lanes stay zero).
         std::fill(base_drive_.begin(), base_drive_.end(), 0.0f);
-        kernels::accumulate_rows(model_rows_.data(), active_, base_drive_.data(),
+        kernels::accumulate_rows(model_rows_.data(), active, base_drive_.data(),
                                  base_drive_.size());
         if (metrics) {
-            const double fraction =
-                static_cast<double>(active_.size()) * inv_input;
+            const double fraction = static_cast<double>(active.size()) * inv_input;
             metrics->active_fraction.observe(fraction);
             metrics->active_fraction_last.set(fraction);
         }
         for (std::size_t k = 0; k < runtimes_.size(); ++k) {
             if (!runtimes_[k]->schedule_.empty()) runtimes_[k]->advance_schedule(step);
-            runtimes_[k]->adopt_drive(base, active_);
-            runtimes_[k]->advance_step(active_, activities[k]);
+            runtimes_[k]->adopt_drive(base, active);
+            runtimes_[k]->advance_step(active, activities[k]);
             if (metrics)
                 ++(runtimes_[k]->fast_path_active() ? fast_steps : scalar_steps);
         }

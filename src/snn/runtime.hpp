@@ -23,9 +23,10 @@
 // overlay at step boundaries (the glitch pipeline's execution layer).
 //
 // BatchRunner advances several inference runtimes in lockstep over ONE
-// shared Poisson stream: the dense input propagation over the shared
-// weights is computed once per timestep and reused by every replica in
-// the batch — the campaign engine's batched-inference fast path.
+// shared input stream, drawn live or replayed from a SpikeRaster: the
+// dense input propagation over the shared weights is computed once per
+// timestep and reused by every replica in the batch — the campaign
+// engine's batched-inference fast path.
 #pragma once
 
 #include <cstddef>
@@ -279,11 +280,12 @@ private:
 };
 
 /// Lockstep batch evaluation of several inference replicas of ONE model
-/// over one shared Poisson stream. Per timestep the dense propagation over
+/// over one shared input stream. Per timestep the dense propagation over
 /// the shared weight matrix is computed once and broadcast; each replica
 /// then applies its own overlay state. Amortising the encoder and the
 /// propagation across the batch is the fi campaign's >= 2x speedup over
-/// the legacy snapshot/restore engine.
+/// the legacy snapshot/restore engine. A member's activity depends only on
+/// its own runtime and the input spikes, never on its batch-mates.
 class BatchRunner {
 public:
     /// All runtimes must share `model`, be inference-mode (learning never
@@ -307,11 +309,25 @@ public:
     void run_sample_into(std::span<const float> image, util::Rng& rng,
                          std::span<SampleActivity> activities);
 
+    /// Runs sample `sample` of `raster` instead of encoding an image: the
+    /// same step loop over spikes decoded from the raster, so replaying a
+    /// raster encoded from the live overload's start stream gives its
+    /// activities bit for bit. Throws std::invalid_argument when the
+    /// raster's image size or steps per sample differ from the model's.
+    void run_sample_into(const SpikeRaster& raster, std::size_t sample,
+                         std::span<SampleActivity> activities);
+
 private:
+    void check_batch(std::span<SampleActivity> activities) const;
+    /// The one lockstep step loop, over the spikes in spikes_: shared
+    /// propagation, then per member schedule advance, drive adoption and
+    /// neuron update.
+    void run_spikes(std::span<SampleActivity> activities);
+
     const NetworkModel& model_;
     std::vector<NetworkRuntime*> runtimes_;
     PoissonEncoder encoder_;
-    std::vector<std::uint32_t> active_;
+    SampleSpikes spikes_;
     /// Padded shared drive buffer + per-row pointer table over the model
     /// matrix for the blocked accumulation kernel.
     AlignedVector base_drive_;

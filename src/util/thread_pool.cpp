@@ -91,7 +91,9 @@ void ThreadPool::parallel_for(std::size_t count,
             "(one job at a time; run outer loops serially)");
     job_ = &job;
     work_available_.notify_all();
-    work_on(lock, job);  // the caller participates
+    // The caller participates, and claims index 0 before releasing the
+    // lock: the index-0-on-the-caller contract (thread_pool.hpp).
+    work_on(lock, job);
     job_done_.wait(lock, [&job] { return job.completed == job.count; });
     job_ = nullptr;
     if (job.error) {

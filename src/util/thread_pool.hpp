@@ -36,6 +36,13 @@ public:
     /// remaining indices finish. One job at a time: a nested call from
     /// inside a body runs serially on that worker, and a concurrent call
     /// from a second thread throws std::logic_error.
+    ///
+    /// Contract: index 0 runs on the calling thread — with workers the
+    /// caller claims it under the lock before any worker can, and the
+    /// serial paths (one worker, one index, a nested call) run every index
+    /// there. A caller can give index 0 work whose allocations should stay
+    /// in its own malloc arena (fi::CampaignEngine builds its rasters
+    /// there).
     void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
 
 private:

@@ -1,11 +1,12 @@
 // Campaign engine behaviour through a real (tiny) Session: baseline reuse,
-// quick-mode early-stopping guarantees, worker-count determinism, and the
-// paper's attacks 1-3 falling out of the drift models with identical
-// numbers.
+// quick-mode early-stopping guarantees, full-mode early-stopping rounds,
+// worker-count and cell-subset determinism, and the paper's attacks 1-3
+// falling out of the drift models with identical numbers.
 #include "fi/campaign.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <variant>
@@ -157,6 +158,76 @@ TEST(Campaign, ThresholdDriftReproducesFig8aAndFig8bFullLayerRows) {
         }
     }
     EXPECT_EQ(pinned, 4u);  // quick grids: deltas -20% and +20% per layer
+}
+
+/// A full-mode (non-quick) tiny campaign, so early stopping is live: cells
+/// run one replica per round from min_replicas to max_replicas, and rounds
+/// with few open cells cut them into smaller batches.
+CampaignConfig early_stop_config() {
+    CampaignConfig config;
+    config.models = {find_fault_model("dead_neuron"),
+                     find_fault_model("saturated_neuron"),
+                     find_fault_model("stuck_at_1")};
+    config.sites.max_sites = 3;
+    config.eval_samples = 30;
+    config.early_stop.enabled = true;
+    config.early_stop.min_replicas = 2;
+    config.early_stop.max_replicas = 6;
+    config.early_stop.ci_halfwidth_pct = 4.0;
+    return config;
+}
+
+std::string render(const CampaignResult& campaign) {
+    return campaign.detail_table("campaign").to_csv() +
+           campaign.sensitivity_map("map").to_csv();
+}
+
+TEST(Campaign, EarlyStoppingRoundsIdenticalAcrossWorkerCountsAndSubsets) {
+    const auto full_options = [](std::size_t workers) {
+        core::RunOptions options = tiny_options(workers);
+        options.quick = false;
+        return options;
+    };
+    core::Session session(full_options(1));
+    CampaignEngine engine(session, early_stop_config());
+    const auto campaign = engine.run();
+    const EarlyStopPolicy& policy = engine.config().early_stop;
+
+    // One cell stops early in a round after min_replicas, and one runs to
+    // max_replicas: both sides of the stop rule are exercised.
+    const auto first_cell = [&](const auto& predicate) {
+        const auto it = std::find_if(campaign->cells.begin(), campaign->cells.end(),
+                                     predicate);
+        return static_cast<std::size_t>(it - campaign->cells.begin());
+    };
+    const std::size_t late_stop = first_cell([&](const CellResult& cell) {
+        return cell.early_stopped && cell.replicas > policy.min_replicas;
+    });
+    const std::size_t full_run = first_cell([&](const CellResult& cell) {
+        return cell.replicas == policy.max_replicas;
+    });
+    ASSERT_LT(late_stop, campaign->cells.size()) << render(*campaign);
+    ASSERT_LT(full_run, campaign->cells.size()) << render(*campaign);
+
+    for (const std::size_t workers : {2u, 4u}) {
+        core::Session other(full_options(workers));
+        CampaignEngine again(other, early_stop_config());
+        EXPECT_EQ(render(*again.run()), render(*campaign)) << workers << " workers";
+    }
+
+    // Each cell alone replays its replicas exactly.
+    for (const std::size_t c : {late_stop, full_run}) {
+        const CampaignResult single = engine.run_cells({c});
+        ASSERT_EQ(single.cells.size(), 1u);
+        const CellResult& expected = campaign->cells[c];
+        const CellResult& got = single.cells.front();
+        EXPECT_EQ(got.replicas, expected.replicas) << expected.site_id();
+        EXPECT_EQ(got.drop_pct, expected.drop_pct) << expected.site_id();
+        EXPECT_EQ(got.accuracy_pct, expected.accuracy_pct) << expected.site_id();
+        EXPECT_EQ(got.ci_halfwidth_pct, expected.ci_halfwidth_pct) << expected.site_id();
+        EXPECT_EQ(got.early_stopped, expected.early_stopped) << expected.site_id();
+        EXPECT_EQ(single.evaluations, 2 * expected.replicas) << expected.site_id();
+    }
 }
 
 TEST(Campaign, EvaluationsCountCleanAndFaultyRuntimePasses) {

@@ -192,6 +192,99 @@ TEST(BatchRunner, LockstepMatchesStandaloneRuns) {
         EXPECT_EQ(batched[k], reference[k]) << "replica " << k;
 }
 
+bool same_activity(const SampleActivity& a, const SampleActivity& b) {
+    return a.exc_counts == b.exc_counts && a.total_exc_spikes == b.total_exc_spikes &&
+           a.total_inh_spikes == b.total_inh_spikes;
+}
+
+TEST(BatchRunner, RasterReplayMatchesLiveEncoding) {
+    const auto dataset = data::make_synthetic_dataset(20, 5);
+    const auto model = trained_model(dataset, 9, 10);
+    const DiehlCookConfig& config = model->config();
+    constexpr std::size_t kSamples = 6;
+
+    FaultOverlay patched;
+    for (std::size_t pre = 200; pre < 600; pre += 3) patched.set_weight(pre, 2, 1.0f);
+    FaultOverlay dead;
+    const std::size_t mask[] = {3, 5};
+    dead.force_state(OverlayLayer::kExcitatory, mask, NeuronFault::kDead);
+    FaultOverlay gain;
+    gain.set_driver_gain(1.5f);
+    const OverlaySchedule schedule = {{30, 90, gain}};
+
+    // One batch of a clean, a weight-patched, a dead-neuron and a scheduled
+    // member per run; `feed` supplies each sample's input spikes.
+    const auto run = [&](const auto& feed) {
+        NetworkRuntime clean(model);
+        NetworkRuntime weights(model, patched);
+        NetworkRuntime dead_neurons(model, dead);
+        NetworkRuntime scheduled(model);
+        scheduled.set_schedule(schedule);
+        BatchRunner batch(*model, {&clean, &weights, &dead_neurons, &scheduled});
+        std::vector<std::vector<SampleActivity>> out;
+        std::vector<SampleActivity> activities(batch.size());
+        for (std::size_t i = 0; i < kSamples; ++i) {
+            feed(batch, i, std::span<SampleActivity>(activities));
+            out.push_back(activities);
+        }
+        return out;
+    };
+
+    const util::Rng start(0xBEEF);
+    util::Rng rng = start;
+    const auto live = run([&](BatchRunner& batch, std::size_t i,
+                              std::span<SampleActivity> activities) {
+        batch.run_sample_into(dataset.images[i], rng, activities);
+    });
+    const SpikeRaster raster = SpikeRaster::encode(
+        config.encoder, config.steps_per_sample,
+        std::span<const std::vector<float>>(dataset.images.data(), kSamples), start);
+    const auto replayed = run([&](BatchRunner& batch, std::size_t i,
+                                  std::span<SampleActivity> activities) {
+        batch.run_sample_into(raster, i, activities);
+    });
+
+    EXPECT_EQ(rng, raster.end_rng());
+    for (std::size_t i = 0; i < kSamples; ++i) {
+        for (std::size_t k = 0; k < live[i].size(); ++k) {
+            EXPECT_TRUE(same_activity(live[i][k], replayed[i][k]))
+                << "sample " << i << " member " << k;
+        }
+    }
+    // The faults bite: every faulty member differs from the clean one
+    // somewhere, or the comparison above proves little.
+    for (std::size_t k = 1; k < live.front().size(); ++k) {
+        bool differs = false;
+        for (std::size_t i = 0; i < kSamples; ++i)
+            differs = differs || !same_activity(live[i][k], live[i][0]);
+        EXPECT_TRUE(differs) << "member " << k << " behaves like the clean one";
+    }
+}
+
+TEST(BatchRunner, RasterReplayRejectsMismatchedShape) {
+    const auto model = NetworkModel::random(tiny_config(), 1);
+    const DiehlCookConfig& config = model->config();
+    NetworkRuntime runtime(model);
+    BatchRunner batch(*model, {&runtime});
+    std::vector<SampleActivity> activities(1);
+
+    const std::vector<std::vector<float>> images(2, std::vector<float>(config.n_input, 0.5f));
+    const std::vector<std::vector<float>> small(2, std::vector<float>(config.n_input - 1, 0.5f));
+    const SpikeRaster wrong_size =
+        SpikeRaster::encode(config.encoder, config.steps_per_sample, small, util::Rng(1));
+    EXPECT_THROW(batch.run_sample_into(wrong_size, 0, activities), std::invalid_argument);
+    const SpikeRaster wrong_steps = SpikeRaster::encode(
+        config.encoder, config.steps_per_sample + 1, images, util::Rng(1));
+    EXPECT_THROW(batch.run_sample_into(wrong_steps, 0, activities), std::invalid_argument);
+
+    const SpikeRaster raster =
+        SpikeRaster::encode(config.encoder, config.steps_per_sample, images, util::Rng(1));
+    EXPECT_NO_THROW(batch.run_sample_into(raster, 1, activities));
+    std::vector<SampleActivity> too_many(2);
+    EXPECT_THROW(batch.run_sample_into(raster, 0, too_many), std::invalid_argument);
+    EXPECT_THROW(batch.run_sample_into(raster, 2, activities), std::out_of_range);
+}
+
 TEST(BatchRunner, RejectsForeignModelsAndLearningRuntimes) {
     const auto model = NetworkModel::random(tiny_config(), 1);
     const auto other = NetworkModel::random(tiny_config(), 2);

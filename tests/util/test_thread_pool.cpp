@@ -70,6 +70,33 @@ TEST(ThreadPool, NestedCallFallsBackToSerial) {
     EXPECT_EQ(inner_total.load(), 12);
 }
 
+TEST(ThreadPool, IndexZeroRunsOnTheCallingThread) {
+    for (const std::size_t workers : {std::size_t{4}, std::size_t{1}}) {
+        ThreadPool pool(workers);
+        for (int round = 0; round < 50; ++round) {
+            std::thread::id first;
+            pool.parallel_for(16, [&](std::size_t i) {
+                if (i == 0) first = std::this_thread::get_id();
+            });
+            EXPECT_EQ(first, std::this_thread::get_id()) << workers << " workers";
+        }
+    }
+}
+
+TEST(ThreadPool, NestedIndexZeroRunsOnTheNestingThread) {
+    ThreadPool pool(3);
+    std::vector<std::thread::id> outer(8);
+    std::vector<std::thread::id> inner(8);
+    pool.parallel_for(8, [&](std::size_t i) {
+        outer[i] = std::this_thread::get_id();
+        pool.parallel_for(4, [&](std::size_t j) {
+            if (j == 0) inner[i] = std::this_thread::get_id();
+        });
+    });
+    EXPECT_EQ(outer[0], std::this_thread::get_id());
+    EXPECT_EQ(inner, outer);
+}
+
 TEST(ThreadPool, ConcurrentCallFromSecondThreadThrows) {
     ThreadPool pool(2);
     std::promise<void> started;
