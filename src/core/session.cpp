@@ -11,6 +11,7 @@
 #include "obs/span.hpp"
 #include "store/artifacts.hpp"
 #include "store/blob.hpp"
+#include "store/hash.hpp"
 
 namespace snnfi::core {
 
@@ -180,12 +181,14 @@ std::shared_ptr<const attack::VddCalibration> Session::calibration(
 namespace {
 
 /// Store key of a characterisation sweep. The threshold, driver and VDD
-/// time-to-spike layouts predate the amplitude sweeps; persisted blobs
-/// depend on them, so they must not change.
+/// time-to-spike layouts predate the amplitude sweeps and the circuit
+/// variants (keyed only when not the plain neuron); persisted blobs depend
+/// on them, so they must not change.
 std::string sweep_key(const circuits::Characterizer& characterizer,
                       const circuits::SweepSpec& sweep) {
     sweep.validate();
     std::ostringstream key;
+    key.precision(17);
     key << "char_sweep|" << characterizer.config().cache_key() << "|";
     switch (sweep.quantity) {
         case circuits::Quantity::kThreshold:
@@ -201,7 +204,13 @@ std::string sweep_key(const circuits::Characterizer& characterizer,
         case circuits::Quantity::kRobustDriverAmplitude:
             key << "drv|robust=1";
             break;
+        case circuits::Quantity::kSupplyPower:
+            key << "power|" << circuits::to_string(sweep.kind);
+            break;
     }
+    if (sweep.circuit != circuits::Circuit::kNeuron)
+        key << "|" << circuits::to_string(sweep.circuit);
+    if (sweep.sizing_ratio != 1.0) key << "|mp1=" << sweep.sizing_ratio;
     key << "|" << grid_key(sweep.grid);
     return key.str();
 }
@@ -302,7 +311,7 @@ std::shared_ptr<const attack::GlitchProfile> Session::glitch_profile(
             }
         }
         obs::Span span("session.glitch_profile");
-        span.tag("key", key);
+        span.tag("key", store::to_hex(store::fnv1a64(key)));
         auto profile = std::make_shared<attack::GlitchProfile>(
             attack::GlitchProfile::from_characterization(
                 characterizer->characterize_glitch(preset.kind, spec, n_windows,

@@ -1,7 +1,5 @@
 #include "defense/defenses.hpp"
 
-#include "util/stats.hpp"
-
 namespace snnfi::defense {
 
 std::vector<DefenseOutcome> DefenseSuite::replay(const std::string& name,
@@ -37,37 +35,34 @@ std::vector<DefenseOutcome> DefenseSuite::bandgap_vthr(
     return replay("bandgap-vthr", vdds, residuals);
 }
 
-std::vector<DefenseOutcome> DefenseSuite::transistor_sizing(
-    double sizing_ratio, const std::vector<double>& vdds) {
-    // Measure the hardened inverter's threshold curve once.
-    const double nominal =
-        circuits_->measure_ah_threshold_with_sizing(1.0, sizing_ratio);
+std::vector<DefenseOutcome> DefenseSuite::replay_threshold(
+    const std::string& name, const std::vector<circuits::VddPoint>& threshold) {
+    std::vector<double> vdds;
     std::vector<Residual> residuals;
-    for (const double vdd : vdds) {
-        const double thr = circuits_->measure_ah_threshold_with_sizing(vdd, sizing_ratio);
-        residuals.push_back({util::percent_change(thr, nominal), 1.0});
+    for (const circuits::VddPoint& point : threshold) {
+        vdds.push_back(point.vdd);
+        residuals.push_back({point.change_pct, 1.0});
     }
-    return replay("mp1-sizing", vdds, residuals);
+    return replay(name, vdds, residuals);
+}
+
+std::vector<DefenseOutcome> DefenseSuite::transistor_sizing(
+    const std::vector<circuits::VddPoint>& threshold) {
+    return replay_threshold("mp1-sizing", threshold);
 }
 
 std::vector<DefenseOutcome> DefenseSuite::comparator_first_stage(
-    const std::vector<double>& vdds) {
-    const double nominal = circuits_->measure_comparator_ah_threshold(1.0);
-    std::vector<Residual> residuals;
-    for (const double vdd : vdds) {
-        const double thr = circuits_->measure_comparator_ah_threshold(vdd);
-        residuals.push_back({util::percent_change(thr, nominal), 1.0});
-    }
-    return replay("comparator-ah", vdds, residuals);
+    const std::vector<circuits::VddPoint>& threshold) {
+    return replay_threshold("comparator-ah", threshold);
 }
 
 std::vector<DefenseOutcome> DefenseSuite::robust_driver(
-    const std::vector<double>& vdds) {
-    const double nominal = circuits_->measure_robust_driver_amplitude(1.0);
+    const std::vector<circuits::VddPoint>& amplitude, double nominal_amplitude) {
+    std::vector<double> vdds;
     std::vector<Residual> residuals;
-    for (const double vdd : vdds) {
-        const double amp = circuits_->measure_robust_driver_amplitude(vdd);
-        residuals.push_back({0.0, amp / nominal});
+    for (const circuits::VddPoint& point : amplitude) {
+        vdds.push_back(point.vdd);
+        residuals.push_back({0.0, point.value / nominal_amplitude});
     }
     return replay("robust-driver", vdds, residuals);
 }

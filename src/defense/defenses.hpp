@@ -7,6 +7,10 @@
 //   bandgap Vthr   -> residual threshold deviation bounded by +/-0.56%.
 //   MP1 resizing   -> measured threshold droop at the chosen sizing ratio.
 //   comparator AH  -> measured (flat) comparator threshold curve.
+//
+// The measured residuals arrive as characterisation curves (one
+// circuits::SweepSpec each, e.g. from core::Session::sweeps), so the
+// suite itself simulates no circuit.
 #pragma once
 
 #include <string>
@@ -32,27 +36,28 @@ struct DefenseOutcome {
 class DefenseSuite {
 public:
     /// Shares the dataset/baseline with an AttackSuite (results comparable).
-    DefenseSuite(attack::AttackSuite& attacks, const circuits::Characterizer& circuits)
-        : attacks_(&attacks), circuits_(&circuits) {}
+    explicit DefenseSuite(attack::AttackSuite& attacks) : attacks_(&attacks) {}
 
     /// Bandgap-referenced Vthr (paper §V-B1): the threshold attack is
     /// clamped to the bandgap's residual deviation; drivers assumed robust.
     std::vector<DefenseOutcome> bandgap_vthr(const circuits::BandgapModel& bandgap,
                                              const std::vector<double>& vdds);
 
-    /// First-inverter resizing (paper Fig. 9c): measures the AH threshold
-    /// droop at `sizing_ratio` for each VDD and replays Attack 4 with it.
-    std::vector<DefenseOutcome> transistor_sizing(double sizing_ratio,
-                                                  const std::vector<double>& vdds);
+    /// First-inverter resizing (paper Fig. 9c): replays Attack 4 with each
+    /// point's threshold change of the resized neuron's threshold curve.
+    std::vector<DefenseOutcome> transistor_sizing(
+        const std::vector<circuits::VddPoint>& threshold);
 
-    /// Comparator first stage (paper Fig. 10a): measured comparator-AH
-    /// threshold curve drives the replay.
-    std::vector<DefenseOutcome> comparator_first_stage(const std::vector<double>& vdds);
+    /// Comparator first stage (paper Fig. 10a): replays Attack 4 with the
+    /// comparator-AH threshold curve.
+    std::vector<DefenseOutcome> comparator_first_stage(
+        const std::vector<circuits::VddPoint>& threshold);
 
     /// Robust current driver (paper §V-A): replays Attack 1 with the
-    /// regulated driver's measured amplitude curve instead of the
-    /// unsecured one.
-    std::vector<DefenseOutcome> robust_driver(const std::vector<double>& vdds);
+    /// regulated driver's amplitude curve instead of the unsecured one;
+    /// each point's driver gain is its amplitude over `nominal_amplitude`.
+    std::vector<DefenseOutcome> robust_driver(const std::vector<circuits::VddPoint>& amplitude,
+                                              double nominal_amplitude);
 
     /// Undefended Attack-5-style outcome at each VDD for side-by-side
     /// comparison columns.
@@ -70,9 +75,11 @@ private:
     std::vector<DefenseOutcome> replay(const std::string& name,
                                        const std::vector<double>& vdds,
                                        const std::vector<Residual>& residuals);
+    /// Replays each point's threshold change of `threshold` as `name`.
+    std::vector<DefenseOutcome> replay_threshold(const std::string& name,
+                                                 const std::vector<circuits::VddPoint>& threshold);
 
     attack::AttackSuite* attacks_;
-    const circuits::Characterizer* circuits_;
 };
 
 }  // namespace snnfi::defense

@@ -1,8 +1,9 @@
 // Power/area overhead accounting for the paper's §V defenses.
 //
-// Power numbers come from supply-current integration in the circuit
-// simulator (plus declared quiescent power for behavioral op-amps); area
-// numbers from the first-order layout model in circuits/area_power.hpp.
+// Power numbers are Characterizer supply-power points (supply-current
+// integration plus declared quiescent power for behavioral op-amps); area
+// numbers come from the first-order layout model in circuits/area_power.hpp
+// applied to the same netlists.
 // Paper-reported overheads are carried alongside for comparison —
 // EXPERIMENTS.md discusses where our area model's constants diverge.
 #pragma once
@@ -29,15 +30,19 @@ struct OverheadReport {
 
 class OverheadAnalyzer {
 public:
-    explicit OverheadAnalyzer(const circuits::Characterizer& circuits)
-        : circuits_(&circuits) {}
+    /// Measures the nominal-VDD supply power of every cell the reports
+    /// compare (the plain, MP1-resized and comparator AH neurons, the
+    /// VampIF neuron and both drivers: six transients) as one
+    /// Characterizer::measure batch on `pool`, serially without one.
+    explicit OverheadAnalyzer(const circuits::Characterizer& circuits,
+                              util::ThreadPool* pool = nullptr);
 
     /// Robust op-amp driver vs. unsecured mirror driver (paper: +3% power,
     /// negligible area).
     OverheadReport robust_driver() const;
-    /// Resized-MP1 AH neuron vs. baseline AH neuron (paper: +25% power,
-    /// negligible area).
-    OverheadReport transistor_sizing(double sizing_ratio) const;
+    /// AH neuron with MP1 resized 32:1 (Fig. 9c's largest ratio) vs.
+    /// baseline AH neuron (paper: +25% power, negligible area).
+    OverheadReport transistor_sizing() const;
     /// Comparator-AH neuron vs. baseline AH neuron (paper: +11% power,
     /// negligible area).
     OverheadReport comparator_ah() const;
@@ -53,7 +58,12 @@ public:
                                     std::size_t neurons_per_layer = 100) const;
 
 private:
-    const circuits::Characterizer* circuits_;
+    /// One cell's measured supply power and modelled layout area.
+    struct Cell {
+        double power_w = 0.0;
+        double area_um2 = 0.0;
+    };
+    Cell neuron_, sized_, comparator_, vamp_if_, driver_, robust_driver_;
 };
 
 }  // namespace snnfi::defense

@@ -14,7 +14,10 @@ const Characterizer& shared_characterizer() {
 }
 
 TEST(UnsecuredDriver, NominalAmplitudeNear200nA) {
-    const double amp = shared_characterizer().measure_driver_amplitude(1.0);
+    const double amp =
+        shared_characterizer()
+            .measure({{.quantity = Quantity::kDriverAmplitude, .vdd = 1.0}})
+            .front();
     EXPECT_NEAR(amp, 200e-9, 20e-9);
 }
 
@@ -74,9 +77,11 @@ TEST(RobustDriver, RegulatesToVrefOverR) {
 }
 
 TEST(DriverPower, RobustCostsMoreThanUnsecured) {
-    const auto& ch = shared_characterizer();
-    const double unsecured = ch.measure_driver_power(false, 1.0);
-    const double robust = ch.measure_driver_power(true, 1.0);
+    const auto powers = shared_characterizer().measure(
+        {{.quantity = Quantity::kSupplyPower, .vdd = 1.0, .circuit = Circuit::kDriver},
+         {.quantity = Quantity::kSupplyPower, .vdd = 1.0, .circuit = Circuit::kRobustDriver}});
+    const double unsecured = powers[0];
+    const double robust = powers[1];
     EXPECT_GT(unsecured, 0.0);
     EXPECT_GT(robust, unsecured);  // regulation costs power (paper: +3%)
 }

@@ -5,6 +5,7 @@
 #include "defense/defenses.hpp"
 #include "defense/detector.hpp"
 #include "defense/overhead.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnfi::defense {
 namespace {
@@ -61,33 +62,39 @@ TEST(Detector, DetectionEdges) {
 }
 
 // ---------------------------------------------------------------- overhead
+/// One analyzer for every overhead test: its constructor simulates the six
+/// supply-power points.
+const OverheadAnalyzer& shared_analyzer() {
+    static const OverheadAnalyzer instance = [] {
+        util::ThreadPool pool(2);
+        return OverheadAnalyzer(shared_characterizer(), &pool);
+    }();
+    return instance;
+}
+
 TEST(Overhead, ComparatorCostsPower) {
-    OverheadAnalyzer analyzer(shared_characterizer());
-    const auto report = analyzer.comparator_ah();
+    const auto report = shared_analyzer().comparator_ah();
     EXPECT_GT(report.power_overhead_pct, 0.0);  // OTA bias current (paper: 11%)
     EXPECT_LT(report.power_overhead_pct, 100.0);
     EXPECT_GT(report.secured_power_w, report.baseline_power_w);
 }
 
 TEST(Overhead, RobustDriverReport) {
-    OverheadAnalyzer analyzer(shared_characterizer());
-    const auto report = analyzer.robust_driver();
+    const auto report = shared_analyzer().robust_driver();
     EXPECT_GT(report.power_overhead_pct, 0.0);
     EXPECT_GT(report.baseline_area_um2, 0.0);
     EXPECT_DOUBLE_EQ(report.paper_power_overhead_pct, 3.0);
 }
 
 TEST(Overhead, BandgapAmortizesAcrossNeurons) {
-    OverheadAnalyzer analyzer(shared_characterizer());
-    const auto small = analyzer.bandgap(200);
-    const auto large = analyzer.bandgap(2000);
+    const auto small = shared_analyzer().bandgap(200);
+    const auto large = shared_analyzer().bandgap(2000);
     EXPECT_GT(small.area_overhead_pct, large.area_overhead_pct);
     EXPECT_GT(small.area_overhead_pct, 0.0);
 }
 
 TEST(Overhead, DummyNeuronAboutOnePercent) {
-    OverheadAnalyzer analyzer(shared_characterizer());
-    const auto report = analyzer.dummy_neuron(100);
+    const auto report = shared_analyzer().dummy_neuron(100);
     EXPECT_GT(report.area_overhead_pct, 0.3);
     EXPECT_LT(report.area_overhead_pct, 3.0);
     EXPECT_GT(report.power_overhead_pct, 0.3);
@@ -95,8 +102,7 @@ TEST(Overhead, DummyNeuronAboutOnePercent) {
 }
 
 TEST(Overhead, AllReportsPresent) {
-    OverheadAnalyzer analyzer(shared_characterizer());
-    const auto reports = analyzer.all();
+    const auto reports = shared_analyzer().all();
     ASSERT_EQ(reports.size(), 5u);
     for (const auto& report : reports) {
         EXPECT_FALSE(report.defense.empty());
@@ -105,9 +111,17 @@ TEST(Overhead, AllReportsPresent) {
 }
 
 // ---------------------------------------------------------------- defenses
+/// One threshold curve of the default characterizer over `vdds`.
+std::vector<circuits::VddPoint> threshold_curve(circuits::SweepSpec sweep,
+                                                std::vector<double> vdds) {
+    sweep.quantity = circuits::Quantity::kThreshold;
+    sweep.grid = std::move(vdds);
+    return shared_characterizer().sweep({sweep}).front();
+}
+
 TEST(DefenseSuite, BandgapRecoversAccuracy) {
     auto suite = tiny_suite();
-    DefenseSuite defenses(suite, shared_characterizer());
+    DefenseSuite defenses(suite);
 
     // Undefended attack at 0.8 V collapses...
     const auto calibration = attack::VddCalibration::paper_reference();
@@ -127,8 +141,9 @@ TEST(DefenseSuite, BandgapRecoversAccuracy) {
 
 TEST(DefenseSuite, ComparatorRecoversAccuracy) {
     auto suite = tiny_suite();
-    DefenseSuite defenses(suite, shared_characterizer());
-    const auto defended = defenses.comparator_first_stage({0.8});
+    DefenseSuite defenses(suite);
+    const auto defended = defenses.comparator_first_stage(
+        threshold_curve({.circuit = circuits::Circuit::kComparatorAh}, {0.8}));
     ASSERT_EQ(defended.size(), 1u);
     EXPECT_LT(std::abs(defended[0].residual_threshold_delta_pct), 1.5);
     // Online accuracy at this scale is trajectory-noisy; the residual
@@ -143,8 +158,9 @@ TEST(DefenseSuite, ComparatorRecoversAccuracy) {
 
 TEST(DefenseSuite, SizingReducesResidualCorruption) {
     auto suite = tiny_suite();
-    DefenseSuite defenses(suite, shared_characterizer());
-    const auto defended = defenses.transistor_sizing(32.0, {0.8});
+    DefenseSuite defenses(suite);
+    const auto defended =
+        defenses.transistor_sizing(threshold_curve({.sizing_ratio = 32.0}, {0.8}));
     ASSERT_EQ(defended.size(), 1u);
     // Residual droop must beat the unsecured -18%.
     EXPECT_GT(defended[0].residual_threshold_delta_pct, -16.0);
@@ -153,8 +169,14 @@ TEST(DefenseSuite, SizingReducesResidualCorruption) {
 
 TEST(DefenseSuite, RobustDriverKeepsGainNearUnity) {
     auto suite = tiny_suite();
-    DefenseSuite defenses(suite, shared_characterizer());
-    const auto defended = defenses.robust_driver({0.8, 1.2});
+    DefenseSuite defenses(suite);
+    const auto& ch = shared_characterizer();
+    const double nominal =
+        ch.measure({{.quantity = circuits::Quantity::kRobustDriverAmplitude,
+                     .vdd = ch.config().nominal_vdd}})
+            .front();
+    const auto defended =
+        defenses.robust_driver(ch.driver_amplitude_vs_vdd({0.8, 1.2}, true), nominal);
     ASSERT_EQ(defended.size(), 2u);
     for (const auto& outcome : defended) {
         EXPECT_NEAR(outcome.residual_gain, 1.0, 0.02);

@@ -48,7 +48,7 @@ TEST_F(EndToEnd, FullPipelineStoryHolds) {
     EXPECT_LT(attacked[0].accuracy, 0.6 * baseline);
 
     // 4. The bandgap defense recovers it.
-    defense::DefenseSuite defenses(*suite, characterizer);
+    defense::DefenseSuite defenses(*suite);
     const auto defended = defenses.bandgap_vthr(circuits::BandgapModel{}, {0.8});
     EXPECT_GT(defended[0].accuracy, attacked[0].accuracy);
     EXPECT_GT(defended[0].accuracy, 0.8 * baseline);
