@@ -3,8 +3,8 @@
 // `build/run --experiment=fi --quick --json` (or any fi.* id) drives them.
 //
 // The campaign configurations themselves live in fi/catalog.hpp — shared
-// with the shard worker (tools/worker.cpp) so a sharded campaign plans
-// bit-for-bit the same grid as the in-process scenario. This file only
+// with the shard runner (fi::run_shard, behind `run --shard`) so a sharded
+// campaign plans bit-for-bit the same grid as the in-process scenario. This file only
 // contributes the registry metadata (tags, notes, paper order) and the
 // table presentation.
 //

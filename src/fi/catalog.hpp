@@ -1,9 +1,9 @@
 // Campaign catalog: the single source of campaign configurations shared by
-// the scenario registry (core/scenarios_fi.cpp) and the shard worker
-// (tools/worker.cpp).
+// the scenario registry (core/scenarios_fi.cpp) and the shard runner
+// (fi::run_shard, which `run --shard` drives).
 //
 // Sharded campaigns (fi/shard.hpp) only work if every process plans the
-// *same* campaign: the worker that executes shard 3 of "fi.quick-sweep"
+// *same* campaign: the process that executes shard 3 of "fi.quick-sweep"
 // must build bit-for-bit the CampaignConfig that `run --experiment=
 // fi.quick-sweep` builds, or the cell indices (and the session cache keys)
 // stop lining up. Keeping the builders here — addressed by scenario id —

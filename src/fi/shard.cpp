@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -10,6 +9,7 @@
 #include "core/session.hpp"
 #include "fi/catalog.hpp"
 #include "obs/heartbeat.hpp"
+#include "util/file.hpp"
 #include "util/table.hpp"
 
 namespace snnfi::fi {
@@ -18,108 +18,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// ------------------------------------------------------- flat-JSON reading
-// Shard lines and the manifest are flat JSON objects written by this file,
-// so a targeted field scanner is enough — no general JSON parser needed.
-// Every helper returns nullopt on a missing or malformed field, which the
-// callers treat as "truncated/corrupt line".
-
-std::optional<std::size_t> find_key(const std::string& text,
-                                    const std::string& key) {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos) return std::nullopt;
-    return at + needle.size();
-}
-
-std::optional<std::string> get_string(const std::string& text,
-                                      const std::string& key) {
-    const auto start = find_key(text, key);
-    if (!start || *start >= text.size() || text[*start] != '"')
-        return std::nullopt;
-    std::string value;
-    for (std::size_t i = *start + 1; i < text.size(); ++i) {
-        const char c = text[i];
-        if (c == '"') return value;
-        if (c != '\\') {
-            value += c;
-            continue;
-        }
-        if (++i >= text.size()) return std::nullopt;
-        switch (text[i]) {
-            case '"': value += '"'; break;
-            case '\\': value += '\\'; break;
-            case '/': value += '/'; break;
-            case 'n': value += '\n'; break;
-            case 'r': value += '\r'; break;
-            case 't': value += '\t'; break;
-            case 'u': {
-                if (i + 4 >= text.size()) return std::nullopt;
-                const unsigned long code =
-                    std::strtoul(text.substr(i + 1, 4).c_str(), nullptr, 16);
-                value += static_cast<char>(code);  // ASCII control range only
-                i += 4;
-                break;
-            }
-            default: return std::nullopt;
-        }
-    }
-    return std::nullopt;  // unterminated string
-}
-
-std::optional<std::string> get_token(const std::string& text,
-                                     const std::string& key) {
-    const auto start = find_key(text, key);
-    if (!start) return std::nullopt;
-    std::size_t end = *start;
-    while (end < text.size() && text[end] != ',' && text[end] != '}') ++end;
-    if (end == *start || end == text.size()) return std::nullopt;
-    return text.substr(*start, end - *start);
-}
-
-std::optional<double> get_double(const std::string& text,
-                                 const std::string& key) {
-    const auto token = get_token(text, key);
-    if (!token) return std::nullopt;
-    char* end = nullptr;
-    const double value = std::strtod(token->c_str(), &end);
-    if (end != token->c_str() + token->size()) return std::nullopt;
-    return value;
-}
-
-std::optional<std::size_t> get_size(const std::string& text,
-                                    const std::string& key) {
-    const auto token = get_token(text, key);
-    if (!token) return std::nullopt;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(token->c_str(), &end, 10);
-    if (end != token->c_str() + token->size()) return std::nullopt;
-    return static_cast<std::size_t>(value);
-}
-
-std::optional<bool> get_bool(const std::string& text, const std::string& key) {
-    const auto token = get_token(text, key);
-    if (!token) return std::nullopt;
-    if (*token == "true") return true;
-    if (*token == "false") return false;
-    return std::nullopt;
-}
-
 std::string bool_json(bool value) { return value ? "true" : "false"; }
-
-/// Atomic publish: write to a sibling temp file, then rename over the
-/// destination (same pattern as the artifact store).
-void atomic_write(const fs::path& path, const std::string& content) {
-    const fs::path temp = path.string() + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out) throw std::runtime_error("cannot write " + temp.string());
-        out << content;
-        out.flush();
-        if (!out) throw std::runtime_error("short write to " + temp.string());
-    }
-    fs::rename(temp, path);
-}
 
 }  // namespace
 
@@ -136,11 +35,11 @@ std::string CampaignManifest::to_json() const {
 
 CampaignManifest CampaignManifest::from_json(const std::string& text) {
     CampaignManifest manifest;
-    const auto scenario = get_string(text, "scenario");
-    const auto shards = get_size(text, "shards");
-    const auto cells = get_size(text, "cells");
-    const auto quick = get_bool(text, "quick");
-    const auto key = get_string(text, "campaign_key");
+    const auto scenario = util::json_get_string(text, "scenario");
+    const auto shards = util::json_get_size(text, "shards");
+    const auto cells = util::json_get_size(text, "cells");
+    const auto quick = util::json_get_bool(text, "quick");
+    const auto key = util::json_get_string(text, "campaign_key");
     if (!scenario || !shards || !cells || !quick || !key)
         throw std::runtime_error("malformed campaign manifest");
     manifest.scenario = *scenario;
@@ -162,7 +61,8 @@ void write_manifest(const fs::path& dir, const CampaignManifest& manifest) {
                 " already holds a different campaign: " + existing.to_json());
         return;
     }
-    atomic_write(path, manifest.to_json());
+    if (!util::publish_file(path, {manifest.to_json()}))
+        throw std::runtime_error("cannot write " + path.string());
 }
 
 CampaignManifest read_manifest(const fs::path& dir) {
@@ -217,25 +117,25 @@ std::string cell_to_jsonl(const CellResult& cell, double baseline_pct) {
 std::optional<ShardCellRecord> cell_from_jsonl(const std::string& line) {
     if (line.empty() || line.front() != '{' || line.back() != '}')
         return std::nullopt;
-    const auto plan_index = get_size(line, "plan_index");
-    const auto model = get_string(line, "model");
-    const auto site_kind = get_size(line, "site_kind");
-    const auto site_layer = get_size(line, "site_layer");
-    const auto site_neuron = get_size(line, "site_neuron");
-    const auto site_pre = get_size(line, "site_pre");
-    const auto site_post = get_size(line, "site_post");
-    const auto label = get_string(line, "label");
-    const auto footprint = get_string(line, "footprint");
-    const auto severity = get_double(line, "severity");
-    const auto replicas = get_size(line, "replicas");
-    const auto accuracy = get_double(line, "accuracy_pct");
-    const auto drop = get_double(line, "drop_pct");
-    const auto ci = get_double(line, "ci_halfwidth_pct");
-    const auto critical = get_bool(line, "critical");
-    const auto early_stopped = get_bool(line, "early_stopped");
-    const auto trained = get_bool(line, "trained");
-    const auto scheduled = get_bool(line, "scheduled");
-    const auto baseline = get_double(line, "baseline_accuracy_pct");
+    const auto plan_index = util::json_get_size(line, "plan_index");
+    const auto model = util::json_get_string(line, "model");
+    const auto site_kind = util::json_get_size(line, "site_kind");
+    const auto site_layer = util::json_get_size(line, "site_layer");
+    const auto site_neuron = util::json_get_size(line, "site_neuron");
+    const auto site_pre = util::json_get_size(line, "site_pre");
+    const auto site_post = util::json_get_size(line, "site_post");
+    const auto label = util::json_get_string(line, "label");
+    const auto footprint = util::json_get_string(line, "footprint");
+    const auto severity = util::json_get_double(line, "severity");
+    const auto replicas = util::json_get_size(line, "replicas");
+    const auto accuracy = util::json_get_double(line, "accuracy_pct");
+    const auto drop = util::json_get_double(line, "drop_pct");
+    const auto ci = util::json_get_double(line, "ci_halfwidth_pct");
+    const auto critical = util::json_get_bool(line, "critical");
+    const auto early_stopped = util::json_get_bool(line, "early_stopped");
+    const auto trained = util::json_get_bool(line, "trained");
+    const auto scheduled = util::json_get_bool(line, "scheduled");
+    const auto baseline = util::json_get_double(line, "baseline_accuracy_pct");
     if (!plan_index || !model || !site_kind || !site_layer || !site_neuron ||
         !site_pre || !site_post || !label || !footprint || !severity ||
         !replicas || !accuracy || !drop || !ci || !critical || !early_stopped ||
@@ -277,31 +177,32 @@ fs::path shard_file(const fs::path& dir, std::size_t index) {
 
 namespace {
 
-/// Reads a shard file back: every parseable line in order. A malformed
-/// line (the one a killed worker left half-written) and anything after it
-/// are dropped; when that happens the file is rewritten to the valid
-/// prefix so subsequent appends produce a clean file again.
-std::vector<ShardCellRecord> read_shard_file(const fs::path& path) {
+/// A shard file read back: every parseable line in order, up to the first
+/// malformed one (the record a killed worker left torn, or one a live
+/// worker is still appending), which is dropped with anything after it.
+/// Reading never writes: only run_shard, which owns the file, repairs it.
+struct ShardFile {
     std::vector<ShardCellRecord> records;
+    std::string valid_prefix;  ///< the parsed lines, newline-terminated
+    bool torn = false;         ///< a malformed line was dropped
+};
+
+ShardFile read_shard_file(const fs::path& path) {
+    ShardFile file;
     std::ifstream in(path, std::ios::binary);
-    if (!in) return records;
     std::string line;
-    std::string valid_prefix;
-    bool truncated = false;
     while (std::getline(in, line)) {
         if (line.empty()) continue;
         const auto record = cell_from_jsonl(line);
         if (!record) {
-            truncated = true;
+            file.torn = true;
             break;
         }
-        records.push_back(*record);
-        valid_prefix += line;
-        valid_prefix += '\n';
+        file.records.push_back(*record);
+        file.valid_prefix += line;
+        file.valid_prefix += '\n';
     }
-    in.close();
-    if (truncated) atomic_write(path, valid_prefix);
-    return records;
+    return file;
 }
 
 }  // namespace
@@ -326,8 +227,12 @@ std::size_t run_shard(core::Session& session, const std::string& scenario,
         shard_cells(manifest.cells, shard_count, shard_index);
 
     const fs::path path = shard_file(dir, shard_index);
+    const ShardFile file = read_shard_file(path);
+    // Drop a torn tail before appending, so the next record starts a line.
+    if (file.torn && !util::publish_file(path, {file.valid_prefix}))
+        throw std::runtime_error("cannot repair " + path.string());
     std::vector<char> done(manifest.cells, 0);
-    for (const ShardCellRecord& record : read_shard_file(path)) {
+    for (const ShardCellRecord& record : file.records) {
         if (record.cell.plan_index < manifest.cells)
             done[record.cell.plan_index] = 1;
     }
@@ -420,7 +325,7 @@ util::ResultTable shard_progress_table(const fs::path& dir) {
             shard_cells(manifest.cells, manifest.shards, shard).size();
         std::size_t cells_done = 0;
         for (const ShardCellRecord& record :
-             read_shard_file(shard_file(dir, shard))) {
+             read_shard_file(shard_file(dir, shard)).records) {
             if (record.cell.plan_index < manifest.cells) ++cells_done;
         }
         const auto beat = obs::read_heartbeat(dir, shard);
@@ -458,7 +363,8 @@ CampaignResult merge_campaign_dir(const fs::path& dir) {
     const CampaignManifest manifest = read_manifest(dir);
     std::vector<std::optional<ShardCellRecord>> by_index(manifest.cells);
     for (std::size_t shard = 0; shard < manifest.shards; ++shard) {
-        for (ShardCellRecord& record : read_shard_file(shard_file(dir, shard))) {
+        for (ShardCellRecord& record :
+             read_shard_file(shard_file(dir, shard)).records) {
             const std::size_t index = record.cell.plan_index;
             if (index >= manifest.cells)
                 throw std::runtime_error("campaign dir " + dir.string() +

@@ -97,7 +97,8 @@ CampaignManifest read_manifest(const std::filesystem::path& dir);
 
 /// Executes one shard of the catalog campaign `scenario` with
 /// checkpoint/resume: already-completed cells are read back from the
-/// shard's JSONL file (a truncated trailing line is discarded), remaining
+/// shard's JSONL file (a truncated trailing line is cut from the file, the
+/// one write to a shard file besides appends), remaining
 /// cells run in small chunks, each appended and flushed before the next
 /// starts. Returns the number of cells executed this call (0 = the shard
 /// was already complete). Throws std::runtime_error when the directory's
@@ -113,15 +114,16 @@ std::size_t run_shard(core::Session& session, const std::string& scenario,
 /// `stalled` (heartbeat older than obs::kStaleFactor x its own interval,
 /// or one claiming completion the JSONL does not back up — the SIGKILLed
 /// worker case), or `unknown` (no heartbeat at all, e.g. a shard never
-/// started). Throws std::runtime_error when the directory has no valid
-/// manifest.
+/// started). Reads only: a shard's torn last line (a live worker may be
+/// appending it) is skipped, never repaired. Throws std::runtime_error
+/// when the directory has no valid manifest.
 util::ResultTable shard_progress_table(const std::filesystem::path& dir);
 
 /// Merges a completed campaign directory back into the full
 /// CampaignResult, ordered by plan index, counters recounted — bit-for-bit
-/// the result of a single-process run of the same campaign. Throws
-/// std::runtime_error when cells are missing, duplicated, or measured
-/// against inconsistent baselines.
+/// the result of a single-process run of the same campaign. Reads only,
+/// like shard_progress_table. Throws std::runtime_error when cells are
+/// missing, duplicated, or measured against inconsistent baselines.
 CampaignResult merge_campaign_dir(const std::filesystem::path& dir);
 
 }  // namespace snnfi::fi

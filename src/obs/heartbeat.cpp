@@ -1,11 +1,10 @@
 #include "obs/heartbeat.hpp"
 
 #include <chrono>
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "util/file.hpp"
 #include "util/table.hpp"
 
 namespace snnfi::obs {
@@ -27,68 +26,6 @@ double ewma_update(double previous, double sample, double alpha) {
     return alpha * sample + (1.0 - alpha) * previous;
 }
 
-namespace {
-
-// Targeted field scanner for the flat JSON this file writes (same idiom as
-// fi/shard.cpp's checkpoint reader — heartbeats are single-level objects).
-std::optional<std::string> get_token(const std::string& text,
-                                     const std::string& key) {
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t at = text.find(needle);
-    if (at == std::string::npos) return std::nullopt;
-    std::size_t start = at + needle.size();
-    while (start < text.size() && std::isspace(static_cast<unsigned char>(text[start])))
-        ++start;
-    std::size_t end = start;
-    while (end < text.size() && text[end] != ',' && text[end] != '}') ++end;
-    if (end == start || end == text.size()) return std::nullopt;
-    std::size_t last = end;
-    while (last > start && std::isspace(static_cast<unsigned char>(text[last - 1])))
-        --last;
-    if (last == start) return std::nullopt;
-    return text.substr(start, last - start);
-}
-
-std::optional<double> get_double(const std::string& text,
-                                 const std::string& key) {
-    const auto token = get_token(text, key);
-    if (!token) return std::nullopt;
-    char* end = nullptr;
-    const double value = std::strtod(token->c_str(), &end);
-    if (end != token->c_str() + token->size()) return std::nullopt;
-    return value;
-}
-
-std::optional<std::size_t> get_size(const std::string& text,
-                                    const std::string& key) {
-    const auto token = get_token(text, key);
-    if (!token) return std::nullopt;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(token->c_str(), &end, 10);
-    if (end != token->c_str() + token->size()) return std::nullopt;
-    return static_cast<std::size_t>(value);
-}
-
-std::optional<std::int64_t> get_int64(const std::string& text,
-                                      const std::string& key) {
-    const auto token = get_token(text, key);
-    if (!token) return std::nullopt;
-    char* end = nullptr;
-    const long long value = std::strtoll(token->c_str(), &end, 10);
-    if (end != token->c_str() + token->size()) return std::nullopt;
-    return static_cast<std::int64_t>(value);
-}
-
-std::optional<bool> get_bool(const std::string& text, const std::string& key) {
-    const auto token = get_token(text, key);
-    if (!token) return std::nullopt;
-    if (*token == "true") return true;
-    if (*token == "false") return false;
-    return std::nullopt;
-}
-
-}  // namespace
-
 std::string Heartbeat::to_json() const {
     std::ostringstream os;
     os << "{\"shard\":" << shard << ",\"shards\":" << shards
@@ -103,15 +40,15 @@ std::string Heartbeat::to_json() const {
 
 std::optional<Heartbeat> Heartbeat::from_json(const std::string& text) {
     if (text.empty() || text.front() != '{') return std::nullopt;
-    const auto shard = get_size(text, "shard");
-    const auto shards = get_size(text, "shards");
-    const auto cells_done = get_size(text, "cells_done");
-    const auto cells_total = get_size(text, "cells_total");
-    const auto rate = get_double(text, "ewma_cells_per_s");
-    const auto interval = get_double(text, "interval_s");
-    const auto written = get_int64(text, "written_unix_ms");
-    const auto checkpoint = get_int64(text, "checkpoint_unix_ms");
-    const auto done = get_bool(text, "done");
+    const auto shard = util::json_get_size(text, "shard");
+    const auto shards = util::json_get_size(text, "shards");
+    const auto cells_done = util::json_get_size(text, "cells_done");
+    const auto cells_total = util::json_get_size(text, "cells_total");
+    const auto rate = util::json_get_double(text, "ewma_cells_per_s");
+    const auto interval = util::json_get_double(text, "interval_s");
+    const auto written = util::json_get_int64(text, "written_unix_ms");
+    const auto checkpoint = util::json_get_int64(text, "checkpoint_unix_ms");
+    const auto done = util::json_get_bool(text, "done");
     if (!shard || !shards || !cells_done || !cells_total || !rate || !interval ||
         !written || !checkpoint || !done)
         return std::nullopt;
@@ -138,21 +75,7 @@ void write_heartbeat(const fs::path& dir, const Heartbeat& beat) {
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec) return;
-    const fs::path path = heartbeat_file(dir, beat.shard);
-    const fs::path temp = path.string() + ".tmp";
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out) return;
-        out << beat.to_json() << "\n";
-        out.flush();
-        if (!out) {
-            out.close();
-            fs::remove(temp, ec);
-            return;
-        }
-    }
-    fs::rename(temp, path, ec);
-    if (ec) fs::remove(temp, ec);
+    util::publish_file(heartbeat_file(dir, beat.shard), {beat.to_json(), "\n"});
 }
 
 std::optional<Heartbeat> read_heartbeat(const fs::path& dir, std::size_t shard) {

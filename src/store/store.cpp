@@ -1,16 +1,18 @@
 #include "store/store.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <system_error>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "store/blob.hpp"
 #include "store/hash.hpp"
+#include "util/file.hpp"
 
 namespace snnfi::store {
 
@@ -51,14 +53,8 @@ double ms_since(std::chrono::steady_clock::time_point start) {
         .count();
 }
 
-/// Unique-enough temp suffix: processes are distinguished by the address
-/// of a per-process atomic, concurrent writers within one process by its
-/// value. (getpid would also work, but this keeps the store portable.)
-std::string temp_suffix() {
-    static std::atomic<std::uint64_t> counter{0};
-    const std::uint64_t id =
-        fnv1a64(&counter, sizeof(void*)) ^ counter.fetch_add(1, std::memory_order_relaxed);
-    return ".tmp" + to_hex(id);
+std::string_view as_chars(std::span<const std::byte> bytes) {
+    return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
 std::optional<std::vector<std::byte>> read_file(const fs::path& path) {
@@ -157,27 +153,9 @@ void ArtifactStore::save(const std::string& kind, const std::string& key,
     writer.u64(payload.size());
     writer.u64(fnv1a64(payload.data(), payload.size()));
     const fs::path path = blob_path(kind, key);
-    const fs::path temp = path.string() + temp_suffix();
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out) return;  // unwritable store: behave as a cache, not a fault
-        out.write(reinterpret_cast<const char*>(writer.bytes().data()),
-                  static_cast<std::streamsize>(writer.bytes().size()));
-        out.write(reinterpret_cast<const char*>(payload.data()),
-                  static_cast<std::streamsize>(payload.size()));
-        if (!out) {
-            out.close();
-            std::error_code ec;
-            fs::remove(temp, ec);
-            return;
-        }
-    }
-    std::error_code ec;
-    fs::rename(temp, path, ec);  // atomic publish (same directory)
-    if (ec) {
-        fs::remove(temp, ec);
+    // An unwritable store behaves as a cache, not a fault.
+    if (!util::publish_file(path, {as_chars(writer.bytes()), as_chars(payload)}))
         return;
-    }
     StoreMetrics::get().write_bytes.add(writer.bytes().size() + payload.size());
     StoreMetrics::get().save_ms.observe(ms_since(start));
     enforce_cap(path);

@@ -1,6 +1,7 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
@@ -160,6 +161,109 @@ std::string json_number(double value) {
     std::ostringstream os;
     os << std::setprecision(17) << value;
     return os.str();
+}
+
+namespace {
+
+/// Offset just past `"key":` in `text`. Keys are unique in a record, and
+/// every quote inside an escaped value follows a backslash, so no value
+/// can hold the needle: the first hit is the field.
+std::optional<std::size_t> find_key(std::string_view text, std::string_view key) {
+    std::string needle;
+    needle.reserve(key.size() + 3);
+    needle += '"';
+    needle += key;
+    needle += "\":";
+    const std::size_t at = text.find(needle);
+    if (at == std::string_view::npos) return std::nullopt;
+    return at + needle.size();
+}
+
+/// The raw value token of a non-string field: up to the next ',' or '}'.
+std::optional<std::string_view> get_token(std::string_view text,
+                                          std::string_view key) {
+    const auto start = find_key(text, key);
+    if (!start) return std::nullopt;
+    const std::size_t end = text.find_first_of(",}", *start);
+    if (end == *start || end == std::string_view::npos) return std::nullopt;
+    return text.substr(*start, end - *start);
+}
+
+/// Parses the whole token as a T, or std::nullopt. from_chars accepts no
+/// whitespace, no '+', and no '-' for unsigned T.
+template <typename T>
+std::optional<T> parse_token(std::optional<std::string_view> token) {
+    if (!token) return std::nullopt;
+    T value{};
+    const char* end = token->data() + token->size();
+    const auto [ptr, ec] = std::from_chars(token->data(), end, value);
+    if (ec != std::errc{} || ptr != end) return std::nullopt;
+    return value;
+}
+
+}  // namespace
+
+std::optional<std::string> json_get_string(std::string_view text,
+                                           std::string_view key) {
+    const auto start = find_key(text, key);
+    if (!start || *start >= text.size() || text[*start] != '"')
+        return std::nullopt;
+    std::string value;
+    for (std::size_t i = *start + 1; i < text.size(); ++i) {
+        const char c = text[i];
+        if (c == '"') return value;
+        if (c != '\\') {
+            value += c;
+            continue;
+        }
+        if (++i >= text.size()) return std::nullopt;
+        switch (text[i]) {
+            case '"': value += '"'; break;
+            case '\\': value += '\\'; break;
+            case '/': value += '/'; break;
+            case 'n': value += '\n'; break;
+            case 'r': value += '\r'; break;
+            case 't': value += '\t'; break;
+            case 'u': {
+                // json_escape emits \u00XX for control bytes only.
+                if (i + 4 >= text.size()) return std::nullopt;
+                unsigned code = 0;
+                const char* digits = text.data() + i + 1;
+                const auto [ptr, ec] = std::from_chars(digits, digits + 4, code, 16);
+                if (ec != std::errc{} || ptr != digits + 4 || code > 0x7F)
+                    return std::nullopt;
+                value += static_cast<char>(code);
+                i += 4;
+                break;
+            }
+            default: return std::nullopt;
+        }
+    }
+    return std::nullopt;  // unterminated string
+}
+
+std::optional<std::size_t> json_get_size(std::string_view text,
+                                         std::string_view key) {
+    return parse_token<std::size_t>(get_token(text, key));
+}
+
+std::optional<std::int64_t> json_get_int64(std::string_view text,
+                                           std::string_view key) {
+    return parse_token<std::int64_t>(get_token(text, key));
+}
+
+std::optional<double> json_get_double(std::string_view text,
+                                      std::string_view key) {
+    const auto value = parse_token<double>(get_token(text, key));
+    if (!value || !std::isfinite(*value)) return std::nullopt;  // json_number writes null
+    return value;
+}
+
+std::optional<bool> json_get_bool(std::string_view text, std::string_view key) {
+    const auto token = get_token(text, key);
+    if (token == "true") return true;
+    if (token == "false") return false;
+    return std::nullopt;
 }
 
 std::string ResultTable::to_json() const {

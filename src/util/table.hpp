@@ -6,9 +6,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -69,6 +72,22 @@ std::string json_escape(const std::string& text);
 
 /// Renders a double as a JSON value token (full precision; nan/inf -> null).
 std::string json_number(double value);
+
+// Field readers for the flat (single-level) JSON records the campaign
+// directory holds: shard lines, manifest.json and heartbeats. Each returns
+// the value of `key`, or std::nullopt when the key is missing or its value
+// malformed. Values must be written exactly as json_escape/json_number and
+// integer/bool streaming emit them: no surrounding whitespace, no sign on
+// unsigned fields, finite numbers, \u escapes only in the ASCII range.
+std::optional<std::string> json_get_string(std::string_view text,
+                                           std::string_view key);
+std::optional<std::size_t> json_get_size(std::string_view text,
+                                         std::string_view key);
+std::optional<std::int64_t> json_get_int64(std::string_view text,
+                                           std::string_view key);
+std::optional<double> json_get_double(std::string_view text,
+                                      std::string_view key);
+std::optional<bool> json_get_bool(std::string_view text, std::string_view key);
 
 /// Parses RFC-4180-ish CSV (the dialect to_csv emits) back into fields.
 /// Handles quoted fields containing commas, escaped quotes, and newlines.

@@ -1,10 +1,14 @@
 // Sharded-campaign tests: deterministic partitioning, JSONL round-trips,
-// worker + merge bit-identity against a single-process run, and
-// interrupt/resume recovery.
+// worker + merge bit-identity against a single-process run,
+// interrupt/resume recovery, and readers and writers of a live campaign
+// directory.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "core/session.hpp"
 #include "fi/campaign.hpp"
@@ -109,6 +113,24 @@ TEST(ShardJsonl, TruncatedLineIsRejected) {
     }
     EXPECT_FALSE(cell_from_jsonl("").has_value());
     EXPECT_FALSE(cell_from_jsonl("{\"plan_index\":0}").has_value());
+
+    // Hostile fields: a sign on an unsigned count, and \u escapes that are
+    // not four hex digits in the ASCII range.
+    const auto with = [&](const std::string& from, const std::string& to) {
+        std::string hostile = line;
+        hostile.replace(hostile.find(from), from.size(), to);
+        return hostile;
+    };
+    const std::string empty_label = "\"label\":\"\"";
+    EXPECT_FALSE(
+        cell_from_jsonl(with("\"replicas\":0", "\"replicas\":-3")).has_value());
+    EXPECT_FALSE(
+        cell_from_jsonl(with(empty_label, "\"label\":\"\\uzzzz\"")).has_value());
+    EXPECT_FALSE(
+        cell_from_jsonl(with(empty_label, "\"label\":\"\\u00e9\"")).has_value());
+    const auto control = cell_from_jsonl(with(empty_label, "\"label\":\"\\u0007\""));
+    ASSERT_TRUE(control.has_value());
+    EXPECT_EQ(control->cell.label, "\a");
 }
 
 TEST_F(ShardTest, ManifestRoundTripsAndRefusesMismatch) {
@@ -131,6 +153,66 @@ TEST_F(ShardTest, ManifestRoundTripsAndRefusesMismatch) {
     other.shards = 2;
     EXPECT_THROW(write_manifest(dir_, other), std::runtime_error);
     EXPECT_THROW(read_manifest(dir_ / "nowhere"), std::runtime_error);
+}
+
+TEST_F(ShardTest, ConcurrentManifestWritersAllSucceed) {
+    // The workers of one campaign start together and all publish the same
+    // manifest; a large key widens the window in which their writes overlap.
+    CampaignManifest manifest;
+    manifest.scenario = "fi.smoke";
+    manifest.shards = 4;
+    manifest.cells = 12;
+    manifest.quick = true;
+    manifest.campaign_key = std::string(200 * 1024, 'k');
+    for (int trial = 0; trial < 20; ++trial) {
+        const fs::path dir = dir_ / std::to_string(trial);
+        std::atomic<int> failures{0};
+        std::vector<std::thread> writers;
+        for (int w = 0; w < 4; ++w) {
+            writers.emplace_back([&] {
+                try {
+                    write_manifest(dir, manifest);
+                } catch (const std::exception&) {
+                    ++failures;
+                }
+            });
+        }
+        for (std::thread& writer : writers) writer.join();
+        ASSERT_EQ(failures.load(), 0) << "trial " << trial;
+        EXPECT_EQ(read_manifest(dir).to_json(), manifest.to_json());
+    }
+}
+
+TEST_F(ShardTest, ReadersLeaveALiveShardFileUntouched) {
+    CampaignManifest manifest;
+    manifest.scenario = "fi.smoke";
+    manifest.shards = 1;
+    manifest.cells = 2;
+    manifest.quick = true;
+    manifest.campaign_key = "key";
+    write_manifest(dir_, manifest);
+    CellResult cell;
+    cell.model = "dead_neuron";
+    const std::string first = cell_to_jsonl(cell, 80.0) + "\n";
+    cell.plan_index = 1;
+    const std::string second = cell_to_jsonl(cell, 80.0) + "\n";
+
+    // A live worker: one record appended, the next one half written.
+    const fs::path file = shard_file(dir_, 0);
+    std::ofstream out(file, std::ios::binary | std::ios::app);
+    out << first << second.substr(0, second.size() / 2) << std::flush;
+    const auto live_size = fs::file_size(file);
+
+    const util::ResultTable progress = shard_progress_table(dir_);
+    EXPECT_EQ(std::get<std::string>(progress.at(0, 1)), "1");  // cells_done
+    EXPECT_THROW(merge_campaign_dir(dir_), std::runtime_error);
+    EXPECT_EQ(fs::file_size(file), live_size);
+
+    // The worker finishes its record into the same file.
+    out << second.substr(second.size() / 2) << std::flush;
+    out.close();
+    EXPECT_EQ(fs::file_size(file), first.size() + second.size());
+    EXPECT_EQ(merge_campaign_dir(dir_).cells.size(), 2u);
 }
 
 TEST_F(ShardTest, EngineRunCellsMatchesFullRunPerCell) {

@@ -124,6 +124,29 @@ TEST(ParseCsv, HandlesEmptyAndUnquoted) {
     EXPECT_EQ(records[1], (std::vector<std::string>{"1", "2"}));
 }
 
+TEST(JsonFields, ReadExactlyWhatTheWritersEmit) {
+    const std::string record = "{\"name\":\"a\\\"b\\u0007\",\"n\":42,\"t\":-7,"
+                               "\"x\":" + json_number(0.1) + ",\"ok\":true}";
+    EXPECT_EQ(json_get_string(record, "name"), "a\"b\a");
+    EXPECT_EQ(json_get_size(record, "n"), 42u);
+    EXPECT_EQ(json_get_int64(record, "t"), -7);
+    EXPECT_EQ(json_get_double(record, "x"), 0.1);
+    EXPECT_EQ(json_get_bool(record, "ok"), true);
+    EXPECT_FALSE(json_get_size(record, "missing").has_value());
+    EXPECT_FALSE(json_get_size(record, "t").has_value());  // signed
+    EXPECT_FALSE(json_get_size(record, "x").has_value());  // fractional
+    // No whitespace around values, no '+', finite numbers only.
+    EXPECT_FALSE(json_get_size("{\"n\": 42}", "n").has_value());
+    EXPECT_FALSE(json_get_size("{\"n\":42 }", "n").has_value());
+    EXPECT_FALSE(json_get_int64("{\"t\":+7}", "t").has_value());
+    EXPECT_FALSE(json_get_size("{\"n\":18446744073709551616}", "n").has_value());
+    EXPECT_FALSE(json_get_double("{\"x\":1e999}", "x").has_value());
+    EXPECT_FALSE(json_get_double("{\"x\":nan}", "x").has_value());
+    EXPECT_FALSE(json_get_double("{\"x\":null}", "x").has_value());
+    EXPECT_FALSE(json_get_bool("{\"ok\":1}", "ok").has_value());
+    EXPECT_FALSE(json_get_string("{\"s\":\"open", "s").has_value());
+}
+
 TEST(ResultTable, StreamOperator) {
     std::ostringstream os;
     os << sample_table();

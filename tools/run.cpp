@@ -11,6 +11,15 @@
 // All selected scenarios execute through ONE Session: trained baselines,
 // datasets and circuit characterisations are cached and shared, and the
 // summary line (or the "cache" object in --json mode) shows the reuse.
+//
+// Sharded campaigns (fi/shard.hpp): run each shard of one campaign-backed
+// scenario into a campaign directory, in any process and order (re-running
+// a shard's command resumes it), then merge the directory:
+//
+//   $ run --experiment=fi.quick-sweep --campaign-dir=camp --shard=0 --shards=2
+//   $ run --experiment=fi.quick-sweep --campaign-dir=camp --shard=1 --shards=2
+//   $ run --campaign-dir=camp
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -64,9 +73,14 @@ int main(int argc, char** argv) {
     parser.add_option("store-max-bytes", "0",
                       "On-disk store size cap, LRU-evicted (0 = unbounded)");
     parser.add_option("campaign-dir", "",
-                      "Merge a sharded campaign directory (see the worker "
-                      "binary) and print its tables instead of running "
-                      "experiments");
+                      "Campaign directory: with --shard, run one shard of the "
+                      "--experiment campaign into it; without, merge it and "
+                      "print its tables instead of running experiments");
+    parser.add_option("shard", "0",
+                      "With --campaign-dir: run this shard (0-based) of the "
+                      "one campaign-backed --experiment id, resuming it");
+    parser.add_option("shards", "1",
+                      "Shard count of the campaign (the same for every shard)");
     parser.add_option("trace-out", "",
                       "Write a Chrome trace-event JSON file (chrome://tracing "
                       "/ Perfetto) and enable telemetry (default: SNNFI_TRACE "
@@ -125,10 +139,50 @@ int main(int argc, char** argv) {
     options.store_max_bytes =
         static_cast<std::uint64_t>(parser.get_int("store-max-bytes"));
 
+    // Shard mode: execute shard K of N of one campaign-backed scenario
+    // into the campaign directory, checkpointing as it goes.
+    const std::string campaign_dir = parser.get("campaign-dir");
+    if (parser.was_set("shard") || parser.was_set("shards")) {
+        const std::vector<std::string> ids = parser.get_strings("experiment");
+        const auto& catalog = fi::campaign_catalog();
+        if (campaign_dir.empty() || !parser.was_set("shard") || ids.size() != 1 ||
+            std::none_of(catalog.begin(), catalog.end(),
+                         [&](const auto& entry) { return entry.id == ids[0]; })) {
+            std::cerr << "error: a shard run takes --campaign-dir, --shard and "
+                         "one campaign-backed --experiment id (fi.*, see "
+                         "--list)\n"
+                      << parser.usage();
+            return 2;
+        }
+        try {
+            const std::int64_t shard = parser.get_int("shard");
+            const std::int64_t shards = parser.get_int("shards");
+            if (shard < 0 || shards < 1)
+                throw std::invalid_argument("--shard must be >= 0 and --shards >= 1");
+            core::Session session(options);
+            const std::size_t executed =
+                fi::run_shard(session, ids[0], campaign_dir,
+                              static_cast<std::size_t>(shard),
+                              static_cast<std::size_t>(shards));
+            std::cout << "shard " << shard << "/" << shards << " of " << ids[0]
+                      << ": " << executed << " cell(s) executed"
+                      << (executed == 0 ? " (already complete)" : "") << "\n";
+            if (session.store()) {
+                std::cout << "store: " << session.store()->hits() << " hit(s), "
+                          << session.store()->misses() << " miss(es)\n";
+            }
+        } catch (const std::exception& e) {
+            std::cerr << "error: " << e.what() << "\n";
+            export_telemetry();
+            return 1;
+        }
+        export_telemetry();
+        return 0;
+    }
+
     // Merge mode: reassemble a sharded campaign directory into the full
     // result (bit-identical to a single-process run of the scenario) and
     // present it — no experiments execute.
-    const std::string campaign_dir = parser.get("campaign-dir");
     if (!campaign_dir.empty()) {
         try {
             const fi::CampaignManifest manifest =
