@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/span.hpp"
 #include "snn/classifier.hpp"
 #include "util/stats.hpp"
 
@@ -44,20 +43,26 @@ const snn::SpikeRaster& AttackSuite::raster() {
         obs::Span span("attack.raster");
         raster_ = snn::SpikeRaster::encode(config_.network.encoder,
                                            config_.network.steps_per_sample,
-                                           dataset_->images, seed_model()->init_rng());
+                                           dataset_->images, seed_model()->init_rng(),
+                                           pool_);
         span.tag("samples", static_cast<double>(raster_->samples()));
         span.tag("bytes", static_cast<double>(raster_->bytes()));
     }
     return *raster_;
 }
 
+void AttackSuite::train_baseline(obs::Context parent) {
+    obs::Span span("session.train", parent);
+    span.tag("samples", static_cast<double>(dataset_->size()));
+    span.tag("neurons", static_cast<double>(config_.network.n_neurons));
+    snn::NetworkRuntime runtime(seed_model());
+    snn::Trainer trainer(runtime, config_.eval_window, &raster());
+    baseline_ = trainer.run(*dataset_);
+    baseline_model_ = runtime.freeze();
+}
+
 double AttackSuite::baseline_accuracy() {
-    if (!baseline_) {
-        snn::NetworkRuntime runtime(seed_model());
-        snn::Trainer trainer(runtime, config_.eval_window, &raster());
-        baseline_ = trainer.run(*dataset_);
-        baseline_model_ = runtime.freeze();
-    }
+    if (!baseline_) train_baseline(obs::current_context());
     return baseline_->train_accuracy;
 }
 
@@ -88,24 +93,32 @@ void AttackSuite::adopt_baseline(std::shared_ptr<const snn::NetworkModel> model,
 std::vector<AttackOutcome> AttackSuite::for_each_point(
     const std::vector<const char*>& modes,
     const std::function<AttackOutcome(std::size_t)>& point) {
-    const double base = baseline_accuracy();  // compute before forking workers
+    // An untrained baseline is task 0, beside the points.
+    const std::size_t baseline_tasks = baseline_ ? 0 : 1;
     std::vector<AttackOutcome> outcomes(modes.size());
     // Capture the span context BEFORE dispatch: pool workers cannot see
     // this thread's current span.
     const obs::Context parent = obs::current_context();
-    const auto evaluate_point = [&](std::size_t index) {
+    const auto run_task = [&](std::size_t task) {
+        if (task < baseline_tasks) {
+            train_baseline(parent);
+            return;
+        }
+        const std::size_t index = task - baseline_tasks;
         obs::Span span("attack.point", parent);
         span.tag("mode", modes[index]);
         outcomes[index] = point(index);
-        outcomes[index].degradation_pct =
-            base > 0.0 ? util::percent_change(outcomes[index].accuracy, base) : 0.0;
     };
     if (pool_) {
-        pool_->parallel_for(modes.size(), evaluate_point);
+        pool_->parallel_for(baseline_tasks + modes.size(), run_task);
     } else {
         util::ThreadPool local(config_.max_workers);
-        local.parallel_for(modes.size(), evaluate_point);
+        local.parallel_for(baseline_tasks + modes.size(), run_task);
     }
+    const double base = baseline_->train_accuracy;
+    for (AttackOutcome& outcome : outcomes)
+        outcome.degradation_pct =
+            base > 0.0 ? util::percent_change(outcome.accuracy, base) : 0.0;
     return outcomes;
 }
 
@@ -134,7 +147,8 @@ std::vector<AttackOutcome> AttackSuite::train_many(
         modes.push_back(fault.schedule.empty() ? "train" : "train+sched");
     }
     // Built here, before dispatch: an adopted baseline never builds them,
-    // and the workers must only read them.
+    // the workers (the baseline's task among them) must only read them,
+    // and the raster's encode uses the pool.
     const std::shared_ptr<const snn::NetworkModel> seed = seed_model();
     const snn::SpikeRaster& stream = raster();
 
@@ -174,7 +188,7 @@ AttackOutcome AttackSuite::evaluate_inference_only(const snn::FaultOverlay& over
     // re-evaluate with frozen weights and frozen assignments (ablation
     // mode; see DESIGN.md). The baseline model carries the trained
     // weights, theta and the post-training encoder stream, so this equals
-    // retraining clean here. for_each_point() trains it before forking.
+    // retraining clean here. run_many() trains it before forking.
     snn::NetworkRuntime runtime(baseline_model());
 
     constexpr std::size_t kNumClasses = 10;
@@ -208,6 +222,8 @@ AttackOutcome AttackSuite::evaluate_inference_only(const snn::FaultOverlay& over
 std::vector<AttackOutcome> AttackSuite::run_many(const std::vector<FaultSpec>& faults,
                                                  AttackPhase phase) {
     if (phase == AttackPhase::kInferenceOnly) {
+        // Every point starts from the trained baseline: train it first.
+        (void)baseline_accuracy();
         return for_each_point(std::vector<const char*>(faults.size(), "infer"),
                               [&](std::size_t index) {
                                   return evaluate_inference_only(

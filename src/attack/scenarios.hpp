@@ -19,6 +19,14 @@
 // same seed model over the same images, so all of them draw the same
 // Poisson stream: the suite encodes it once (snn::SpikeRaster) and the
 // baseline and every train_many training replay it.
+//
+// The fault-free baseline trains once per suite, under a session.train
+// span: lazily on the calling thread when a caller reads it, or, when
+// train_many finds it untrained, as task 0 of the sweep's own
+// parallel_for. ThreadPool runs task 0 on the calling thread, so no other
+// read on that thread can train the baseline meanwhile, and its frozen
+// model is allocated in that thread's malloc arena; degradations are
+// filled in after the join.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +37,7 @@
 #include <vector>
 
 #include "attack/fault_model.hpp"
+#include "obs/span.hpp"
 #include "snn/encoding.hpp"
 #include "snn/model.hpp"
 #include "snn/overlay.hpp"
@@ -83,7 +92,7 @@ public:
     const AttackRunConfig& config() const noexcept { return config_; }
     const snn::Dataset& dataset() const noexcept { return *dataset_; }
 
-    /// Fault-free reference accuracy (cached).
+    /// Fault-free reference accuracy (cached; trains on first use).
     double baseline_accuracy();
     double baseline_retro_accuracy();
     /// Full training metrics of the fault-free baseline (trains on first
@@ -102,9 +111,10 @@ public:
     std::shared_ptr<const snn::NetworkModel> baseline_model();
 
     /// Trains one replica from the shared seed model per fault, in
-    /// parallel. Results are index-addressed, so the output is identical
-    /// for any worker count. Throws std::invalid_argument on a sample
-    /// window outside [0, 1] or an empty one.
+    /// parallel, and an untrained baseline beside them. Results are
+    /// index-addressed, so the output is identical for any worker count.
+    /// Throws std::invalid_argument on a sample window outside [0, 1] or
+    /// an empty one.
     std::vector<AttackOutcome> train_many(const std::vector<TrainingFault>& faults);
     /// The paper's vocabulary: each FaultSpec becomes its overlay_for()
     /// overlay. kTrainingAndInference trains under it (train_many, the
@@ -122,18 +132,24 @@ public:
 private:
     /// Runs `point` for every index of `modes` on the pool, each under an
     /// attack.point span tagged with its mode, and fills in the degradation
-    /// against the baseline (trained, if need be, before dispatch).
+    /// against the baseline after the join. An untrained baseline trains as
+    /// task 0 beside the points, so seed_model() and raster() must be built
+    /// before the call; a `point` that reads the baseline must find it
+    /// trained.
     std::vector<AttackOutcome> for_each_point(
         const std::vector<const char*>& modes,
         const std::function<AttackOutcome(std::size_t)>& point);
+    /// Trains the fault-free baseline from seed_model() over raster(), under
+    /// a session.train span parented to `parent`.
+    void train_baseline(obs::Context parent);
     AttackOutcome evaluate_inference_only(const snn::FaultOverlay& overlay);
     /// The shared untrained model every sweep point trains from (same
     /// random init + RNG stream as the legacy per-point construction).
     const std::shared_ptr<const snn::NetworkModel>& seed_model();
     /// The Poisson stream every training from seed_model() draws over the
-    /// dataset, encoded on first use under an attack.raster span. Like
-    /// seed_model(), it is built on the calling thread before any pool
-    /// dispatch, and workers only read it.
+    /// dataset, encoded on first use under an attack.raster span, in
+    /// chunks on the suite's pool. Like seed_model(), it is built before
+    /// any sweep's dispatch, and the sweep's tasks only read it.
     const snn::SpikeRaster& raster();
 
     std::shared_ptr<const snn::Dataset> dataset_;

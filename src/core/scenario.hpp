@@ -127,9 +127,11 @@ struct RunResult {
     std::vector<std::string> tags;
     util::ResultTable table;
     double seconds = 0.0;  ///< total wall time (setup + run)
-    /// Shared-artifact acquisition: baseline training, circuit
-    /// characterisation, calibration — the part a warm cache/store
-    /// eliminates. Reported even with telemetry off.
+    /// Shared-artifact acquisition of a declarative sweep: dataset, attack
+    /// suite (with a store, its baseline), calibration — the part a warm
+    /// cache/store eliminates. Without a store, a training sweep's
+    /// baseline trains beside its points and counts as run time. Custom
+    /// bodies report 0. Reported even with telemetry off.
     double setup_seconds = 0.0;
     /// Sweep/body execution after setup (seconds - setup_seconds).
     double run_seconds = 0.0;

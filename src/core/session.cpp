@@ -128,7 +128,7 @@ std::shared_ptr<const snn::Dataset> Session::dataset(std::size_t samples,
         obs::Span span("session.dataset");
         span.tag("samples", static_cast<double>(samples));
         return std::make_shared<snn::Dataset>(
-            data::load_digits(samples, seed, options_.mnist_dir));
+            data::load_digits(samples, seed, options_.mnist_dir, &pool_));
     });
     return std::static_pointer_cast<const snn::Dataset>(artifact);
 }
@@ -377,23 +377,16 @@ std::shared_ptr<attack::AttackSuite> Session::attack_suite(
                     // Retrain below; the save overwrites the bad blob.
                 }
             }
-            {
-                obs::Span span("session.train");
-                span.tag("samples", static_cast<double>(samples));
-                span.tag("neurons", static_cast<double>(neurons));
-                (void)suite->baseline_accuracy();
-            }
+            // Train now (under the suite's session.train span) and persist,
+            // so every later Session adopts the baseline.
             store_->save(store::kBaselineKind, baseline_key,
                          store::encode_trained_baseline(store::TrainedBaseline{
                              suite->baseline_model(), suite->baseline_result()}));
             return suite;
         }
-        // Train the shared baseline eagerly: it is part of the artifact, so
-        // every later consumer is a pure cache hit.
-        obs::Span span("session.train");
-        span.tag("samples", static_cast<double>(samples));
-        span.tag("neurons", static_cast<double>(neurons));
-        (void)suite->baseline_accuracy();
+        // The shared baseline is part of the artifact but trains on first
+        // use: lazily when a caller reads it, or beside the points of the
+        // first training sweep (AttackSuite::train_many). Either way once.
         return suite;
     });
     return std::static_pointer_cast<attack::AttackSuite>(artifact);
@@ -420,8 +413,10 @@ util::ResultTable Session::run_sweep(const ScenarioSpec& spec,
 
     std::shared_ptr<const attack::VddCalibration> bridge;
     if (has_vdd_axis) bridge = calibration(spec.calibration_neuron);
-    // Setup = shared-artifact acquisition (suite incl. baseline training,
-    // calibration bridge); everything after is the sweep body.
+    // Setup = shared-artifact acquisition (dataset, suite, calibration
+    // bridge; a store-backed suite's baseline). Everything after is the
+    // sweep body, including a baseline that trains beside the sweep's
+    // points or before its inference-only ones.
     setup_seconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - setup_start)
                         .count();

@@ -99,6 +99,9 @@ public:
     /// cached artifact, so it is trained at most once per distinct workload
     /// — and, with a store attached, at most once per distinct workload
     /// *ever*: a store hit adopts the persisted baseline without training.
+    /// Without a store the baseline trains on first use (beside the first
+    /// training sweep's points, or when read); with one, a store miss
+    /// trains and saves it here.
     std::shared_ptr<attack::AttackSuite> attack_suite();
     std::shared_ptr<attack::AttackSuite> attack_suite(const ScenarioSpec& spec);
     /// Explicit-override form (campaign replica training etc.): same cache

@@ -34,6 +34,16 @@ void write_be32(std::ostream& out, std::uint32_t value) {
     out.write(reinterpret_cast<const char*>(bytes), 4);  // snnfi-lint: allow(type-punning)
 }
 
+/// Bytes from the stream's read position to its end.
+std::uint64_t bytes_left(std::istream& in) {
+    const std::streamoff here = in.tellg();
+    in.seekg(0, std::ios::end);
+    const std::streamoff end = in.tellg();
+    in.seekg(here);
+    if (!in || here < 0 || end < here) throw std::runtime_error("idx: cannot size file");
+    return static_cast<std::uint64_t>(end - here);
+}
+
 constexpr std::uint32_t kImagesMagic = 2051;
 constexpr std::uint32_t kLabelsMagic = 2049;
 
@@ -60,9 +70,16 @@ snn::Dataset load_idx_pair(const std::string& images_path,
 
     std::size_t count = n_images;
     if (limit > 0) count = std::min<std::size_t>(count, limit);
+    // The header's sizes are outside bytes: check them against the files
+    // before sizing anything from them.
+    const std::uint64_t image_size = std::uint64_t{rows} * cols;
+    if (bytes_left(labels) < count ||
+        (count > 0 && image_size > bytes_left(images) / count))
+        throw std::runtime_error("idx: header declares more data than the files hold");
 
     snn::Dataset dataset;
-    dataset.image_size = static_cast<std::size_t>(rows) * cols;
+    dataset.image_size = static_cast<std::size_t>(image_size);
+    if (count == 0) return dataset;  // no pixels to buffer, whatever the size
     dataset.images.reserve(count);
     dataset.labels.reserve(count);
 
@@ -91,12 +108,17 @@ void save_idx_pair(const snn::Dataset& dataset, const std::string& images_path,
     if (!images) throw std::runtime_error("idx: cannot write " + images_path);
     if (!labels) throw std::runtime_error("idx: cannot write " + labels_path);
 
-    const auto dim = static_cast<std::uint32_t>(
+    auto rows = static_cast<std::uint32_t>(
         std::lround(std::sqrt(static_cast<double>(dataset.image_size))));
+    auto cols = rows;
+    if (std::size_t{rows} * cols != dataset.image_size) {
+        rows = 1;
+        cols = static_cast<std::uint32_t>(dataset.image_size);
+    }
     write_be32(images, kImagesMagic);
     write_be32(images, static_cast<std::uint32_t>(dataset.size()));
-    write_be32(images, dim);
-    write_be32(images, dim);
+    write_be32(images, rows);
+    write_be32(images, cols);
     write_be32(labels, kLabelsMagic);
     write_be32(labels, static_cast<std::uint32_t>(dataset.size()));
 
@@ -123,9 +145,9 @@ std::optional<snn::Dataset> try_load_mnist(const std::string& dir, std::size_t l
 }
 
 snn::Dataset load_digits(std::size_t count, std::uint64_t seed,
-                         const std::string& mnist_dir) {
+                         const std::string& mnist_dir, util::ThreadPool* pool) {
     if (auto mnist = try_load_mnist(mnist_dir, count)) return std::move(*mnist);
-    return make_synthetic_dataset(count, seed);
+    return make_synthetic_dataset(count, seed, {}, pool);
 }
 
 }  // namespace snnfi::data

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <span>
 
 namespace snnfi::data {
 
@@ -75,14 +76,15 @@ double point_segment_distance(double px, double py, const Point& a, const Point&
     return std::hypot(px - cx, py - cy);
 }
 
-}  // namespace
-
-std::vector<float> render_digit(std::size_t label, util::Rng& rng,
-                                const SyntheticDigitsConfig& config) {
+/// render_digit into `image`, which holds image_dim² pixels; every pixel
+/// is written.
+void render_into(std::size_t label, util::Rng& rng, const SyntheticDigitsConfig& config,
+                 std::span<float> image) {
     const std::size_t dim = config.image_dim;
     const double dim_d = static_cast<double>(dim);
 
-    // Per-sample jitter.
+    // Per-sample jitter: the 7 draws render_digit_draws counts before the
+    // per-pixel noise.
     const double angle = rng.uniform(-config.max_rotation_rad, config.max_rotation_rad);
     const double scale = rng.uniform(config.min_scale, config.max_scale);
     const double shear = rng.uniform(-config.max_shear, config.max_shear);
@@ -109,7 +111,6 @@ std::vector<float> render_digit(std::size_t label, util::Rng& rng,
     for (auto& stroke : strokes)
         for (auto& p : stroke) p = transform(p);
 
-    std::vector<float> image(dim * dim, 0.0f);
     const double softness = std::max(config.softness_px, 1e-3);
     for (std::size_t row = 0; row < dim; ++row) {
         for (std::size_t col = 0; col < dim; ++col) {
@@ -136,23 +137,44 @@ std::vector<float> render_digit(std::size_t label, util::Rng& rng,
             image[row * dim + col] = static_cast<float>(std::clamp(value, 0.0, 1.0));
         }
     }
+}
+
+}  // namespace
+
+std::vector<float> render_digit(std::size_t label, util::Rng& rng,
+                                const SyntheticDigitsConfig& config) {
+    std::vector<float> image(config.image_dim * config.image_dim);
+    render_into(label, rng, config, image);
     return image;
 }
 
 snn::Dataset make_synthetic_dataset(std::size_t count, std::uint64_t seed,
-                                    const SyntheticDigitsConfig& config) {
+                                    const SyntheticDigitsConfig& config,
+                                    util::ThreadPool* pool) {
     snn::Dataset dataset;
     dataset.image_size = config.image_dim * config.image_dim;
-    dataset.images.reserve(count);
+    // Allocated here and filled on the pool: the images outlive its tasks,
+    // so they stay in this thread's malloc arena instead of spreading over
+    // the workers' (which raises the peak RSS).
+    dataset.images.assign(count, std::vector<float>(dataset.image_size));
     dataset.labels.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) dataset.labels.push_back(i % 10);
 
-    util::Rng rng(util::derive_seed(seed, /*stream_id=*/0xDA7A));
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t label = i % 10;
-        dataset.images.push_back(render_digit(label, rng, config));
-        dataset.labels.push_back(label);
-    }
-    // Shuffle images and labels with a common permutation.
+    const util::Rng start(util::derive_seed(seed, /*stream_id=*/0xDA7A));
+    const std::uint64_t draws = render_digit_draws(config);
+    const std::size_t chunks = util::chunk_count(pool, count);
+    util::for_each_index(pool, chunks, [&](std::size_t c) {
+        const std::size_t first = c * count / chunks;
+        const std::size_t last = (c + 1) * count / chunks;
+        util::Rng rng = start;
+        rng.advance(first * draws);
+        for (std::size_t i = first; i < last; ++i)
+            render_into(dataset.labels[i], rng, config, dataset.images[i]);
+    });
+    // Shuffle images and labels with a common permutation, drawn where the
+    // last sample's draws end.
+    util::Rng rng = start;
+    rng.advance(count * draws);
     std::vector<std::size_t> order(count);
     for (std::size_t i = 0; i < count; ++i) order[i] = i;
     rng.shuffle(std::span<std::size_t>(order));

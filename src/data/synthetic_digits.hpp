@@ -14,6 +14,7 @@
 
 #include "snn/trainer.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnfi::data {
 
@@ -35,9 +36,19 @@ struct SyntheticDigitsConfig {
 std::vector<float> render_digit(std::size_t label, util::Rng& rng,
                                 const SyntheticDigitsConfig& config = {});
 
+/// The values render_digit draws from its Rng: 7 jitter draws, then one
+/// noise draw per pixel, whatever the label or the pixels. So sample i of
+/// a dataset starts i times this many draws into the stream.
+constexpr std::uint64_t render_digit_draws(const SyntheticDigitsConfig& config) noexcept {
+    return 7 + std::uint64_t{config.image_dim} * config.image_dim;
+}
+
 /// Generates a balanced labelled dataset of `count` samples (classes cycle
-/// 0..9 and the order is then shuffled). Deterministic given `seed`.
+/// 0..9 and the order is then shuffled). Deterministic given `seed`, and
+/// the same with or without `pool`: each chunk of samples renders on the
+/// pool from its own jump into the one stream (util::Rng::advance).
 snn::Dataset make_synthetic_dataset(std::size_t count, std::uint64_t seed,
-                                    const SyntheticDigitsConfig& config = {});
+                                    const SyntheticDigitsConfig& config = {},
+                                    util::ThreadPool* pool = nullptr);
 
 }  // namespace snnfi::data

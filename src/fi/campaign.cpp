@@ -410,9 +410,11 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
                     options.network_seed, kTrainReplicaStream + r);
                 suite = session_.attack_suite(overrides);
             }
-            const double replica_baseline_pct = suite->baseline_accuracy() * 100.0;
+            // Read after train_many: a replica suite's baseline trains
+            // beside its cells there.
             const std::vector<attack::AttackOutcome> outcomes =
                 suite->train_many(train_faults);
+            const double replica_baseline_pct = suite->baseline_accuracy() * 100.0;
             for (std::size_t f = 0; f < train_cells.size(); ++f) {
                 const double accuracy_pct = outcomes[f].accuracy * 100.0;
                 train_accs[f].push_back(accuracy_pct);

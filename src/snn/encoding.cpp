@@ -115,39 +115,64 @@ std::vector<std::vector<std::uint32_t>> encode_raster(const PoissonEncoder& enco
 
 SpikeRaster SpikeRaster::encode(const PoissonEncoderConfig& config, std::size_t steps,
                                 std::span<const std::vector<float>> images,
-                                util::Rng start) {
+                                util::Rng start, util::ThreadPool* pool) {
     SpikeRaster raster;
     raster.config_ = config;
     raster.steps_ = steps;
     raster.image_size_ = images.empty() ? 0 : images.front().size();
     raster.start_ = start;
-    raster.samples_.reserve(images.size());
-    PoissonEncoder encoder(config);
-    std::vector<std::uint32_t> active;
-    std::vector<std::uint8_t> bytes;
-    util::Rng rng = start;
-    for (const std::vector<float>& image : images) {
-        if (image.size() != raster.image_size_)
-            throw std::invalid_argument("SpikeRaster::encode: images differ in size");
-        encoder.set_image(image);
-        bytes.clear();
-        std::size_t spikes = 0;
-        for (std::size_t s = 0; s < steps; ++s) {
-            encoder.step(rng, active);
-            put_varint(bytes, active.size());
-            std::uint32_t previous = 0;
-            for (const std::uint32_t index : active) {
-                put_varint(bytes, index - previous);
-                previous = index;
-            }
-            spikes += active.size();
+    // Where each sample's draws start: active pixels x steps per sample
+    // before it, counted by set_image itself, so pixels it clamps or skips
+    // (negative, above 1, NaN) count exactly as they draw.
+    std::vector<std::uint64_t> first_draw(images.size() + 1, 0);
+    {
+        PoissonEncoder encoder(config);
+        for (std::size_t i = 0; i < images.size(); ++i) {
+            if (images[i].size() != raster.image_size_)
+                throw std::invalid_argument("SpikeRaster::encode: images differ in size");
+            encoder.set_image(images[i]);
+            first_draw[i + 1] = first_draw[i] + std::uint64_t{encoder.active()} * steps;
         }
-        // Copied at its exact size: the scratch buffer's slack stays behind.
-        raster.samples_.emplace_back(bytes.begin(), bytes.end());
-        raster.bytes_ += bytes.size();
-        raster.max_spikes_ = std::max(raster.max_spikes_, spikes);
     }
-    raster.end_ = rng;
+
+    raster.samples_.resize(images.size());
+    const std::size_t chunks = util::chunk_count(pool, images.size());
+    std::vector<std::size_t> chunk_bytes(chunks, 0);
+    std::vector<std::size_t> chunk_max_spikes(chunks, 0);
+    util::for_each_index(pool, chunks, [&](std::size_t c) {
+        const std::size_t first = c * images.size() / chunks;
+        const std::size_t last = (c + 1) * images.size() / chunks;
+        PoissonEncoder encoder(config);
+        std::vector<std::uint32_t> active;
+        std::vector<std::uint8_t> bytes;
+        util::Rng rng = start;
+        rng.advance(first_draw[first]);
+        for (std::size_t i = first; i < last; ++i) {
+            encoder.set_image(images[i]);
+            bytes.clear();
+            std::size_t spikes = 0;
+            for (std::size_t s = 0; s < steps; ++s) {
+                encoder.step(rng, active);
+                put_varint(bytes, active.size());
+                std::uint32_t previous = 0;
+                for (const std::uint32_t index : active) {
+                    put_varint(bytes, index - previous);
+                    previous = index;
+                }
+                spikes += active.size();
+            }
+            // Copied at its exact size: the scratch buffer's slack stays behind.
+            raster.samples_[i].assign(bytes.begin(), bytes.end());
+            chunk_bytes[c] += bytes.size();
+            chunk_max_spikes[c] = std::max(chunk_max_spikes[c], spikes);
+        }
+    });
+    for (std::size_t c = 0; c < chunks; ++c) {
+        raster.bytes_ += chunk_bytes[c];
+        raster.max_spikes_ = std::max(raster.max_spikes_, chunk_max_spikes[c]);
+    }
+    raster.end_ = start;
+    raster.end_.advance(first_draw.back());
     EncodingMetrics::get().encoded.add(images.size());
     return raster;
 }

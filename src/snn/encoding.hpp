@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnfi::snn {
 
@@ -58,6 +59,8 @@ public:
     void encode(util::Rng& rng, std::size_t steps, SampleSpikes& out) const;
 
     std::size_t size() const noexcept { return probabilities_.size(); }
+    /// Pixels that can fire: every step draws once for each of them.
+    std::size_t active() const noexcept { return active_pixels_.size(); }
 
 private:
     /// The Bernoulli loop behind step() and encode(): writes the step's
@@ -88,17 +91,23 @@ std::vector<std::vector<std::uint32_t>> encode_raster(const PoissonEncoder& enco
 /// end stream states are kept, so a pass that replays the raster can leave
 /// its Rng exactly where a live-encoding pass would.
 ///
+/// Sample i's draws start active(images[j]) x steps draws into the stream,
+/// summed over j < i: the count does not depend on the draws. So chunks of
+/// samples encode in parallel, each from its own util::Rng::advance jump,
+/// and the raster is the same with or without a pool.
+///
 /// Storage: one exact-size byte vector per sample. Each step is its spike
 /// count, then the gaps between consecutive ascending indices (the first
 /// gap is the first index), all unsigned LEB128. A full-size dataset
 /// (1000 digits x 250 steps) takes about 4.7 MiB.
 class SpikeRaster {
 public:
-    /// Encodes `steps` timesteps of every image, in order, from `start`.
-    /// Throws std::invalid_argument when the images differ in size.
+    /// Encodes `steps` timesteps of every image, in order, from `start`,
+    /// in chunks on `pool` when one is given. Throws std::invalid_argument
+    /// when the images differ in size.
     static SpikeRaster encode(const PoissonEncoderConfig& config, std::size_t steps,
                               std::span<const std::vector<float>> images,
-                              util::Rng start);
+                              util::Rng start, util::ThreadPool* pool = nullptr);
 
     std::size_t samples() const noexcept { return samples_.size(); }
     std::size_t steps_per_sample() const noexcept { return steps_; }

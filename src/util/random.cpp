@@ -1,5 +1,6 @@
 #include "util/random.hpp"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -18,6 +19,54 @@ std::uint64_t derive_seed(std::uint64_t root, std::uint64_t stream_id) noexcept 
     // Two mixing rounds decorrelate adjacent stream ids.
     (void)splitmix64(s);
     return splitmix64(s);
+}
+
+namespace {
+
+/// a(x) x mod p(x): shifting out x^256 folds it back in as p's low
+/// coefficients.
+void times_x(Gf2Poly& a) noexcept {
+    const std::uint64_t carry = 0 - (a[3] >> 63);
+    for (std::size_t w = 3; w > 0; --w) a[w] = (a[w] << 1) | (a[w - 1] >> 63);
+    a[0] <<= 1;
+    for (std::size_t w = 0; w < 4; ++w) a[w] ^= kXoshiroCharPoly[w] & carry;
+}
+
+}  // namespace
+
+Gf2Poly gf2_mulmod(const Gf2Poly& a, const Gf2Poly& b) noexcept {
+    // Horner over b's bits, highest first: acc = acc x + b_k a.
+    Gf2Poly acc{};
+    for (std::size_t k = 256; k-- > 0;) {
+        times_x(acc);
+        const std::uint64_t take = 0 - ((b[k / 64] >> (k % 64)) & 1);
+        for (std::size_t w = 0; w < 4; ++w) acc[w] ^= a[w] & take;
+    }
+    return acc;
+}
+
+Gf2Poly gf2_x_pow(std::uint64_t n) noexcept {
+    // Square-and-multiply over n's bits, highest first.
+    Gf2Poly r = {1, 0, 0, 0};
+    for (int bit = static_cast<int>(std::bit_width(n)) - 1; bit >= 0; --bit) {
+        r = gf2_mulmod(r, r);
+        if ((n >> bit) & 1) times_x(r);
+    }
+    return r;
+}
+
+void Rng::advance(std::uint64_t n) noexcept {
+    // r(T) state = sum of T^k state over r's set bits: the accumulate loop
+    // of xoshiro's own jump(), with r in place of the jump constant.
+    const Gf2Poly r = gf2_x_pow(n);
+    std::uint64_t acc[4] = {};
+    for (std::size_t k = 0; k < 256; ++k) {
+        if ((r[k / 64] >> (k % 64)) & 1) {
+            for (std::size_t w = 0; w < 4; ++w) acc[w] ^= state_[w];
+        }
+        (void)next_u64();
+    }
+    for (std::size_t w = 0; w < 4; ++w) state_[w] = acc[w];
 }
 
 void Rng::reseed(std::uint64_t seed) noexcept {

@@ -16,6 +16,22 @@
 
 namespace snnfi::util {
 
+/// A polynomial over GF(2) of degree below 256: bit k of word k / 64 is the
+/// coefficient of x^k.
+using Gf2Poly = std::array<std::uint64_t, 4>;
+
+/// The characteristic polynomial p(x) of xoshiro256's state transition,
+/// x^256 plus these low coefficients. Berlekamp–Massey over bit 0 of the
+/// generator's state yields it; x^(2^128) mod p is the published jump
+/// constant of xoshiro256.
+inline constexpr Gf2Poly kXoshiroCharPoly = {0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL,
+                                             0x04b4edcf26259f85ULL, 0x0003c03c3f3ecb19ULL};
+
+/// a(x) b(x) mod p(x).
+Gf2Poly gf2_mulmod(const Gf2Poly& a, const Gf2Poly& b) noexcept;
+/// x^n mod p(x).
+Gf2Poly gf2_x_pow(std::uint64_t n) noexcept;
+
 /// xoshiro256++ generator (Blackman & Vigna). Fast, 256-bit state, passes
 /// BigCrush; quality is more than sufficient for simulation workloads.
 class Rng {
@@ -48,6 +64,15 @@ public:
         state_[3] = rotl_(state_[3], 45);
         return result;
     }
+
+    /// Leaves the state where exactly `n` next_u64() calls would, in
+    /// O(log n). The state transition T is linear over GF(2), so
+    /// T^n = r(T) with r(x) = x^n mod p(x) (Haramoto et al., "Efficient
+    /// Jump Ahead for F2-Linear Random Number Generators", INFORMS J.
+    /// Computing 2008). Like n real draws, it leaves a cached Box–Muller
+    /// deviate pending. One call costs tens of microseconds: jump to the
+    /// start of a chunk of work, never per draw.
+    void advance(std::uint64_t n) noexcept;
 
     /// Uniform double in [0, 1). 53-bit mantissa yields a uniform double.
     double uniform() noexcept {

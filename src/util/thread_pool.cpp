@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace snnfi::util {
@@ -110,6 +111,12 @@ void for_each_index(ThreadPool* pool, std::size_t count,
     } else {
         for (std::size_t i = 0; i < count; ++i) body(i);
     }
+}
+
+std::size_t chunk_count(const ThreadPool* pool, std::size_t items) noexcept {
+    constexpr std::size_t kChunksPerWorker = 4;
+    const std::size_t chunks = pool != nullptr ? kChunksPerWorker * pool->max_workers() : 1;
+    return std::min(chunks, items);
 }
 
 }  // namespace snnfi::util

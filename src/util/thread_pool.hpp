@@ -75,4 +75,9 @@ std::size_t resolve_worker_count(std::size_t requested) noexcept;
 void for_each_index(ThreadPool* pool, std::size_t count,
                     const std::function<void(std::size_t)>& body);
 
+/// How many contiguous chunks to cut `items` items into for `pool`: a few
+/// per worker, so chunks of uneven cost still balance, and one without a
+/// pool. Never more chunks than items.
+std::size_t chunk_count(const ThreadPool* pool, std::size_t items) noexcept;
+
 }  // namespace snnfi::util

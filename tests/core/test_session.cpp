@@ -214,6 +214,31 @@ TEST(Session, AttackSweepsEncodeTheTrainingStreamOnce) {
     }
 }
 
+TEST(Session, TrainingSweepTrainsTheBaselineBesideItsPoints) {
+    obs::reset_trace();
+    obs::set_enabled(true);
+    Session session(tiny_options(4));
+    const RunResult result = session.run("fig8a");
+    const std::vector<obs::TraceEventRecord> events = obs::trace_events();
+    obs::set_enabled(false);
+    obs::reset_trace();
+
+    ASSERT_GT(result.table.num_rows(), 0u);
+    std::vector<const obs::TraceEventRecord*> trains;
+    std::vector<const obs::TraceEventRecord*> sweeps;
+    std::size_t points = 0;
+    for (const obs::TraceEventRecord& event : events) {
+        if (event.name == "session.train") trains.push_back(&event);
+        if (event.name == "session.sweep") sweeps.push_back(&event);
+        if (event.name == "attack.point") ++points;
+    }
+    ASSERT_EQ(trains.size(), 1u);
+    ASSERT_EQ(sweeps.size(), 1u);
+    // The baseline trained as a task of the sweep, not during setup.
+    EXPECT_EQ(trains.front()->parent, sweeps.front()->id);
+    EXPECT_EQ(points, result.table.num_rows());
+}
+
 TEST(Session, CircuitPointsSimulatedOncePerSession) {
     obs::Registry::global().reset();
     obs::set_enabled(true);

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "data/idx.hpp"
 #include "data/synthetic_digits.hpp"
+#include "util/thread_pool.hpp"
 
 namespace snnfi::data {
 namespace {
@@ -52,6 +55,44 @@ TEST(SyntheticDigits, JitterVariesSamples) {
 TEST(SyntheticDigits, RejectsBadLabel) {
     util::Rng rng(1);
     EXPECT_THROW(render_digit(10, rng, {}), std::invalid_argument);
+}
+
+TEST(SyntheticDigits, DrawBudgetIsFixed) {
+    // The draw count may not depend on the label or the pixels: the pooled
+    // dataset jumps to each chunk's first sample by it.
+    SyntheticDigitsConfig small;
+    small.image_dim = 20;
+    small.pixel_noise = 0.0;
+    for (const SyntheticDigitsConfig& config : {SyntheticDigitsConfig{}, small}) {
+        ASSERT_EQ(render_digit_draws(config), 7u + config.image_dim * config.image_dim);
+        for (std::size_t label = 0; label < 10; ++label) {
+            util::Rng rendered(1000 + label);
+            util::Rng drawn = rendered;
+            (void)render_digit(label, rendered, config);
+            for (std::uint64_t i = 0; i < render_digit_draws(config); ++i)
+                (void)drawn.next_u64();
+            EXPECT_EQ(rendered, drawn)
+                << "label " << label << ", dim " << config.image_dim;
+        }
+    }
+}
+
+TEST(SyntheticDataset, SameOnAnyPool) {
+    util::ThreadPool one(1);
+    util::ThreadPool two(2);
+    util::ThreadPool four(4);
+    for (const std::size_t count : {0u, 1u, 2u, 31u, 33u, 300u}) {
+        const auto serial = make_synthetic_dataset(count, 11);
+        ASSERT_EQ(serial.size(), count);
+        for (util::ThreadPool* pool : {&one, &two, &four}) {
+            const auto pooled = make_synthetic_dataset(count, 11, {}, pool);
+            EXPECT_EQ(pooled.labels, serial.labels)
+                << count << " samples, " << pool->max_workers() << " workers";
+            EXPECT_EQ(pooled.images, serial.images)
+                << count << " samples, " << pool->max_workers() << " workers";
+            EXPECT_EQ(pooled.image_size, serial.image_size);
+        }
+    }
 }
 
 TEST(SyntheticDataset, BalancedAndShuffled) {
@@ -146,6 +187,79 @@ TEST(Idx, BadMagicRejected) {
     }
     EXPECT_THROW(load_idx_pair(path, path), std::runtime_error);
     std::remove(path.c_str());
+}
+
+/// Writes an idx3 header (magic, count, rows, cols) plus `pixels` pixel
+/// bytes, and an idx1 header plus `labels` label bytes.
+void write_idx_pair(const std::string& images_path, const std::string& labels_path,
+                    std::uint32_t count, std::uint32_t rows, std::uint32_t cols,
+                    std::size_t pixels, std::size_t labels) {
+    const auto be32 = [](std::ofstream& out, std::uint32_t value) {
+        const char bytes[4] = {static_cast<char>(value >> 24), static_cast<char>(value >> 16),
+                               static_cast<char>(value >> 8), static_cast<char>(value)};
+        out.write(bytes, 4);
+    };
+    std::ofstream images(images_path, std::ios::binary);
+    be32(images, 2051);
+    be32(images, count);
+    be32(images, rows);
+    be32(images, cols);
+    images << std::string(pixels, '\x10');
+    std::ofstream label_file(labels_path, std::ios::binary);
+    be32(label_file, 2049);
+    be32(label_file, count);
+    label_file << std::string(labels, '\x03');
+}
+
+TEST(Idx, HeaderSizesCheckedAgainstTheFiles) {
+    const auto dir = std::filesystem::temp_directory_path();
+    const std::string images = (dir / "snnfi_test_idx_claims_images").string();
+    const std::string labels = (dir / "snnfi_test_idx_claims_labels").string();
+    const auto expect_rejected = [&](std::size_t limit) {
+        try {
+            (void)load_idx_pair(images, labels, limit);
+            ADD_FAILURE() << "accepted a header the files do not back";
+        } catch (const std::runtime_error& e) {
+            // Rejected from the header, before a pixel buffer is sized
+            // from it or a read runs off the end.
+            EXPECT_NE(std::string(e.what()).find("header declares more"), std::string::npos)
+                << e.what();
+        }
+    };
+    // Two 4096 x 4096 images claimed, 64 pixel bytes present.
+    write_idx_pair(images, labels, 2, 4096, 4096, 64, 2);
+    expect_rejected(0);
+    expect_rejected(1);
+    // The pixels are all there, one label is missing.
+    write_idx_pair(images, labels, 3, 2, 2, 12, 2);
+    expect_rejected(0);
+    // Exactly backed files load, and a limit needs only its own samples.
+    write_idx_pair(images, labels, 3, 2, 2, 12, 3);
+    EXPECT_EQ(load_idx_pair(images, labels).size(), 3u);
+    write_idx_pair(images, labels, 3, 2, 2, 8, 2);
+    EXPECT_EQ(load_idx_pair(images, labels, 2).size(), 2u);
+    // No samples: any image size is backed.
+    write_idx_pair(images, labels, 0, 4096, 4096, 0, 0);
+    EXPECT_EQ(load_idx_pair(images, labels).size(), 0u);
+    std::remove(images.c_str());
+    std::remove(labels.c_str());
+}
+
+TEST(Idx, NonSquareImagesRoundTrip) {
+    snn::Dataset dataset;
+    dataset.image_size = 6;
+    dataset.images = {{0.0f, 0.2f, 0.4f, 0.6f, 0.8f, 1.0f}};
+    dataset.labels = {4};
+    const auto dir = std::filesystem::temp_directory_path();
+    const std::string images = (dir / "snnfi_test_idx_wide_images").string();
+    const std::string labels = (dir / "snnfi_test_idx_wide_labels").string();
+    save_idx_pair(dataset, images, labels);
+    const auto loaded = load_idx_pair(images, labels);
+    ASSERT_EQ(loaded.size(), 1u);
+    EXPECT_EQ(loaded.image_size, 6u);
+    EXPECT_EQ(loaded.labels, dataset.labels);
+    std::remove(images.c_str());
+    std::remove(labels.c_str());
 }
 
 TEST(LoadDigits, FallsBackToSynthetic) {

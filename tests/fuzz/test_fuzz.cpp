@@ -1,6 +1,7 @@
 // Seeded mutation fuzzer over the readers of bytes from outside the
 // process: the store's blob codecs, the campaign directory's flat records
-// (shard line, manifest, heartbeat) and the command-line parser.
+// (shard line, manifest, heartbeat), the IDX dataset reader and the
+// command-line parser.
 //
 // Property: every mutated input is either rejected through the reader's
 // documented error (store::BlobError, std::nullopt, std::runtime_error,
@@ -11,14 +12,20 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/glitch.hpp"
+#include "data/idx.hpp"
 #include "fi/campaign.hpp"
 #include "fi/shard.hpp"
 #include "obs/heartbeat.hpp"
@@ -218,6 +225,69 @@ TEST(Fuzz, Heartbeat) {
         if (!parsed) return std::nullopt;
         return parsed->to_json();
     });
+}
+
+TEST(Fuzz, IdxPair) {
+    // An input is an images file followed by a labels file. The images
+    // file is as long as its header declares (16 + count x rows x cols
+    // bytes) when the input holds that much; the rest is the labels file.
+    // The re-encoding is what save_idx_pair writes for the loaded dataset.
+    const auto dir = std::filesystem::temp_directory_path();
+    const std::string images = (dir / "snnfi_fuzz_idx_images").string();
+    const std::string labels = (dir / "snnfi_fuzz_idx_labels").string();
+    const auto write_file = [](const std::string& path, std::string_view bytes) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    };
+    const auto read_file = [](const std::string& path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    const auto be32 = [](const std::string& bytes, std::size_t at) {
+        std::uint64_t value = 0;
+        for (std::size_t i = at; i < at + 4; ++i)
+            value = (value << 8) | static_cast<unsigned char>(bytes[i]);
+        return value;
+    };
+    const Reencode reencode = [&](const std::string& input) -> std::optional<std::string> {
+        std::size_t split = input.size();
+        if (input.size() >= 16) {
+            const std::uint64_t count = be32(input, 4);
+            const std::uint64_t size = be32(input, 8) * be32(input, 12);
+            if (size == 0 || count <= (input.size() - 16) / size)
+                split = static_cast<std::size_t>(16 + count * size);
+        }
+        write_file(images, std::string_view(input).substr(0, split));
+        write_file(labels, std::string_view(input).substr(split));
+        snn::Dataset dataset;
+        try {
+            dataset = data::load_idx_pair(images, labels);
+        } catch (const std::runtime_error&) {
+            return std::nullopt;
+        }
+        data::save_idx_pair(dataset, images, labels);
+        return read_file(images) + read_file(labels);
+    };
+    snn::Dataset square;
+    square.image_size = 9;
+    for (std::size_t i = 0; i < 3; ++i) {
+        std::vector<float> image(9);
+        for (std::size_t p = 0; p < 9; ++p) image[p] = static_cast<float>((i * 9 + p) % 7) / 6.0f;
+        square.images.push_back(image);
+        square.labels.push_back(i * 4);
+    }
+    snn::Dataset wide;
+    wide.image_size = 5;
+    wide.images = {{0.0f, 0.25f, 0.5f, 0.75f, 1.0f}};
+    wide.labels = {9};
+    std::vector<std::string> seeds;
+    for (const snn::Dataset* dataset : {&square, &wide}) {
+        data::save_idx_pair(*dataset, images, labels);
+        seeds.push_back(read_file(images) + read_file(labels));
+    }
+    fuzz(seeds, reencode);
+    std::filesystem::remove(images);
+    std::filesystem::remove(labels);
 }
 
 TEST(Fuzz, ArgParser) {

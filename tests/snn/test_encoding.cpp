@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "util/thread_pool.hpp"
 
 namespace snnfi::snn {
 namespace {
@@ -204,10 +210,86 @@ TEST(SpikeRaster, EncodeMatchesSteppingIntoASampleRecord) {
     EXPECT_EQ(a, b);
 }
 
+/// `count` images cycling through the cases a chunk boundary must count
+/// exactly as the encoder draws: dense noise, a dark image (no active
+/// pixel), and pixels below 0, above 1 and NaN.
+std::vector<std::vector<float>> mixed_images(std::size_t count) {
+    util::Rng rng(29);
+    std::vector<std::vector<float>> images;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::vector<float> image(784, 0.0f);
+        switch (i % 4) {
+            case 0:
+                for (float& x : image) x = static_cast<float>(rng.uniform());
+                break;
+            case 1:
+                break;  // no active pixel
+            case 2:
+                for (std::size_t p = 0; p < image.size(); p += 3)
+                    image[p] = static_cast<float>(rng.uniform(-1.0, 2.0));
+                break;
+            default:
+                for (std::size_t p = 0; p < image.size(); p += 5)
+                    image[p] = p % 2 == 0 ? std::nanf("") : 0.3f;
+                break;
+        }
+        images.push_back(std::move(image));
+    }
+    return images;
+}
+
+TEST(SpikeRaster, SameOnAnyPool) {
+    PoissonEncoderConfig config;
+    config.max_rate_hz = 400.0;
+    const std::size_t steps = 12;
+    util::ThreadPool one(1);
+    util::ThreadPool two(2);
+    util::ThreadPool four(4);
+    util::Rng start(41);
+    (void)start.normal();  // a pending deviate must ride through to end_rng
+    for (const std::size_t count : {0u, 1u, 2u, 31u, 33u, 300u}) {
+        const auto images = mixed_images(count);
+        const SpikeRaster serial = SpikeRaster::encode(config, steps, images, start);
+        ASSERT_EQ(serial.samples(), count);
+        for (util::ThreadPool* pool : {&one, &two, &four}) {
+            const SpikeRaster pooled = SpikeRaster::encode(config, steps, images, start, pool);
+            const std::string where = std::to_string(count) + " images, " +
+                                      std::to_string(pool->max_workers()) + " workers";
+            ASSERT_EQ(pooled.samples(), count) << where;
+            EXPECT_EQ(pooled.bytes(), serial.bytes()) << where;
+            EXPECT_EQ(pooled.start_rng(), serial.start_rng()) << where;
+            EXPECT_EQ(pooled.end_rng(), serial.end_rng()) << where;
+            SampleSpikes a;
+            SampleSpikes b;
+            for (std::size_t i = 0; i < count; ++i) {
+                serial.decode(i, a);
+                pooled.decode(i, b);
+                ASSERT_EQ(a.offsets, b.offsets) << where << ", sample " << i;
+                ASSERT_TRUE(std::equal(a.indices.begin(),
+                                       a.indices.begin() + static_cast<std::ptrdiff_t>(a.offsets.back()),
+                                       b.indices.begin()))
+                    << where << ", sample " << i;
+            }
+        }
+        // And the serial raster is the live stream, from `start` to its end.
+        PoissonEncoder encoder(config);
+        util::Rng live = start;
+        SampleSpikes drawn;
+        for (const auto& image : images) {
+            encoder.set_image(image);
+            encoder.encode(live, steps, drawn);
+        }
+        EXPECT_EQ(serial.end_rng(), live) << count << " images";
+    }
+}
+
 TEST(SpikeRaster, RejectsRaggedImagesAndBadSampleIndex) {
     const std::vector<std::vector<float>> ragged{std::vector<float>(10, 0.5f),
                                                  std::vector<float>(11, 0.5f)};
     EXPECT_THROW(SpikeRaster::encode({}, 5, ragged, util::Rng(1)),
+                 std::invalid_argument);
+    util::ThreadPool pool(2);
+    EXPECT_THROW(SpikeRaster::encode({}, 5, ragged, util::Rng(1), &pool),
                  std::invalid_argument);
     const std::vector<std::vector<float>> one{std::vector<float>(10, 0.5f)};
     const SpikeRaster raster = SpikeRaster::encode({}, 5, one, util::Rng(1));

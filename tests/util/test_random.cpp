@@ -163,6 +163,83 @@ TEST(DeriveSeed, StreamsDecorrelated) {
     EXPECT_NE(derive_seed(root, 5), derive_seed(root + 1, 5));
 }
 
+TEST(RngAdvance, EqualsThatManyDraws) {
+    // Word boundaries of the 256-bit residue, and jumps of a chunk's size.
+    for (const std::uint64_t n : {0ULL, 1ULL, 63ULL, 64ULL, 65ULL, 255ULL, 256ULL, 257ULL,
+                                  12345ULL, 196017ULL, 5000000ULL}) {
+        Rng drawn(0xad7a);
+        for (std::uint64_t i = 0; i < n; ++i) (void)drawn.next_u64();
+        Rng jumped(0xad7a);
+        jumped.advance(n);
+        ASSERT_EQ(jumped, drawn) << "n = " << n;
+        EXPECT_EQ(jumped.next_u64(), drawn.next_u64()) << "n = " << n;
+    }
+}
+
+TEST(RngAdvance, PolynomialGivesThePublishedJump) {
+    // xoshiro256's jump() advances 2^128 draws with this constant, which
+    // is x^(2^128) mod p.
+    const Gf2Poly published = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                               0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
+    Gf2Poly r = gf2_x_pow(2);  // x^(2^1)
+    for (int i = 1; i < 128; ++i) r = gf2_mulmod(r, r);
+    EXPECT_EQ(r, published);
+}
+
+TEST(RngAdvance, BerlekampMasseyYieldsTheCheckedInPolynomial) {
+    // Bit 0 of the state obeys the generator's minimal polynomial, which
+    // for a full-period xoshiro256 is its degree-256 characteristic one.
+    constexpr std::size_t kBits = 600;
+    Rng rng(31337);
+    std::vector<int> bits(kBits);
+    for (int& bit : bits) {
+        bit = static_cast<int>(rng.snapshot().words[0] & 1);
+        (void)rng.next_u64();
+    }
+    // Connection polynomial c (c[0] = 1) of the shortest recurrence.
+    std::vector<int> c(kBits + 1, 0);
+    std::vector<int> b(kBits + 1, 0);
+    c[0] = b[0] = 1;
+    std::size_t length = 0;
+    std::size_t shift = 1;
+    for (std::size_t n = 0; n < kBits; ++n) {
+        int discrepancy = bits[n];
+        for (std::size_t i = 1; i <= length; ++i) discrepancy ^= c[i] & bits[n - i];
+        if (discrepancy == 0) {
+            ++shift;
+            continue;
+        }
+        const std::vector<int> previous = c;
+        for (std::size_t i = 0; i + shift <= kBits; ++i) c[i + shift] ^= b[i];
+        if (2 * length <= n) {
+            length = n + 1 - length;
+            b = previous;
+            shift = 1;
+        } else {
+            ++shift;
+        }
+    }
+    ASSERT_EQ(length, 256u);
+    // p(x) = x^256 + sum c[i] x^(256 - i).
+    Gf2Poly p{};
+    for (std::size_t i = 1; i <= length; ++i) {
+        const std::size_t k = length - i;
+        if (c[i] != 0) p[k / 64] |= 1ULL << (k % 64);
+    }
+    EXPECT_EQ(p, kXoshiroCharPoly);
+}
+
+TEST(RngAdvance, KeepsAPendingNormalDeviate) {
+    Rng drawn(77);
+    (void)drawn.normal();  // caches the second Box–Muller deviate
+    Rng jumped = drawn;
+    for (int i = 0; i < 1000; ++i) (void)drawn.next_u64();
+    jumped.advance(1000);
+    EXPECT_TRUE(jumped.snapshot().has_cached_normal);
+    ASSERT_EQ(jumped, drawn);
+    EXPECT_EQ(jumped.normal(), drawn.normal());
+}
+
 class RngSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RngSeedSweep, UniformMeanStableAcrossSeeds) {
