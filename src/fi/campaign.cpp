@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
 #include <iterator>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -32,6 +35,9 @@ constexpr std::size_t kBatchCells = CampaignEngine::kBatchCells;
 struct FiMetrics {
     obs::Counter& cells;
     obs::Gauge& cells_per_s;
+    /// Share of worker time inside batch and build tasks:
+    /// (fi.batch + fi.clean wall) / (workers x fi.execute wall).
+    obs::Gauge& busy_frac;
     obs::Histogram& train_ms;
     obs::Histogram& infer_batch_ms;
     obs::Histogram& clean_ms;
@@ -42,6 +48,7 @@ struct FiMetrics {
         static FiMetrics metrics{
             obs::Registry::global().counter("fi.cells"),
             obs::Registry::global().gauge("fi.cells_per_s"),
+            obs::Registry::global().gauge("fi.busy_frac"),
             obs::Registry::global().histogram("fi.phase.train_ms", bounds),
             obs::Registry::global().histogram("fi.phase.infer_batch_ms", bounds),
             obs::Registry::global().histogram("fi.phase.clean_ms", bounds)};
@@ -78,6 +85,65 @@ std::string layer_label(const FaultSite& site) {
 struct CleanReplica {
     snn::ActivityClassifier classifier{1, kNumClasses};
     double accuracy_pct = 0.0;
+};
+
+/// Most rasters alive at once: the lowest open replica's and the ones
+/// built ahead of it (~0.75 MB each at full size).
+constexpr std::size_t kLiveRasters = 3;
+
+/// The inference cells' work queue in CampaignEngine::execute: which
+/// cells wait for which replica, which replicas have their raster and
+/// clean pass, and which rasters are freed. Every member is guarded by
+/// `mutex`.
+struct CellQueue {
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::vector<std::deque<std::size_t>> pending;  ///< per replica: cells waiting
+    std::vector<std::size_t> open_at;  ///< per replica: cells pending or in a batch
+    std::size_t open = 0;              ///< cells not closed yet
+    std::size_t built = 0;             ///< replicas [0, built) are built
+    std::size_t freed = 0;             ///< rasters [0, freed) are released
+    std::size_t busy = 0;              ///< workers inside a task
+    double busy_ms = 0.0;              ///< summed task wall (fi.busy_frac)
+    bool failed = false;               ///< a task threw: every worker leaves
+
+    CellQueue(const std::vector<std::size_t>& cells, std::size_t max_reps)
+        : pending(max_reps), open_at(max_reps), open(cells.size()) {
+        pending[0].assign(cells.begin(), cells.end());
+        open_at[0] = cells.size();
+    }
+
+    /// The lowest built replica an open cell has yet to finish (`built`
+    /// when none): no open cell reads a raster below it again.
+    std::size_t first_needed() const {
+        std::size_t lowest = 0;
+        while (lowest < built && open_at[lowest] == 0) ++lowest;
+        return lowest;
+    }
+
+    /// The next replica may still run for an open cell, and a raster slot
+    /// is free once those no open cell needs are released.
+    bool build_due() const {
+        return open > 0 && built < pending.size() && built - freed < kLiveRasters;
+    }
+
+    /// Takes up to kBatchCells pending cells of the lowest built replica,
+    /// and no more than an even share of the ready cells among the idle
+    /// workers. Empty when no built replica has a pending cell.
+    std::vector<std::size_t> take_batch(std::size_t workers, std::size_t& replica) {
+        std::size_t ready = 0;
+        for (std::size_t r = 0; r < built; ++r) ready += pending[r].size();
+        if (ready == 0) return {};
+        replica = 0;
+        while (pending[replica].empty()) ++replica;
+        const std::size_t idle = workers - busy;  // the caller is not busy
+        std::deque<std::size_t>& queue = pending[replica];
+        const auto count = static_cast<std::ptrdiff_t>(
+            std::min({kBatchCells, queue.size(), (ready + idle - 1) / idle}));
+        std::vector<std::size_t> cells(queue.begin(), queue.begin() + count);
+        queue.erase(queue.begin(), queue.begin() + count);
+        return cells;
+    }
 };
 
 }  // namespace
@@ -246,13 +312,14 @@ std::shared_ptr<const CampaignResult> CampaignEngine::run() {
     return session_.artifact<CampaignResult>(key.str(), [&] {
         Plan plan = make_plan();
         const std::vector<char> all(plan.cells.size(), 1);
-        return std::make_shared<CampaignResult>(execute(plan, all));
+        return std::make_shared<CampaignResult>(execute(plan, all, {}));
     });
 }
 
 std::size_t CampaignEngine::plan_cells() { return make_plan().cells.size(); }
 
-CampaignResult CampaignEngine::run_cells(const std::vector<std::size_t>& selected) {
+CampaignResult CampaignEngine::run_cells(const std::vector<std::size_t>& selected,
+                                         const CellSink& on_close) {
     Plan plan = make_plan();
     std::vector<char> include(plan.cells.size(), 0);
     for (const std::size_t index : selected) {
@@ -260,7 +327,7 @@ CampaignResult CampaignEngine::run_cells(const std::vector<std::size_t>& selecte
             throw std::out_of_range("run_cells: cell index out of range");
         include[index] = 1;
     }
-    return execute(plan, include);
+    return execute(plan, include, on_close);
 }
 
 CampaignEngine::Plan CampaignEngine::make_plan() {
@@ -355,7 +422,8 @@ CampaignEngine::Plan CampaignEngine::make_plan() {
 
 // --------------------------------------------------------------- execution
 
-CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& include) {
+CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& include,
+                                       const CellSink& on_close) {
     obs::Span exec_span("fi.execute");
     const auto exec_start = std::chrono::steady_clock::now();
     const bool quick = session_.options().quick;
@@ -433,6 +501,7 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
                             std::sqrt(static_cast<double>(n))
                       : 0.0;
             cell.critical = cell.drop_pct > config_.critical_drop_pct;
+            if (on_close) on_close(cell, baseline_pct);
         }
     }
 
@@ -472,6 +541,8 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
     // obs/span.hpp), so every fi.clean and fi.batch nests under fi.execute
     // even though it runs on an arbitrary pool worker.
     const obs::Context exec_ctx = obs::current_context();
+    // Builds replica `replica`'s raster and clean pass; returns its wall
+    // in milliseconds.
     const auto build_clean = [&](std::size_t replica) {
         obs::Span span("fi.clean", exec_ctx);
         span.tag("replica", static_cast<double>(replica));
@@ -498,120 +569,177 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
         clean[replica].classifier = std::move(classifier);
         clean[replica].accuracy_pct =
             100.0 * static_cast<double>(correct) / static_cast<double>(eval_n);
-        FiMetrics::get().clean_ms.observe(ms_since(start));
+        const double ms = ms_since(start);
+        FiMetrics::get().clean_ms.observe(ms);
+        return ms;
     };
 
-    // Round r runs replica r of every open cell, cut into balanced lockstep
-    // batches: at most kBatchCells cells each, and at least one batch per
-    // worker while there are cells to spread. Task 0 of the same
-    // parallel_for builds replica r + 1 meanwhile (wasted only when every
-    // open cell closes after round r), so only round 0 waits for a clean
-    // pass before its batches start. ThreadPool runs index 0 on this
-    // thread, so every raster is allocated by one thread; built on pool
-    // workers they would spread over per-thread malloc arenas and raise the
-    // peak RSS. Raster r is dropped after round r, so at most two are live.
-    //
-    // A cell's outcome depends only on (cell, replica), never on its
-    // batch-mates or the worker count: each member reads the raster and its
-    // own runtime, and its replica sequence is the round order. So results
-    // are byte-identical for any worker count, and a subset of cells
-    // (run_cells, shards) reproduces those cells of the full run.
+    // The stop rule, applied to one cell after each of its replicas: true
+    // while the cell has replicas left to run.
     std::vector<std::vector<double>> drops(plan.cells.size());
     std::vector<std::vector<double>> accuracies(plan.cells.size());
-    const std::size_t workers = session_.pool().max_workers();
-    if (!open.empty()) build_clean(0);
-    for (std::size_t replica = 0; !open.empty() && replica < max_reps; ++replica) {
-        const std::size_t builds = replica + 1 < max_reps ? 1 : 0;
-        const std::size_t batches =
-            std::max((open.size() + kBatchCells - 1) / kBatchCells,
-                     std::min(open.size(), workers));
+    const auto stays_open = [&](std::size_t c) {
+        const std::size_t n = drops[c].size();
+        if (n < min_reps) return true;  // judged from min_replicas on
+        CellResult& cell = result.cells[slot[c]];
+        cell.replicas = n;
+        cell.drop_pct = util::mean(drops[c]);
+        cell.accuracy_pct = util::mean(accuracies[c]);
+        cell.ci_halfwidth_pct =
+            n > 1 ? kZ95 * util::stddev(drops[c]) / std::sqrt(static_cast<double>(n))
+                  : 0.0;
+        cell.critical = cell.drop_pct > config_.critical_drop_pct;
+        // A fixed replica count, or the cap: the cell is done.
+        if (!es.enabled || n >= max_reps) return false;
+        const bool tight = cell.ci_halfwidth_pct <= es.ci_halfwidth_pct;
+        if (!tight) return true;
+        cell.early_stopped = true;
+        return false;
+    };
+
+    // Runs replica `replica` of `cells` as one lockstep batch and judges
+    // each cell alone: it goes to `next` (its next replica is due) or to
+    // `closed`. Returns the batch wall in milliseconds.
+    const auto run_batch = [&](std::size_t replica, const std::vector<std::size_t>& cells,
+                               std::vector<std::size_t>& next,
+                               std::vector<std::size_t>& closed) {
+        const std::size_t count = cells.size();
+        obs::Span batch_span("fi.batch", exec_ctx);
+        batch_span.tag("replica", static_cast<double>(replica));
+        batch_span.tag("cells", static_cast<double>(count));
+        const auto batch_start = std::chrono::steady_clock::now();
         const snn::SpikeRaster& raster = *rasters[replica];
         const CleanReplica& reference = clean[replica];
-        // Paired (drop_pct, accuracy_pct) per open cell.
-        std::vector<std::pair<double, double>> outcomes(open.size());
-        session_.pool().parallel_for(builds + batches, [&](std::size_t t) {
-            if (t < builds) {
-                build_clean(replica + 1);
-                return;
-            }
-            const std::size_t b = t - builds;
-            const std::size_t begin = b * open.size() / batches;
-            const std::size_t count = (b + 1) * open.size() / batches - begin;
-            obs::Span batch_span("fi.batch", exec_ctx);
-            batch_span.tag("replica", static_cast<double>(replica));
-            batch_span.tag("cells", static_cast<double>(count));
-            const auto batch_start = std::chrono::steady_clock::now();
-            std::vector<snn::NetworkRuntime> runtimes;
-            runtimes.reserve(count);
-            std::vector<snn::NetworkRuntime*> members;
-            members.reserve(count);
-            for (std::size_t k = 0; k < count; ++k) {
-                const std::size_t cell = open[begin + k];
-                // Per-cell span: overlay + runtime construction. (The
-                // lockstep propagation below is shared by the whole batch,
-                // so per-cell *inference* time is not separable by design.)
-                obs::Span cell_span("fi.cell");
-                cell_span.tag("cell", static_cast<double>(cell));
-                cell_span.tag("model", plan.cells[cell].model);
-                cell_span.tag("severity", plan.cells[cell].severity);
-                cell_span.tag("replica", static_cast<double>(replica));
-                runtimes.emplace_back(plan.baseline, overlays[cell]);
-                if (!plan.schedules[cell].empty())
-                    runtimes.back().set_schedule(plan.schedules[cell]);
-            }
-            for (snn::NetworkRuntime& runtime : runtimes)
-                members.push_back(&runtime);
-            snn::BatchRunner batch(*plan.baseline, std::move(members));
-            std::vector<std::size_t> correct(count, 0);
-            // One reusable activity per batch member: run_sample_into
-            // zeroes them in place, so the sample loop is steady-state
-            // allocation-free.
-            std::vector<snn::SampleActivity> activities(count);
-            for (std::size_t i = 0; i < eval_n; ++i) {
-                batch.run_sample_into(raster, i, activities);
-                for (std::size_t k = 0; k < count; ++k) {
-                    if (reference.classifier.predict(activities[k].exc_counts) ==
-                        data.labels[i])
-                        ++correct[k];
-                }
-            }
-            for (std::size_t k = 0; k < count; ++k) {
-                const double accuracy_pct = 100.0 *
-                                            static_cast<double>(correct[k]) /
-                                            static_cast<double>(eval_n);
-                outcomes[begin + k] = {reference.accuracy_pct - accuracy_pct,
-                                       accuracy_pct};
-            }
-            FiMetrics::get().infer_batch_ms.observe(ms_since(batch_start));
-        });
-        rasters[replica].reset();
-        for (std::size_t k = 0; k < open.size(); ++k) {
-            drops[open[k]].push_back(outcomes[k].first);
-            accuracies[open[k]].push_back(outcomes[k].second);
+        std::vector<snn::NetworkRuntime> runtimes;
+        runtimes.reserve(count);
+        std::vector<snn::NetworkRuntime*> members;
+        members.reserve(count);
+        for (const std::size_t cell : cells) {
+            // Per-cell span: overlay + runtime construction. (The lockstep
+            // propagation below is shared by the whole batch, so per-cell
+            // *inference* time is not separable by design.)
+            obs::Span cell_span("fi.cell");
+            cell_span.tag("cell", static_cast<double>(cell));
+            cell_span.tag("model", plan.cells[cell].model);
+            cell_span.tag("severity", plan.cells[cell].severity);
+            cell_span.tag("replica", static_cast<double>(replica));
+            runtimes.emplace_back(plan.baseline, overlays[cell]);
+            if (!plan.schedules[cell].empty())
+                runtimes.back().set_schedule(plan.schedules[cell]);
         }
-        if (replica + 1 < min_reps) continue;  // judged from min_replicas on
+        for (snn::NetworkRuntime& runtime : runtimes) members.push_back(&runtime);
+        snn::BatchRunner batch(*plan.baseline, std::move(members));
+        std::vector<std::size_t> correct(count, 0);
+        // One reusable activity per batch member: run_sample_into zeroes
+        // them in place, so the sample loop is steady-state
+        // allocation-free.
+        std::vector<snn::SampleActivity> activities(count);
+        for (std::size_t i = 0; i < eval_n; ++i) {
+            batch.run_sample_into(raster, i, activities);
+            for (std::size_t k = 0; k < count; ++k) {
+                if (reference.classifier.predict(activities[k].exc_counts) ==
+                    data.labels[i])
+                    ++correct[k];
+            }
+        }
+        for (std::size_t k = 0; k < count; ++k) {
+            const std::size_t c = cells[k];
+            const double accuracy_pct = 100.0 * static_cast<double>(correct[k]) /
+                                        static_cast<double>(eval_n);
+            drops[c].push_back(reference.accuracy_pct - accuracy_pct);
+            accuracies[c].push_back(accuracy_pct);
+            (stays_open(c) ? next : closed).push_back(c);
+        }
+        const double ms = ms_since(batch_start);
+        FiMetrics::get().infer_batch_ms.observe(ms);
+        return ms;
+    };
 
-        std::vector<std::size_t> still_open;
-        for (const std::size_t c : open) {
-            CellResult& cell = result.cells[slot[c]];
-            const std::size_t n = drops[c].size();
-            cell.replicas = n;
-            cell.drop_pct = util::mean(drops[c]);
-            cell.accuracy_pct = util::mean(accuracies[c]);
-            cell.ci_halfwidth_pct =
-                n > 1 ? kZ95 * util::stddev(drops[c]) / std::sqrt(static_cast<double>(n))
-                      : 0.0;
-            cell.critical = cell.drop_pct > config_.critical_drop_pct;
-            if (!es.enabled) continue;  // fixed replica count: cell is done
-            const bool tight = cell.ci_halfwidth_pct <= es.ci_halfwidth_pct;
-            if (tight && n < max_reps) {
-                cell.early_stopped = true;
-            } else if (!tight && n < max_reps) {
-                still_open.push_back(c);
+    // No round barrier: one parallel_for whose indices each run the worker
+    // loop below over a shared queue of (cell, replica) pairs. A batch
+    // takes pending cells of the lowest built replica, and when it
+    // finishes each of its cells closes or is queued for its next replica
+    // at once, so a cell's replicas run as soon as a worker is free rather
+    // than when the slowest cell of a round is done. Index 0, which
+    // ThreadPool runs on this thread, builds every raster and clean pass
+    // (so one malloc arena holds them; built on pool workers they would
+    // spread over per-thread arenas and raise the peak RSS): the next
+    // replica whenever an open cell may still run it and fewer than
+    // kLiveRasters rasters are live, ahead of any batch. It frees each
+    // raster once no open cell can still read it. With one worker, or
+    // under a nested parallel_for that runs its indices serially, index 0
+    // does all of this alone and never waits. A task that throws wakes
+    // every worker and leaves through parallel_for.
+    //
+    // A cell's outcome depends only on (cell, replica), never on its
+    // batch-mates, the batch cut or the worker count: each member reads the
+    // raster and its own runtime, and its replicas run in order. So results
+    // are byte-identical for any worker count, and a subset of cells
+    // (run_cells, shards) reproduces those cells of the full run.
+    const std::size_t workers = session_.pool().max_workers();
+    CellQueue queue(open, max_reps);
+    std::mutex sink_mutex;  // one on_close call at a time
+    const auto work = [&](std::size_t index) {
+        std::unique_lock<std::mutex> lock(queue.mutex);
+        // Runs `task` with the queue unlocked, counted as busy.
+        const auto unlocked = [&](const auto& task) {
+            ++queue.busy;
+            lock.unlock();
+            task();
+            lock.lock();
+            --queue.busy;
+        };
+        try {
+            for (;;) {
+                if (index == 0) {
+                    for (const std::size_t needed = queue.first_needed();
+                         queue.freed < needed; ++queue.freed)
+                        rasters[queue.freed].reset();
+                }
+                if (queue.failed || queue.open == 0) return;
+                if (index == 0 && queue.build_due()) {
+                    const std::size_t replica = queue.built;
+                    double ms = 0.0;
+                    unlocked([&] { ms = build_clean(replica); });
+                    ++queue.built;
+                    queue.busy_ms += ms;
+                    queue.changed.notify_all();
+                    continue;
+                }
+                std::size_t replica = 0;
+                const std::vector<std::size_t> cells = queue.take_batch(workers, replica);
+                if (cells.empty()) {
+                    queue.changed.wait(lock);
+                    continue;
+                }
+                std::vector<std::size_t> next;
+                std::vector<std::size_t> closed;
+                double ms = 0.0;
+                unlocked([&] {
+                    ms = run_batch(replica, cells, next, closed);
+                    if (!on_close) return;
+                    const std::lock_guard<std::mutex> sink_lock(sink_mutex);
+                    for (const std::size_t c : closed)
+                        on_close(result.cells[slot[c]], baseline_pct);
+                });
+                queue.busy_ms += ms;
+                queue.open_at[replica] -= cells.size();
+                queue.open -= closed.size();
+                for (const std::size_t c : next) {
+                    queue.pending[replica + 1].push_back(c);
+                    ++queue.open_at[replica + 1];
+                }
+                queue.changed.notify_all();
             }
+        } catch (...) {
+            // Every other worker leaves at its next look at the queue.
+            if (!lock.owns_lock()) lock.lock();
+            queue.failed = true;
+            queue.changed.notify_all();
+            throw;
         }
-        open = std::move(still_open);
-    }
+    };
+    if (!open.empty()) session_.pool().parallel_for(workers, work);
 
     result.recount();
     FiMetrics::get().cells.add(result.cells.size());
@@ -619,9 +747,12 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       exec_start)
             .count();
-    if (exec_seconds > 0.0 && !result.cells.empty())
+    if (exec_seconds > 0.0 && !result.cells.empty()) {
         FiMetrics::get().cells_per_s.set(
             static_cast<double>(result.cells.size()) / exec_seconds);
+        FiMetrics::get().busy_frac.set(queue.busy_ms / 1000.0 /
+                                       (static_cast<double>(workers) * exec_seconds));
+    }
     return result;
 }
 

@@ -23,23 +23,26 @@
 //   * every injection is replicated over independent Poisson-encoding
 //     streams, paired with a clean run of the same stream. Each replica's
 //     stream is encoded once over the eval subset (snn::SpikeRaster); its
-//     clean pass and every batch replay it. The campaign runs one replica
-//     per round over the still-open cells and builds the next replica's
-//     raster and clean pass during the current round. From min_replicas
-//     on, a cell stops early once the 95% CI of its accuracy drop is tight
-//     (statistical early stopping), bounded by max_replicas.
+//     clean pass and every batch replay it. Inference cells run through
+//     one cell-replica work queue with no round barrier: a finished batch
+//     judges each of its cells alone and queues the still-open ones for
+//     their next replica at once, while the calling thread builds the
+//     rasters and clean passes ahead (at most three rasters live). From
+//     min_replicas on, a cell stops early once the 95% CI of its accuracy
+//     drop is tight (statistical early stopping), bounded by max_replicas.
 //
 // A cell's outcome depends only on (cell, replica): replica seeds are
 // index-derived, and a batch member never reads its batch-mates. So batch
-// sizes may follow the worker count while campaign output stays
-// byte-identical for any worker count and any cell subset. Results cache
-// in the Session keyed by the campaign config, so several scenarios can
-// present one campaign (detail table, sensitivity map) without
-// re-executing it.
+// cuts may follow the worker count and the queue's timing while campaign
+// output stays byte-identical for any worker count and any cell subset.
+// Results cache in the Session keyed by the campaign config, so several
+// scenarios can present one campaign (detail table, sensitivity map)
+// without re-executing it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -166,10 +169,10 @@ struct CampaignResult {
 class CampaignEngine {
 public:
     /// Most cells advanced in one lockstep batch (shared input stream +
-    /// dense propagation). A round with fewer than kBatchCells open cells
-    /// per worker cuts smaller batches so every worker gets one; results
-    /// do not change, because a cell's outcome never depends on its
-    /// batch-mates. Shared with the benchmarks (bench_runtime_replicas,
+    /// dense propagation). A batch takes at most an even share of the
+    /// ready cells among the idle workers, so a thin tail still spreads;
+    /// results do not change, because a cell's outcome never depends on
+    /// its batch-mates. Shared with the benchmarks (bench_runtime_replicas,
     /// snnbench) so they measure the batch size that actually ships.
     static constexpr std::size_t kBatchCells = 8;
     /// Stream id offset separating replica rng seeds from everything else
@@ -196,17 +199,26 @@ public:
     /// campaigns (fi/shard.hpp) are built on.
     std::size_t plan_cells();
 
+    /// Receives a cell once it closes (every replica it will run is done)
+    /// with the baseline accuracy it was measured against. Cells arrive
+    /// in completion order; calls never overlap.
+    using CellSink = std::function<void(const CellResult& cell, double baseline_pct)>;
+
     /// Executes only the selected planned-cell indices (deduplicated;
     /// throws std::out_of_range on an invalid index). Per-cell numbers are
     /// bit-identical to the same cells of a full run(): cell outcomes
     /// never depend on which other cells share the batch. Counters are
-    /// recounted over the included cells only. Not session-cached.
-    CampaignResult run_cells(const std::vector<std::size_t>& selected);
+    /// recounted over the included cells only. Not session-cached. A
+    /// non-empty `on_close` sees each cell as it closes (shard
+    /// checkpoints); an exception it throws aborts the run.
+    CampaignResult run_cells(const std::vector<std::size_t>& selected,
+                             const CellSink& on_close = {});
 
 private:
     struct Plan;
     Plan make_plan();
-    CampaignResult execute(Plan& plan, const std::vector<char>& include);
+    CampaignResult execute(Plan& plan, const std::vector<char>& include,
+                           const CellSink& on_close);
 
     core::Session& session_;
     CampaignConfig config_;

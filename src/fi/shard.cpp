@@ -268,46 +268,42 @@ std::size_t run_shard(core::Session& session, const std::string& scenario,
     std::ofstream out(path, std::ios::binary | std::ios::app);
     if (!out) throw std::runtime_error("cannot append to " + path.string());
 
-    // Checkpoint granularity: one lockstep batch of cells per run_cells
-    // call. Each chunk is appended and flushed before the next starts, so
-    // a kill loses at most one chunk of work — and per-cell results are
-    // chunk-independent, so the re-run after resume is bit-identical.
-    std::size_t executed = 0;
-    for (std::size_t b = 0; b < todo.size(); b += CampaignEngine::kBatchCells) {
-        const std::vector<std::size_t> chunk(
-            todo.begin() + static_cast<std::ptrdiff_t>(b),
-            todo.begin() + static_cast<std::ptrdiff_t>(
-                               std::min(b + CampaignEngine::kBatchCells,
-                                        todo.size())));
-        const auto chunk_start = std::chrono::steady_clock::now();
-        const CampaignResult part = engine.run_cells(chunk);
-        for (const CellResult& cell : part.cells) {
-            out << cell_to_jsonl(cell, part.baseline_accuracy_pct) << '\n';
-            ++executed;
-        }
-        out.flush();
-        if (!out)
-            throw std::runtime_error("short write to " + path.string());
-        const double chunk_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          chunk_start)
-                .count();
-        beat.cells_done += part.cells.size();
-        if (chunk_seconds > 0.0)
+    // One campaign run over the whole todo list, so every replica's raster
+    // and clean pass is built once. Each cell's line is appended and
+    // flushed as the cell closes (sink calls never overlap), so a kill
+    // loses only the cells still open; per-cell results never depend on
+    // the run's other cells, so the re-run after resume is bit-identical.
+    // The heartbeat is rewritten as cells close, at most once a second,
+    // and self-describes its cadence: interval_s is the gap since the
+    // previous rewrite, so staleness scales with the workload instead of
+    // a hard-coded wall-clock guess.
+    auto last_beat = std::chrono::steady_clock::now();
+    std::size_t since_beat = 0;
+    const auto rewrite_beat = [&] {
+        const auto now = std::chrono::steady_clock::now();
+        const double seconds = std::chrono::duration<double>(now - last_beat).count();
+        if (since_beat > 0 && seconds > 0.0)
             beat.ewma_cells_per_s = obs::ewma_update(
-                beat.ewma_cells_per_s,
-                static_cast<double>(part.cells.size()) / chunk_seconds);
-        // The heartbeat self-describes its cadence: the next rewrite is one
-        // chunk away, so staleness scales with the workload instead of a
-        // hard-coded wall-clock guess.
-        beat.interval_s = std::max(1.0, chunk_seconds);
+                beat.ewma_cells_per_s, static_cast<double>(since_beat) / seconds);
+        beat.interval_s = std::max(1.0, seconds);
         beat.checkpoint_unix_ms = beat.written_unix_ms = obs::unix_now_ms();
         obs::write_heartbeat(dir, beat);
-    }
+        last_beat = now;
+        since_beat = 0;
+    };
+    const CampaignResult part =
+        engine.run_cells(todo, [&](const CellResult& cell, double baseline_pct) {
+            out << cell_to_jsonl(cell, baseline_pct) << '\n';
+            out.flush();
+            if (!out) throw std::runtime_error("short write to " + path.string());
+            ++beat.cells_done;
+            ++since_beat;
+            if (std::chrono::steady_clock::now() - last_beat >= std::chrono::seconds(1))
+                rewrite_beat();
+        });
     beat.done = true;
-    beat.written_unix_ms = obs::unix_now_ms();
-    obs::write_heartbeat(dir, beat);
-    return executed;
+    rewrite_beat();
+    return part.cells.size();
 }
 
 // ---------------------------------------------------------------- progress

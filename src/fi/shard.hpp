@@ -15,14 +15,19 @@
 // Campaign directory layout:
 //   <dir>/manifest.json      shard topology + the campaign identity key
 //   <dir>/shard-<k>.jsonl    one JSON object per completed cell, appended
-//                            (and fsync-flushed) as the shard progresses
+//                            (and flushed) as each cell closes, in
+//                            completion order
 //   <dir>/heartbeat-<k>.json liveness/progress beacon (obs/heartbeat.hpp),
-//                            rewritten after every checkpointed chunk —
-//                            observability only, never merged state
+//                            rewritten as cells close, at most once a
+//                            second — observability only, never merged
+//                            state
 //
-// A worker killed mid-cell leaves at most one truncated trailing line;
-// resume drops it and re-executes that cell, which is why an interrupted
-// shard merges bit-identically to an uninterrupted one.
+// A shard runs its cells as one campaign (CampaignEngine::run_cells with a
+// sink), so each replica's raster and clean pass is built once per shard
+// run. A worker killed mid-run loses the cells still open and leaves at
+// most one truncated trailing line; resume drops it and re-executes the
+// missing cells, which is why an interrupted shard merges bit-identically
+// to an uninterrupted one.
 #pragma once
 
 #include <cstddef>
@@ -98,11 +103,12 @@ CampaignManifest read_manifest(const std::filesystem::path& dir);
 /// Executes one shard of the catalog campaign `scenario` with
 /// checkpoint/resume: already-completed cells are read back from the
 /// shard's JSONL file (a truncated trailing line is cut from the file, the
-/// one write to a shard file besides appends), remaining
-/// cells run in small chunks, each appended and flushed before the next
-/// starts. Returns the number of cells executed this call (0 = the shard
-/// was already complete). Throws std::runtime_error when the directory's
-/// manifest does not match the campaign this session plans.
+/// one write to a shard file besides appends), and the remaining cells run
+/// as one campaign whose cells are appended and flushed one line at a
+/// time as they close. Returns the number of cells executed this call
+/// (0 = the shard was already complete). Throws std::runtime_error when
+/// the directory's manifest does not match the campaign this session
+/// plans.
 std::size_t run_shard(core::Session& session, const std::string& scenario,
                       const std::filesystem::path& dir, std::size_t shard_index,
                       std::size_t shard_count);

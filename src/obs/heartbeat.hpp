@@ -3,7 +3,7 @@
 // straggler table without talking to the workers.
 //
 // Layout: <campaign-dir>/heartbeat-<k>.json, rewritten atomically
-// (temp + rename) after every checkpointed chunk. Each heartbeat is
+// (temp + rename) as cells close, at most once a second. Each heartbeat is
 // self-describing about its own cadence (`interval_s`), which is what
 // makes staleness detectable: a worker SIGKILLed mid-shard stops
 // rewriting its file, and once the file's age exceeds

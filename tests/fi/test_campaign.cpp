@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <variant>
@@ -161,8 +162,8 @@ TEST(Campaign, ThresholdDriftReproducesFig8aAndFig8bFullLayerRows) {
 }
 
 /// A full-mode (non-quick) tiny campaign, so early stopping is live: cells
-/// run one replica per round from min_replicas to max_replicas, and rounds
-/// with few open cells cut them into smaller batches.
+/// close anywhere from min_replicas to max_replicas, and the work queue
+/// cuts batches by the ready cells and idle workers of the moment.
 CampaignConfig early_stop_config() {
     CampaignConfig config;
     config.models = {find_fault_model("dead_neuron"),
@@ -209,10 +210,23 @@ TEST(Campaign, EarlyStoppingRoundsIdenticalAcrossWorkerCountsAndSubsets) {
     ASSERT_LT(late_stop, campaign->cells.size()) << render(*campaign);
     ASSERT_LT(full_run, campaign->cells.size()) << render(*campaign);
 
-    for (const std::size_t workers : {2u, 4u}) {
+    // Batch cuts follow the queue's timing, so repeat the 4-worker run.
+    for (const std::size_t workers : {2u, 3u, 4u, 4u, 4u, 4u, 4u}) {
         core::Session other(full_options(workers));
         CampaignEngine again(other, early_stop_config());
         EXPECT_EQ(render(*again.run()), render(*campaign)) << workers << " workers";
+    }
+
+    // Inside a pool task the engine's parallel_for runs its worker loops
+    // one after another, so index 0 must finish the campaign alone.
+    {
+        core::Session other(full_options(4));
+        CampaignEngine again(other, early_stop_config());
+        std::string nested;
+        other.pool().parallel_for(2, [&](std::size_t i) {
+            if (i == 1) nested = render(*again.run());
+        });
+        EXPECT_EQ(nested, render(*campaign)) << "nested";
     }
 
     // Each cell alone replays its replicas exactly.
@@ -227,6 +241,45 @@ TEST(Campaign, EarlyStoppingRoundsIdenticalAcrossWorkerCountsAndSubsets) {
         EXPECT_EQ(got.ci_halfwidth_pct, expected.ci_halfwidth_pct) << expected.site_id();
         EXPECT_EQ(got.early_stopped, expected.early_stopped) << expected.site_id();
         EXPECT_EQ(single.evaluations, 2 * expected.replicas) << expected.site_id();
+    }
+}
+
+TEST(Campaign, SinkSeesEachCellOnceAndItsThrowAbortsTheRun) {
+    // Train-under-fault cells close before the queue starts; the rest close
+    // on pool workers.
+    CampaignConfig config = early_stop_config();
+    config.models.push_back(find_fault_model("driver_gain_drift"));
+    const auto one_cell = [](const CellResult& cell, double baseline_pct) {
+        return CampaignResult{baseline_pct, 0, 0, {cell}}.to_json();
+    };
+    for (const std::size_t workers : {1u, 4u}) {
+        core::RunOptions options = tiny_options(workers);
+        options.quick = false;
+        core::Session session(options);
+        CampaignEngine engine(session, config);
+        std::vector<std::size_t> all(engine.plan_cells());
+        for (std::size_t c = 0; c < all.size(); ++c) all[c] = c;
+
+        // Every cell reaches the sink once, as it is returned. Calls that
+        // overlapped would race on `seen`.
+        std::vector<std::string> seen;
+        const CampaignResult result =
+            engine.run_cells(all, [&](const CellResult& cell, double baseline_pct) {
+                seen.push_back(one_cell(cell, baseline_pct));
+            });
+        std::vector<std::string> returned;
+        for (const CellResult& cell : result.cells)
+            returned.push_back(one_cell(cell, result.baseline_accuracy_pct));
+        std::sort(seen.begin(), seen.end());
+        std::sort(returned.begin(), returned.end());
+        EXPECT_EQ(seen, returned) << workers << " workers";
+
+        // A sink that throws stops every worker and surfaces on the caller.
+        EXPECT_THROW(engine.run_cells(all, [](const CellResult& cell, double) {
+            if (!cell.trained) throw std::runtime_error("sink failed");
+        }),
+                     std::runtime_error)
+            << workers << " workers";
     }
 }
 

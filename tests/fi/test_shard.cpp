@@ -7,6 +7,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -281,6 +282,33 @@ TEST_F(ShardTest, InterruptedShardResumesBitIdentical) {
 
     const CampaignResult merged = merge_campaign_dir(dir_);
     EXPECT_EQ(merged.to_json(), full->to_json());
+}
+
+TEST_F(ShardTest, EarlyStoppingShardsTornAndResumedMergeBitIdentical) {
+    // Full mode, so early stopping is live and cells close at different
+    // replica counts: shard lines land in completion order, not plan order.
+    core::RunOptions options;
+    options.quick = false;
+    options.train_samples = 60;
+    options.n_neurons = 16;
+    core::Session session(options);
+    const CampaignCatalogEntry& entry = find_campaign_entry("fi.weights");
+    CampaignEngine engine(session, entry.build(session));
+    const auto full = engine.run();
+    std::set<std::size_t> replica_counts;
+    for (const CellResult& cell : full->cells) replica_counts.insert(cell.replicas);
+    ASSERT_GT(replica_counts.size(), 1u) << "no cell ran past min_replicas";
+
+    ASSERT_GT(run_shard(session, "fi.weights", dir_, 0, 2), 0u);
+    const fs::path file = shard_file(dir_, 0);
+    fs::resize_file(file, fs::file_size(file) - 25);  // torn mid-record
+    const std::size_t resumed = run_shard(session, "fi.weights", dir_, 0, 2);
+    EXPECT_GE(resumed, 1u);
+    ASSERT_GT(run_shard(session, "fi.weights", dir_, 1, 2), 0u);
+
+    const CampaignResult merged = merge_campaign_dir(dir_);
+    EXPECT_EQ(merged.to_json(), full->to_json());
+    EXPECT_EQ(merged.evaluations, full->evaluations);
 }
 
 TEST(TrainReplicas, TrainCellsCarryConfidenceIntervals) {
