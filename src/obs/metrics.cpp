@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -31,6 +32,20 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
     }
     counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
     for (std::size_t b = 0; b <= bounds_.size(); ++b) counts_[b] = 0;
+}
+
+void Histogram::Tally::flush() noexcept {
+    if (enabled() && count_ != 0) {
+        for (std::size_t b = 0; b < counts_.size(); ++b) {
+            if (counts_[b] != 0)
+                histogram_->counts_[b].fetch_add(counts_[b], std::memory_order_relaxed);
+        }
+        histogram_->count_.fetch_add(count_, std::memory_order_relaxed);
+        detail::atomic_add(histogram_->sum_, sum_);
+    }
+    std::fill(counts_.begin(), counts_.end(), 0);
+    count_ = 0;
+    sum_ = 0.0;
 }
 
 std::vector<std::uint64_t> Histogram::counts() const {

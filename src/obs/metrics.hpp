@@ -86,11 +86,35 @@ private:
 /// registration and never reallocated — observe() is lock-free.
 class Histogram {
 public:
+    /// Samples for one histogram gathered in plain integers by one thread
+    /// and added to it in one go. A loop that records every iteration
+    /// tallies here and flushes once at its end, instead of paying
+    /// observe()'s three contended atomic updates per iteration.
+    class Tally {
+    public:
+        explicit Tally(Histogram& histogram)
+            : histogram_(&histogram), counts_(histogram.bounds_.size() + 1, 0) {}
+
+        void observe(double value) noexcept {
+            ++counts_[histogram_->bucket(value)];
+            ++count_;
+            sum_ += value;
+        }
+        std::uint64_t count() const noexcept { return count_; }
+        /// Adds the tallied samples to the histogram (a no-op while
+        /// telemetry is disabled) and empties the tally.
+        void flush() noexcept;
+
+    private:
+        Histogram* histogram_;
+        std::vector<std::uint64_t> counts_;  ///< bounds().size() + 1 (overflow last)
+        std::uint64_t count_ = 0;
+        double sum_ = 0.0;
+    };
+
     void observe(double value) noexcept {
         if (!enabled()) return;
-        std::size_t bucket = 0;
-        while (bucket < bounds_.size() && value > bounds_[bucket]) ++bucket;
-        counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+        counts_[bucket(value)].fetch_add(1, std::memory_order_relaxed);
         count_.fetch_add(1, std::memory_order_relaxed);
         detail::atomic_add(sum_, value);
     }
@@ -107,6 +131,11 @@ public:
 private:
     friend class Registry;
     explicit Histogram(std::vector<double> bounds);
+    std::size_t bucket(double value) const noexcept {
+        std::size_t b = 0;
+        while (b < bounds_.size() && value > bounds_[b]) ++b;
+        return b;
+    }
     std::vector<double> bounds_;
     std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;
     std::atomic<std::uint64_t> count_{0};

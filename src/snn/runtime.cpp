@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -13,11 +15,8 @@ namespace {
 
 constexpr std::uint8_t kNominal = static_cast<std::uint8_t>(NeuronFault::kNominal);
 
-/// Hot-loop instruments, resolved once. Step-path counts are tallied in
-/// locals and flushed once per sample so the per-step cost with telemetry
-/// enabled stays a handful of relaxed atomic ops per *sample*; the
-/// active-fraction histogram is the only per-step record. All of it is a
-/// no-op while telemetry is off — results never depend on it.
+/// Hot-loop instruments, resolved once. All of it is a no-op while
+/// telemetry is off — results never depend on it.
 struct SnnMetrics {
     obs::Counter& fast_steps;
     obs::Counter& scalar_steps;
@@ -34,6 +33,29 @@ struct SnnMetrics {
             obs::Registry::global().histogram("snn.active_fraction", bounds)};
         return metrics;
     }
+};
+
+/// One sample's telemetry, tallied in locals per step and flushed once per
+/// sample, so telemetry costs a handful of relaxed atomic ops per *sample*.
+struct SampleTally {
+    explicit SampleTally(SnnMetrics& m) : metrics(m), active_fraction(m.active_fraction) {}
+
+    void step(double fraction) {
+        active_fraction.observe(fraction);
+        last_fraction = fraction;
+    }
+    void flush() {
+        metrics.fast_steps.add(fast_steps);
+        metrics.scalar_steps.add(scalar_steps);
+        if (active_fraction.count() != 0) metrics.active_fraction_last.set(last_fraction);
+        active_fraction.flush();
+    }
+
+    SnnMetrics& metrics;
+    obs::Histogram::Tally active_fraction;
+    double last_fraction = 0.0;
+    std::uint64_t fast_steps = 0;
+    std::uint64_t scalar_steps = 0;
 };
 
 }  // namespace
@@ -562,27 +584,20 @@ void NetworkRuntime::run_spikes(SampleActivity& activity) {
     const DiehlCookConfig& config = model_->config();
     begin_sample();
     reset_activity(activity, config.n_neurons);
-    const bool telemetry = obs::enabled();
-    SnnMetrics* metrics = telemetry ? &SnnMetrics::get() : nullptr;
+    std::optional<SampleTally> tally;
+    if (obs::enabled()) tally.emplace(SnnMetrics::get());
     const double inv_input = 1.0 / static_cast<double>(config.n_input);
-    std::uint64_t fast_steps = 0;
-    std::uint64_t scalar_steps = 0;
     for (std::size_t step = 0; step < config.steps_per_sample; ++step) {
         if (!schedule_.empty()) advance_schedule(step);
         const std::span<const std::uint32_t> active = spikes_.step(step);
         accumulate_drive(active);
         advance_step(active, activity);
-        if (metrics) {
-            const double fraction = static_cast<double>(active.size()) * inv_input;
-            metrics->active_fraction.observe(fraction);
-            metrics->active_fraction_last.set(fraction);
-            ++(fast_path_active() ? fast_steps : scalar_steps);
+        if (tally) {
+            tally->step(static_cast<double>(active.size()) * inv_input);
+            ++(fast_path_active() ? tally->fast_steps : tally->scalar_steps);
         }
     }
-    if (metrics) {
-        metrics->fast_steps.add(fast_steps);
-        metrics->scalar_steps.add(scalar_steps);
-    }
+    if (tally) tally->flush();
     end_sample();
 }
 
@@ -644,11 +659,9 @@ void BatchRunner::run_spikes(std::span<SampleActivity> activities) {
         runtimes_[k]->begin_sample();
         reset_activity(activities[k], model_.n_neurons());
     }
-    const bool telemetry = obs::enabled();
-    SnnMetrics* metrics = telemetry ? &SnnMetrics::get() : nullptr;
+    std::optional<SampleTally> tally;
+    if (obs::enabled()) tally.emplace(SnnMetrics::get());
     const double inv_input = 1.0 / static_cast<double>(model_.n_input());
-    std::uint64_t fast_steps = 0;
-    std::uint64_t scalar_steps = 0;
     const std::span<const float> base(base_drive_.data(), base_drive_.size());
     for (std::size_t step = 0; step < model_.config().steps_per_sample; ++step) {
         const std::span<const std::uint32_t> active = spikes_.step(step);
@@ -657,23 +670,17 @@ void BatchRunner::run_spikes(std::span<SampleActivity> activities) {
         std::fill(base_drive_.begin(), base_drive_.end(), 0.0f);
         kernels::accumulate_rows(model_rows_.data(), active, base_drive_.data(),
                                  base_drive_.size());
-        if (metrics) {
-            const double fraction = static_cast<double>(active.size()) * inv_input;
-            metrics->active_fraction.observe(fraction);
-            metrics->active_fraction_last.set(fraction);
-        }
+        if (tally) tally->step(static_cast<double>(active.size()) * inv_input);
         for (std::size_t k = 0; k < runtimes_.size(); ++k) {
             if (!runtimes_[k]->schedule_.empty()) runtimes_[k]->advance_schedule(step);
             runtimes_[k]->adopt_drive(base, active);
             runtimes_[k]->advance_step(active, activities[k]);
-            if (metrics)
-                ++(runtimes_[k]->fast_path_active() ? fast_steps : scalar_steps);
+            if (tally)
+                ++(runtimes_[k]->fast_path_active() ? tally->fast_steps
+                                                    : tally->scalar_steps);
         }
     }
-    if (metrics) {
-        metrics->fast_steps.add(fast_steps);
-        metrics->scalar_steps.add(scalar_steps);
-    }
+    if (tally) tally->flush();
 }
 
 }  // namespace snnfi::snn

@@ -4,9 +4,46 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "util/log.hpp"
 
 namespace snnfi::spice {
+
+namespace {
+
+/// The spice.* counters, resolved once (and only with telemetry on).
+struct SpiceMetrics {
+    obs::Counter& steps;
+    obs::Counter& newton_iters;
+    obs::Counter& step_halvings;
+    obs::Counter& lu_factorizations;
+    obs::Counter& lu_replays;
+
+    static SpiceMetrics& get() {
+        static SpiceMetrics metrics{
+            obs::Registry::global().counter("spice.steps"),
+            obs::Registry::global().counter("spice.newton_iters"),
+            obs::Registry::global().counter("spice.step_halvings"),
+            obs::Registry::global().counter("spice.lu_factorizations"),
+            obs::Registry::global().counter("spice.lu_replays")};
+        return metrics;
+    }
+};
+
+}  // namespace
+
+void Simulator::Tally::flush() noexcept {
+    if (obs::enabled()) {
+        SpiceMetrics& metrics = SpiceMetrics::get();
+        metrics.steps.add(steps);
+        metrics.newton_iters.add(newton_iters);
+        metrics.step_halvings.add(step_halvings);
+        metrics.lu_factorizations.add(lu_factorizations);
+        metrics.lu_replays.add(lu_replays);
+    }
+    *this = Tally{};
+}
 
 DcSolution::DcSolution(std::vector<double> x, const Netlist& netlist)
     : x_(std::move(x)), netlist_(&netlist) {}
@@ -25,25 +62,32 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double dt, double
                              double source_scale, double relax) {
     const int n = netlist_.num_unknowns();
     const int num_nodes = netlist_.num_nodes();
-    Matrix g(static_cast<std::size_t>(n), static_cast<std::size_t>(n));
-    std::vector<double> rhs(static_cast<std::size_t>(n));
-    LuFactorization lu;
+    const auto size = static_cast<std::size_t>(n);
+    if (g_.rows() != size) {
+        g_ = Matrix(size, size);
+        rhs_.resize(size);
+    }
 
     const bool needs_iteration = netlist_.any_nonlinear();
     const int max_iters = needs_iteration ? options_.max_nr_iterations : 2;
 
     for (int iter = 0; iter < max_iters; ++iter) {
-        g.fill(0.0);
-        std::fill(rhs.begin(), rhs.end(), 0.0);
-        Stamper stamper(g, rhs, x, num_nodes, t, dt, options_.method, source_scale,
+        g_.fill(0.0);
+        std::fill(rhs_.begin(), rhs_.end(), 0.0);
+        Stamper stamper(g_, rhs_, x, num_nodes, t, dt, options_.method, source_scale,
                         relax);
         for (const auto& dev : netlist_.devices()) dev->stamp(stamper);
         // Permanent gmin from every node to ground stabilises floating nodes.
         for (int node = 0; node < num_nodes; ++node)
-            g(static_cast<std::size_t>(node), static_cast<std::size_t>(node)) += gmin;
+            g_(static_cast<std::size_t>(node), static_cast<std::size_t>(node)) += gmin;
 
-        if (!lu.factorize(g)) return false;
-        const std::vector<double> x_new = lu.solve(rhs);
+        ++tally_.newton_iters;
+        ++tally_.lu_factorizations;
+        // Only transient steps record: a DC solve's few Newton iterations
+        // from a zero start change pivots too often for a record to pay.
+        if (!lu_.factorize(g_, /*record_pattern=*/dt > 0.0)) return false;
+        if (lu_.replayed()) ++tally_.lu_replays;
+        const std::vector<double> x_new = lu_.solve(rhs_);
 
         double max_delta = 0.0;
         bool converged = true;
@@ -75,6 +119,7 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double dt, double
 }
 
 DcSolution Simulator::solve_dc() {
+    const FlushOnExit flush{tally_};
     const int n = netlist_.num_unknowns();
     std::vector<double> x(static_cast<std::size_t>(n), 0.0);
 
@@ -128,7 +173,9 @@ TransientResult Simulator::run_transient(double t_stop, double dt) {
     if (t_stop <= 0.0 || dt <= 0.0)
         throw std::invalid_argument("run_transient: t_stop and dt must be positive");
 
+    obs::Span span("spice.transient");
     DcSolution dc = solve_dc();
+    const FlushOnExit flush{tally_};
     std::vector<double> x = dc.unknowns();
     const int num_nodes = netlist_.num_nodes();
     for (const auto& dev : netlist_.devices()) dev->begin_transient(x, num_nodes);
@@ -176,8 +223,10 @@ TransientResult Simulator::run_transient(double t_stop, double dt) {
                 throw std::runtime_error("run_transient: step rejected at t=" +
                                          std::to_string(t) + " after max halvings");
             step *= 0.5;
+            ++tally_.step_halvings;
         }
         t += step;
+        ++tally_.steps;
         for (const auto& dev : netlist_.devices()) dev->accept_step(x, num_nodes, step);
         record(t);
     }

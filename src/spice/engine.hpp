@@ -1,12 +1,21 @@
 // Simulation engine: Newton-Raphson DC operating point (with gmin and
 // source stepping fallbacks) and fixed-step transient analysis with
 // automatic step halving on nonconvergence.
+//
+// Telemetry: each run_transient() is one `spice.transient` span, and each
+// solve_dc() and run_transient() call adds its work to the counters
+// `spice.steps` (accepted transient steps), `spice.newton_iters`,
+// `spice.step_halvings`, `spice.lu_factorizations` and `spice.lu_replays`
+// (factorisations that replayed the recorded elimination to the end) once,
+// when it returns or throws.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "spice/linear.hpp"
 #include "spice/netlist.hpp"
 #include "spice/waveform.hpp"
 
@@ -52,6 +61,24 @@ public:
     SimOptions& options() noexcept { return options_; }
 
 private:
+    /// Work of the current solve_dc()/run_transient() call.
+    struct Tally {
+        std::uint64_t steps = 0;
+        std::uint64_t newton_iters = 0;
+        std::uint64_t step_halvings = 0;
+        std::uint64_t lu_factorizations = 0;
+        std::uint64_t lu_replays = 0;
+
+        /// Adds the counts to the spice.* counters and zeroes them.
+        void flush() noexcept;
+    };
+    /// Flushes the tally when the solve_dc()/run_transient() call that
+    /// holds it returns or throws.
+    struct FlushOnExit {
+        Tally& tally;
+        ~FlushOnExit() { tally.flush(); }
+    };
+
     /// One Newton solve at fixed (t, dt). Starts from `x` and updates it
     /// in place. Returns true on convergence.
     bool newton_solve(std::vector<double>& x, double t, double dt, double gmin,
@@ -59,6 +86,12 @@ private:
 
     Netlist& netlist_;
     SimOptions options_;
+    // The MNA system and its factorisation live across Newton iterations,
+    // solves and steps: the LU replays the elimination it recorded last.
+    Matrix g_;
+    std::vector<double> rhs_;
+    LuFactorization lu_;
+    Tally tally_;
 };
 
 }  // namespace snnfi::spice

@@ -70,15 +70,33 @@ TEST_F(ObsTest, CounterSurvivesConcurrentIncrementsAcrossPoolWorkers) {
 TEST_F(ObsTest, HistogramBucketBoundsAreUpperInclusive) {
     Histogram& histogram =
         Registry::global().histogram("test.bounds", {1.0, 2.0, 4.0});
-    histogram.observe(0.5);  // below first bound -> bucket 0
-    histogram.observe(1.0);  // exactly on a bound -> that bucket (inclusive)
-    histogram.observe(1.5);  // bucket 1
-    histogram.observe(4.0);  // last bound, still bucket 2
-    histogram.observe(5.0);  // beyond every bound -> overflow bucket
+    // The same samples through a tally, flushed once, land the same way.
+    Histogram& flushed =
+        Registry::global().histogram("test.bounds.tally", {1.0, 2.0, 4.0});
+    Histogram::Tally tally(flushed);
+    // below first bound -> bucket 0; exactly on a bound -> that bucket
+    // (inclusive); bucket 1; last bound, still bucket 2; beyond every
+    // bound -> overflow bucket
+    for (const double value : {0.5, 1.0, 1.5, 4.0, 5.0}) {
+        histogram.observe(value);
+        tally.observe(value);
+    }
     const std::vector<std::uint64_t> expected{2, 1, 1, 1};
     EXPECT_EQ(histogram.counts(), expected);
     EXPECT_EQ(histogram.count(), 5u);
     EXPECT_DOUBLE_EQ(histogram.sum(), 12.0);
+    EXPECT_EQ(flushed.count(), 0u);
+    tally.flush();
+    EXPECT_EQ(flushed.counts(), expected);
+    EXPECT_EQ(flushed.count(), 5u);
+    EXPECT_DOUBLE_EQ(flushed.sum(), 12.0);
+    // A flush empties the tally, and is a no-op while telemetry is off.
+    tally.observe(0.5);
+    set_enabled(false);
+    tally.flush();
+    set_enabled(true);
+    tally.flush();
+    EXPECT_EQ(flushed.count(), 5u);
 }
 
 TEST_F(ObsTest, HistogramRejectsNonIncreasingBounds) {

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "attack/fault_model.hpp"
 #include "data/synthetic_digits.hpp"
+#include "obs/metrics.hpp"
 #include "snn/trainer.hpp"
 
 namespace snnfi::snn {
@@ -259,6 +262,68 @@ TEST(BatchRunner, RasterReplayMatchesLiveEncoding) {
             differs = differs || !same_activity(live[i][k], live[i][0]);
         EXPECT_TRUE(differs) << "member " << k << " behaves like the clean one";
     }
+}
+
+/// Turns telemetry on over an empty global registry, and back off (the
+/// default other tests rely on) when it goes out of scope.
+struct TelemetryOn {
+    TelemetryOn() {
+        obs::set_enabled(true);
+        obs::Registry::global().reset();
+    }
+    ~TelemetryOn() {
+        obs::set_enabled(false);
+        obs::Registry::global().reset();
+    }
+};
+
+TEST(BatchRunner, ActiveFractionTallyMatchesPerStepObservation) {
+    const auto dataset = data::make_synthetic_dataset(20, 5);
+    const auto model = trained_model(dataset, 9, 10);
+    const DiehlCookConfig& config = model->config();
+    constexpr std::size_t kSamples = 4;
+    const SpikeRaster raster = SpikeRaster::encode(
+        config.encoder, config.steps_per_sample,
+        std::span<const std::vector<float>>(dataset.images.data(), kSamples),
+        util::Rng(0xBEEF));
+
+    const TelemetryOn telemetry;
+    // Each sample once through a standalone runtime and once through a
+    // two-member batch, which records each step once for the batch.
+    NetworkRuntime single(model);
+    NetworkRuntime first(model);
+    NetworkRuntime second(model);
+    BatchRunner batch(*model, {&first, &second});
+    SampleActivity activity;
+    std::vector<SampleActivity> activities(batch.size());
+    for (std::size_t i = 0; i < kSamples; ++i) {
+        single.run_sample_into(raster, i, activity);
+        batch.run_sample_into(raster, i, activities);
+    }
+    obs::Histogram& tallied = obs::Registry::global().histogram("snn.active_fraction", {});
+
+    // The per-step version: one observe() per step into a private histogram.
+    obs::Registry registry;
+    obs::Histogram& per_step = registry.histogram("per_step", tallied.bounds());
+    const double inv_input = 1.0 / static_cast<double>(config.n_input);
+    SampleSpikes spikes;
+    double last = 0.0;
+    for (int run = 0; run < 2; ++run) {
+        for (std::size_t i = 0; i < kSamples; ++i) {
+            raster.decode(i, spikes);
+            for (std::size_t step = 0; step < config.steps_per_sample; ++step) {
+                last = static_cast<double>(spikes.step(step).size()) * inv_input;
+                per_step.observe(last);
+            }
+        }
+    }
+    EXPECT_EQ(per_step.count(), 2 * kSamples * config.steps_per_sample);
+    EXPECT_EQ(tallied.count(), per_step.count());
+    EXPECT_EQ(tallied.counts(), per_step.counts());
+    EXPECT_EQ(obs::Registry::global().gauge("snn.active_fraction.last").value(), last);
+    EXPECT_EQ(obs::Registry::global().counter("snn.steps.fast").value() +
+                  obs::Registry::global().counter("snn.steps.scalar").value(),
+              3 * kSamples * config.steps_per_sample);
 }
 
 TEST(BatchRunner, RasterReplayRejectsMismatchedShape) {
