@@ -45,21 +45,21 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// A layer's fault arrays: every neuron's threshold distance scaled by
 /// `thresh_scale` (1 = the identity), everything else nominal.
 struct Faults {
-    std::vector<float> thresh_scale, input_gain, drive_gain;
+    std::vector<float> thresh_scale, drive_gain;
     std::vector<std::uint8_t> forced;
     std::vector<std::int32_t> refrac_period;
     std::vector<std::uint32_t> patch;
 
     Faults(std::size_t n, float scale, std::int32_t refrac_steps)
-        : thresh_scale(n, scale), input_gain(n, 1.0f), drive_gain(n, 1.0f),
-          forced(n, 0), refrac_period(n, refrac_steps) {
+        : thresh_scale(n, scale), drive_gain(n, 1.0f), forced(n, 0),
+          refrac_period(n, refrac_steps) {
         if (scale != 1.0f) {
             for (std::uint32_t i = 0; i < n; ++i) patch.push_back(i);
         }
     }
     kernels::LayerFaults view() const {
-        return {thresh_scale.data(), input_gain.data(), drive_gain.data(),
-                forced.data(),       refrac_period.data(), patch};
+        return {thresh_scale.data(), drive_gain.data(), forced.data(),
+                refrac_period.data(), patch};
     }
 };
 
@@ -96,6 +96,7 @@ int main(int argc, char** argv) {
         for (float& w : weights.row(r))
             w = static_cast<float>(rng.uniform()) * 0.3f;
     }
+    // Per-row pointers: the naive reference's form.
     std::vector<const float*> rows(n_pre);
     for (std::size_t r = 0; r < n_pre; ++r)
         rows[r] = weights.padded_row(r).data();
@@ -115,7 +116,8 @@ int main(int argc, char** argv) {
     const auto sweep_blocked = [&] {
         for (const auto& set : active) {
             std::fill(out_blocked.begin(), out_blocked.end(), 0.0f);
-            kernels::accumulate_rows(rows.data(), set, out_blocked.data(), padded);
+            kernels::accumulate_rows(weights.data(), weights.stride(), set,
+                                     out_blocked.data(), padded);
         }
     };
     const auto sweep_naive = [&] {
@@ -174,7 +176,8 @@ int main(int argc, char** argv) {
     const auto sweep_update = [&](Neurons& neurons, const auto& step_fn) {
         for (const auto& set : active) {
             std::fill(drive.begin(), drive.end(), 0.0f);
-            kernels::accumulate_rows(rows.data(), set, drive.data(), padded);
+            kernels::accumulate_rows(weights.data(), weights.stride(), set, drive.data(),
+                                     padded);
             const std::size_t spikes = step_fn(neurons);
             // Feed lateral inhibition back like the real network: the IL
             // layer mirrors EL spikes one step later.

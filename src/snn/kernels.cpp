@@ -15,35 +15,6 @@ namespace {
 #define SNNFI_NOINLINE
 #endif
 
-/// Blocked accumulation over an abstract row lookup. The unroll factor
-/// (4) amortises the out[] load/store traffic across rows; the adds per
-/// element stay left-to-right, so every rounding matches the reference.
-template <class RowAt>
-void accumulate_blocked(RowAt row_at, std::span<const std::uint32_t> active,
-                        float* SNNFI_RESTRICT out, std::size_t n) {
-    const std::size_t n_active = active.size();
-    std::size_t a = 0;
-    for (; a + 4 <= n_active; a += 4) {
-        const float* SNNFI_RESTRICT r0 = row_at(active[a]);
-        const float* SNNFI_RESTRICT r1 = row_at(active[a + 1]);
-        const float* SNNFI_RESTRICT r2 = row_at(active[a + 2]);
-        const float* SNNFI_RESTRICT r3 = row_at(active[a + 3]);
-        for (std::size_t j = 0; j < n; ++j)
-            out[j] = (((out[j] + r0[j]) + r1[j]) + r2[j]) + r3[j];
-    }
-    if (a + 2 <= n_active) {
-        const float* SNNFI_RESTRICT r0 = row_at(active[a]);
-        const float* SNNFI_RESTRICT r1 = row_at(active[a + 1]);
-        for (std::size_t j = 0; j < n; ++j)
-            out[j] = (out[j] + r0[j]) + r1[j];
-        a += 2;
-    }
-    if (a < n_active) {
-        const float* SNNFI_RESTRICT r0 = row_at(active[a]);
-        for (std::size_t j = 0; j < n; ++j) out[j] += r0[j];
-    }
-}
-
 // The layer loops take their parameter structs by value: the copies live
 // in registers, so a field that feeds one arm of a select is not a
 // memory load the vectorizer would have to prove safe to speculate. They
@@ -125,18 +96,34 @@ std::size_t update_layer(const LayerFaults& f, std::size_t n, NeuronState* save,
 
 }  // namespace
 
-void accumulate_rows(const float* const* rows,
-                     std::span<const std::uint32_t> active, float* out,
-                     std::size_t n) {
-    accumulate_blocked([rows](std::uint32_t a) { return rows[a]; }, active, out,
-                       n);
-}
-
+// The unroll factor (4) amortises the out[] load/store traffic across
+// rows; the adds per element stay left-to-right, so every rounding matches
+// the reference.
 void accumulate_rows(const float* base, std::size_t stride,
-                     std::span<const std::uint32_t> active, float* out,
+                     std::span<const std::uint32_t> active, float* SNNFI_RESTRICT out,
                      std::size_t n) {
-    accumulate_blocked([base, stride](std::uint32_t a) { return base + a * stride; },
-                       active, out, n);
+    const auto row_at = [base, stride](std::uint32_t a) { return base + a * stride; };
+    const std::size_t n_active = active.size();
+    std::size_t a = 0;
+    for (; a + 4 <= n_active; a += 4) {
+        const float* SNNFI_RESTRICT r0 = row_at(active[a]);
+        const float* SNNFI_RESTRICT r1 = row_at(active[a + 1]);
+        const float* SNNFI_RESTRICT r2 = row_at(active[a + 2]);
+        const float* SNNFI_RESTRICT r3 = row_at(active[a + 3]);
+        for (std::size_t j = 0; j < n; ++j)
+            out[j] = (((out[j] + r0[j]) + r1[j]) + r2[j]) + r3[j];
+    }
+    if (a + 2 <= n_active) {
+        const float* SNNFI_RESTRICT r0 = row_at(active[a]);
+        const float* SNNFI_RESTRICT r1 = row_at(active[a + 1]);
+        for (std::size_t j = 0; j < n; ++j)
+            out[j] = (out[j] + r0[j]) + r1[j];
+        a += 2;
+    }
+    if (a < n_active) {
+        const float* SNNFI_RESTRICT r0 = row_at(active[a]);
+        for (std::size_t j = 0; j < n; ++j) out[j] += r0[j];
+    }
 }
 
 void accumulate_rows_reference(const float* const* rows,
@@ -202,7 +189,7 @@ std::size_t exc_update_reference(const ExcParams& p, const LayerFaults& f,
             --refrac[i];
             v[i] = p.v_reset;
         } else {
-            v[i] = p.v_rest + p.decay * (v[i] - p.v_rest) + f.input_gain[i] * x;
+            v[i] = p.v_rest + p.decay * (v[i] - p.v_rest) + x;
             if (v[i] >= p.v_rest + p.thresh_span * f.thresh_scale[i] + theta[i]) {
                 spiked[i] = 1;
                 v[i] = p.v_reset;
@@ -232,7 +219,7 @@ std::size_t inh_update_reference(const InhParams& p, const LayerFaults& f,
             --refrac[i];
             v[i] = p.v_reset;
         } else {
-            v[i] = p.v_rest + p.decay * (v[i] - p.v_rest) + f.input_gain[i] * x;
+            v[i] = p.v_rest + p.decay * (v[i] - p.v_rest) + x;
             if (v[i] >= p.v_rest + p.thresh_span * f.thresh_scale[i]) {
                 spiked[i] = 1;
                 v[i] = p.v_reset;

@@ -26,10 +26,12 @@
 // functions exc_neuron<kFaults> / inh_neuron<kFaults>: straight-line
 // predicated selects, so a loop over them vectorizes. With kFaults = false
 // they read no fault array (the identity fault state); with kFaults = true
-// they read the layer's per-neuron thresh_scale, input_gain, drive_gain,
-// forced state and refractory period. The two agree bit for bit on a
-// neuron whose fault state is the identity, because multiplying by 1.0f
-// and scaling the threshold distance by 1.0f are exact in IEEE-754.
+// they read the layer's per-neuron fault state, which holds exactly what
+// the fault models emit (snn/overlay.hpp): the threshold scale, the
+// feedforward drive gain (excitatory only), the forced state and the
+// refractory period. The two agree bit for bit on a neuron whose fault
+// state is the identity, because multiplying by 1.0f and scaling the
+// threshold distance by 1.0f are exact in IEEE-754.
 // exc_update / inh_update run a layer step in one of two shapes, picked
 // from the layer's patch list (the neurons whose fault state is not the
 // identity): a short list runs the identity loop over the layer and then
@@ -66,25 +68,20 @@ constexpr std::size_t padded_size(std::size_t n) noexcept {
     return (n + kPadFloats - 1) / kPadFloats * kPadFloats;
 }
 
-/// Sparse drive accumulation over per-row pointers (the runtime's
-/// copy-on-write row table): out[j] += rows[a][j] for each a in `active`,
-/// in active order, blocked by four rows. Writes exactly `n` elements;
-/// pass the padded length when `out` is a padded buffer to skip the
-/// scalar tail, or the logical length otherwise — the result over the
-/// logical prefix is identical either way.
-void accumulate_rows(const float* const* rows,
-                     std::span<const std::uint32_t> active, float* out,
-                     std::size_t n);
-
-/// Same kernel over strided matrix storage (row a starts at
-/// base + a * stride) — the DenseConnection / BatchRunner form.
+/// Sparse drive accumulation over strided matrix storage (row a starts
+/// at base + a * stride): out[j] += row_a[j] for each a in `active`, in
+/// active order, blocked by four rows. Writes exactly `n` elements; pass
+/// the padded length when `out` is a padded buffer to skip the scalar
+/// tail, or the logical length otherwise — the result over the logical
+/// prefix is identical either way.
 void accumulate_rows(const float* base, std::size_t stride,
                      std::span<const std::uint32_t> active, float* out,
                      std::size_t n);
 
-/// Naive one-row-at-a-time reference (the pre-kernel implementation).
-/// Kept callable so the equivalence property tests and bench_kernel can
-/// compare against it; results must match accumulate_rows bit-for-bit.
+/// Naive one-row-at-a-time reference over per-row pointers (the
+/// pre-kernel implementation). Kept callable so the equivalence property
+/// tests and bench_kernel can compare against it; results must match
+/// accumulate_rows bit-for-bit.
 void accumulate_rows_reference(const float* const* rows,
                                std::span<const std::uint32_t> active,
                                float* out, std::size_t n);
@@ -114,11 +111,10 @@ struct InhParams {
 
 /// One layer's per-neuron fault state, struct-of-arrays with one entry
 /// per neuron, plus its patch list: the ascending indices of the neurons
-/// whose state differs from the identity (gains and threshold scale 1,
-/// nominal forced state, the layer's own refractory period).
+/// whose state differs from the identity (drive gain and threshold scale
+/// 1, nominal forced state, the layer's own refractory period).
 struct LayerFaults {
     const float* thresh_scale = nullptr;
-    const float* input_gain = nullptr;
     const float* drive_gain = nullptr;  ///< feedforward drive (excitatory)
     const std::uint8_t* forced = nullptr;  ///< NeuronFault per neuron
     const std::int32_t* refrac_period = nullptr;
@@ -160,13 +156,11 @@ SNNFI_ALWAYS_INLINE int exc_neuron(const ExcParams& p, const LayerFaults& f,
     const int in_refrac = rc > 0;
     // Not firing: a refractory neuron counts down, an idle one holds at 0.
     const std::int32_t rc_down = rc > 1 ? rc - 1 : 0;
-    float vi = p.v_rest + p.decay * (s.v - p.v_rest);
+    const float vi = p.v_rest + p.decay * (s.v - p.v_rest) + x;
     if constexpr (kFaults) {
-        const float gain = f.input_gain[i];
         const float scale = f.thresh_scale[i];
         const std::int32_t period = f.refrac_period[i];
         const std::uint8_t forced = f.forced[i];
-        vi += gain * x;
         const int fires = static_cast<int>(vi >= p.v_rest + p.thresh_span * scale + th) &
                           (1 - in_refrac);
         const int dead = forced == kDeadState;
@@ -177,7 +171,6 @@ SNNFI_ALWAYS_INLINE int exc_neuron(const ExcParams& p, const LayerFaults& f,
         s.theta = spike ? th_plus : th;
         return spike;
     } else {
-        vi += x;
         const int fires =
             static_cast<int>(vi >= p.v_rest + p.thresh_span + th) & (1 - in_refrac);
         s.v = (in_refrac | fires) ? p.v_reset : vi;
@@ -196,18 +189,12 @@ SNNFI_ALWAYS_INLINE int inh_neuron(const InhParams& p, const LayerFaults& f,
     const std::int32_t rc = s.refrac;
     const int in_refrac = rc > 0;
     const std::int32_t rc_down = rc > 1 ? rc - 1 : 0;
-    float vi = p.v_rest + p.decay * (s.v - p.v_rest);
+    const float vi =
+        p.v_rest + p.decay * (s.v - p.v_rest) + (exc_spiked ? p.w_exc : 0.0f);
     if constexpr (kFaults) {
-        // Scale both candidate drives before selecting: gain * (spiked ?
-        // w : 0) has the same value, but selecting the operand first keeps
-        // the loop from vectorizing.
-        const float gain = f.input_gain[i];
-        const float on = gain * p.w_exc;
-        const float off = gain * 0.0f;
         const float scale = f.thresh_scale[i];
         const std::int32_t period = f.refrac_period[i];
         const std::uint8_t forced = f.forced[i];
-        vi += exc_spiked ? on : off;
         const int fires =
             static_cast<int>(vi >= p.v_rest + p.thresh_span * scale) & (1 - in_refrac);
         const int dead = forced == kDeadState;
@@ -217,7 +204,6 @@ SNNFI_ALWAYS_INLINE int inh_neuron(const InhParams& p, const LayerFaults& f,
         s.refrac = (dead | saturated) ? rc : (fires ? period : rc_down);
         return spike;
     } else {
-        vi += exc_spiked ? p.w_exc : 0.0f;
         const int fires =
             static_cast<int>(vi >= p.v_rest + p.thresh_span) & (1 - in_refrac);
         s.v = (in_refrac | fires) ? p.v_reset : vi;

@@ -8,8 +8,9 @@
 //   * per-neuron threshold scaling — applied to the rest-to-threshold
 //     distance, preserving the circuit semantics that a lower VDD lowers
 //     the threshold and makes the neuron fire sooner (DESIGN.md §4);
-//   * per-neuron input gain — the paper's "theta", the membrane voltage
-//     change per input spike, corrupted through the current drivers;
+//   * driver gain — the spike amplitude the input current drivers deliver,
+//     the paper's second attacked parameter: network-wide, or per
+//     excitatory neuron for a localised glitch footprint;
 //   * per-neuron forced state — dead (output stuck low) or saturated
 //     (output stuck oscillating, i.e. fires every step);
 //   * per-neuron refractory override — a stretched recovery period.

@@ -47,12 +47,6 @@ FaultOverlay& FaultOverlay::shift_threshold_value(OverlayLayer layer,
                           delta);
 }
 
-FaultOverlay& FaultOverlay::scale_input_gain(OverlayLayer layer,
-                                             std::span<const std::size_t> neurons,
-                                             float gain) {
-    return add_neuron_ops(layer, neurons, NeuronOp::Field::kInputGain, gain);
-}
-
 FaultOverlay& FaultOverlay::scale_driver_gain(std::span<const std::size_t> neurons,
                                               float gain) {
     // Input current drivers feed the excitatory layer only.

@@ -1,14 +1,23 @@
 // FaultOverlay: a composable, data-only description of the faults one
 // replica carries on top of a frozen NetworkModel.
 //
-// An overlay is a recorded sequence of operations — driver gain, per-neuron
-// threshold/gain scaling, forced state, refractory overrides, and weight
-// patches (absolute sets and IEEE-754 bit flips) — that a NetworkRuntime
+// An overlay is a recorded sequence of operations that a NetworkRuntime
 // expands into its struct-of-arrays fault state at construction (or at a
-// schedule-segment boundary, see ScheduledOverlay below). Because an
-// overlay only *describes* faults, a campaign builds thousands of them up
-// front for pennies; the weight matrix stays shared and only patched
-// cells are materialised per replica (copy-on-write).
+// schedule-segment boundary, see ScheduledOverlay below). It holds only
+// what a fault model emits:
+//   * the network-wide driver gain and per-neuron threshold shifts — the
+//     paper's two power-attacked parameters (attack::overlay_for, and the
+//     glitch compiler's schedule segments, which add per-neuron driver
+//     gains for a localised footprint);
+//   * forced state (dead, saturated) and refractory overrides — the
+//     fi::FaultModel neuron faults;
+//   * weight patches (stuck-at sets and IEEE-754 bit flips) — the
+//     fi::FaultModel synapse faults. They are inference-time faults: a
+//     runtime rejects a change to them once learning has materialised its
+//     weights.
+// Because an overlay only *describes* faults, a campaign builds thousands
+// of them up front for pennies; the weight matrix stays shared and a
+// replica keeps only its patched cells.
 //
 // Composition: apply order is last-writer-wins per (field, neuron) and
 // per weight cell, XOR patches commute, and operations on distinct targets
@@ -42,7 +51,6 @@ struct NeuronOp {
     enum class Field : std::uint8_t {
         kThresholdScale,       ///< value = rest-to-threshold distance scale
         kThresholdValueDelta,  ///< value = BindsNET raw-threshold delta
-        kInputGain,            ///< value = synaptic drive gain
         kForcedState,          ///< value = NeuronFault enum (as float)
         kRefractoryOverride,   ///< value = refractory steps (>= 0)
         kDriverGain,           ///< value = per-neuron feedforward drive gain
@@ -80,8 +88,6 @@ public:
     FaultOverlay& shift_threshold_value(OverlayLayer layer,
                                         std::span<const std::size_t> neurons,
                                         float delta);
-    FaultOverlay& scale_input_gain(OverlayLayer layer,
-                                   std::span<const std::size_t> neurons, float gain);
     /// Per-neuron corruption of the input current drivers: scales only the
     /// feedforward drive of the selected excitatory neurons (lateral
     /// inhibition is untouched), exactly like the network-wide

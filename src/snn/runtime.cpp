@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "snn/kernels.hpp"
@@ -64,7 +66,6 @@ void NetworkRuntime::LayerState::init(std::size_t n, const LifParams& params) {
     v.assign(n, params.v_rest);
     refrac.assign(n, 0);
     thresh_scale.assign(n, 1.0f);
-    input_gain.assign(n, 1.0f);
     drive_gain.assign(n, 1.0f);
     forced.assign(n, kNominal);
     refrac_period.assign(n, params.refrac_steps);
@@ -77,7 +78,6 @@ void NetworkRuntime::LayerState::reset_dynamic(const LifParams& params) {
 
 void NetworkRuntime::LayerState::reset_faults(const LifParams& params) {
     std::fill(thresh_scale.begin(), thresh_scale.end(), 1.0f);
-    std::fill(input_gain.begin(), input_gain.end(), 1.0f);
     std::fill(drive_gain.begin(), drive_gain.end(), 1.0f);
     std::fill(forced.begin(), forced.end(), kNominal);
     std::fill(refrac_period.begin(), refrac_period.end(), params.refrac_steps);
@@ -89,16 +89,15 @@ void NetworkRuntime::LayerState::rebuild_patch(const LifParams& params) {
     // is exactly what the identity loop computes.
     patch.clear();
     for (std::uint32_t i = 0; i < v.size(); ++i) {
-        if (forced[i] != kNominal || input_gain[i] != 1.0f ||
-            thresh_scale[i] != 1.0f || refrac_period[i] != params.refrac_steps ||
-            drive_gain[i] != 1.0f)
+        if (forced[i] != kNominal || thresh_scale[i] != 1.0f ||
+            refrac_period[i] != params.refrac_steps || drive_gain[i] != 1.0f)
             patch.push_back(i);
     }
 }
 
 kernels::LayerFaults NetworkRuntime::LayerState::faults() const {
-    return {thresh_scale.data(), input_gain.data(), drive_gain.data(),
-            forced.data(),       refrac_period.data(), patch};
+    return {thresh_scale.data(), drive_gain.data(), forced.data(), refrac_period.data(),
+            patch};
 }
 
 NetworkRuntime::NetworkRuntime(std::shared_ptr<const NetworkModel> model,
@@ -138,9 +137,23 @@ NetworkRuntime::NetworkRuntime(std::shared_ptr<const NetworkModel> model,
 }
 
 void NetworkRuntime::set_overlay(const FaultOverlay& overlay) {
+    if (learned_ && !std::ranges::equal(overlay.weight_ops(), overlay_.weight_ops()))
+        throw std::invalid_argument(
+            "NetworkRuntime: weight patches are fixed once learning materialised "
+            "the weights");
     overlay_ = overlay;
     apply_effective_overlay(overlay_);
 }
+
+namespace {
+
+bool carries_weight_ops(const OverlaySchedule& schedule) {
+    return std::ranges::any_of(schedule, [](const ScheduledOverlay& segment) {
+        return !segment.overlay.weight_ops().empty();
+    });
+}
+
+}  // namespace
 
 void NetworkRuntime::set_schedule(OverlaySchedule schedule) {
     for (std::size_t s = 0; s < schedule.size(); ++s) {
@@ -150,16 +163,14 @@ void NetworkRuntime::set_schedule(OverlaySchedule schedule) {
             throw std::invalid_argument(
                 "NetworkRuntime: schedule segments overlap or are unsorted");
     }
+    if (learned_ && carries_weight_ops(schedule))
+        throw std::invalid_argument(
+            "NetworkRuntime: a schedule segment carries weight ops, but weight "
+            "patches are fixed once learning materialised the weights");
     schedule_ = std::move(schedule);
     schedule_pos_ = 0;
     segment_active_ = false;
     apply_effective_overlay(overlay_);
-}
-
-FaultOverlay NetworkRuntime::current_effective_overlay() const {
-    if (segment_active_)
-        return FaultOverlay::compose(overlay_, schedule_[schedule_pos_].overlay);
-    return overlay_;
 }
 
 void NetworkRuntime::apply_effective_overlay(const FaultOverlay& effective) {
@@ -168,15 +179,11 @@ void NetworkRuntime::apply_effective_overlay(const FaultOverlay& effective) {
         effective.has_driver_gain() ? effective.driver_gain() : 1.0f;
     exc_.reset_faults(config.excitatory.lif);
     inh_.reset_faults(config.inhibitory);
-    apply_overlay_ops(effective);
+    apply_neuron_ops(effective);
     exc_.rebuild_patch(config.excitatory.lif);
     inh_.rebuild_patch(config.inhibitory);
     patch_save_.resize(std::max(exc_.patch.size(), inh_.patch.size()));
-    if (learned_) {
-        apply_weight_ops_learning(effective);
-    } else {
-        rebuild_weight_patches(effective);
-    }
+    rebuild_cell_deltas(effective);
 }
 
 void NetworkRuntime::advance_schedule(std::size_t step) {
@@ -207,7 +214,7 @@ void NetworkRuntime::reset_schedule() {
     schedule_pos_ = 0;
 }
 
-void NetworkRuntime::apply_overlay_ops(const FaultOverlay& effective) {
+void NetworkRuntime::apply_neuron_ops(const FaultOverlay& effective) {
     const DiehlCookConfig& config = model_->config();
     for (const NeuronOp& op : effective.neuron_ops()) {
         const bool exc = op.layer == OverlayLayer::kExcitatory;
@@ -223,9 +230,6 @@ void NetworkRuntime::apply_overlay_ops(const FaultOverlay& effective) {
                 layer.thresh_scale[op.neuron] =
                     threshold_value_delta_scale(params, op.value);
                 break;
-            case NeuronOp::Field::kInputGain:
-                layer.input_gain[op.neuron] = op.value;
-                break;
             case NeuronOp::Field::kForcedState:
                 layer.forced[op.neuron] =
                     static_cast<std::uint8_t>(static_cast<int>(op.value));
@@ -240,148 +244,46 @@ void NetworkRuntime::apply_overlay_ops(const FaultOverlay& effective) {
     }
 }
 
-void NetworkRuntime::apply_weight_ops_learning(const FaultOverlay& effective) {
-    Matrix& weights = learned_->weights();
-    const auto ops = effective.weight_ops();
-    if (std::equal(ops.begin(), ops.end(), applied_weight_ops_.begin(),
-                   applied_weight_ops_.end()))
-        return;  // unchanged patch set: pure-parametric swap, matrix untouched
-
-    const DiehlCookConfig& config = model_->config();
-    for (const WeightOp& op : ops) {
-        if (op.pre >= config.n_input || op.post >= config.n_neurons)
+void NetworkRuntime::rebuild_cell_deltas(const FaultOverlay& effective) {
+    const Matrix& weights = model_->input_weights();
+    cell_deltas_.clear();
+    for (const WeightOp& op : effective.weight_ops()) {
+        if (op.pre >= weights.rows() || op.post >= weights.cols())
             throw std::out_of_range("NetworkRuntime: weight patch out of range");
+        auto cell = std::ranges::find_if(cell_deltas_, [&](const CellDelta& c) {
+            return c.pre == op.pre && c.post == op.post;
+        });
+        if (cell == cell_deltas_.end()) {
+            cell_deltas_.push_back({op.pre, op.post, weights(op.pre, op.post), 0.0f});
+            cell = std::prev(cell_deltas_.end());
+        }
+        cell->value = op.kind == WeightOp::Kind::kSet
+                          ? op.value
+                          : xor_weight_bits(cell->value, op.bits);
     }
-
-    // Per-row diff of the outgoing vs incoming op sets. Each row keeps a
-    // snapshot stack (one per applied op): on a swap the row rolls back
-    // only to the point where its op sequence diverges, so a schedule
-    // segment stacking an op onto a persistently patched row undoes just
-    // its own window at retraction — pre-glitch STDP learning and the
-    // base patch stay in place. Rows whose ops are unchanged are never
-    // touched.
-    const auto row_ops = [](std::span<const WeightOp> set, std::uint32_t pre) {
-        std::vector<WeightOp> subsequence;
-        for (const WeightOp& op : set) {
-            if (op.pre == pre) subsequence.push_back(op);
-        }
-        return subsequence;
-    };
-    std::vector<std::uint32_t> rows;
-    const auto note_row = [&](std::uint32_t pre) {
-        if (std::find(rows.begin(), rows.end(), pre) == rows.end())
-            rows.push_back(pre);
-    };
-    for (const WeightOp& op : applied_weight_ops_) note_row(op.pre);
-    for (const WeightOp& op : ops) note_row(op.pre);
-
-    for (const std::uint32_t pre : rows) {
-        const std::vector<WeightOp> after = row_ops(ops, pre);
-        auto entry = std::find_if(patched_rows_.begin(), patched_rows_.end(),
-                                  [&](const PatchedRow& row) { return row.pre == pre; });
-        const bool recorded = entry != patched_rows_.end();
-        const std::size_t n_before = recorded ? entry->ops.size() : 0;
-        // Longest prefix of the row's op sequence that stays in force.
-        std::size_t keep = 0;
-        while (keep < n_before && keep < after.size() &&
-               entry->ops[keep] == after[keep])
-            ++keep;
-        if (recorded && keep == n_before && n_before == after.size()) continue;
-        if (recorded && keep < n_before) {
-            // Roll back to the state just before the first diverging op.
-            std::copy(entry->snapshots[keep].begin(), entry->snapshots[keep].end(),
-                      weights.row(pre).begin());
-            entry->ops.resize(keep);
-            entry->snapshots.resize(keep);
-        }
-        if (after.size() > keep) {
-            if (!recorded) {
-                patched_rows_.push_back(PatchedRow{pre, {}, {}});
-                entry = std::prev(patched_rows_.end());
-            }
-            for (std::size_t i = keep; i < after.size(); ++i) {
-                const auto row = weights.row(pre);
-                entry->snapshots.emplace_back(row.begin(), row.end());
-                float& w = weights(after[i].pre, after[i].post);
-                if (after[i].kind == WeightOp::Kind::kSet) {
-                    w = after[i].value;
-                } else {
-                    w = xor_weight_bits(w, after[i].bits);
-                }
-                entry->ops.push_back(after[i]);
-            }
-        } else if (recorded && entry->ops.empty()) {
-            patched_rows_.erase(entry);
-        }
-    }
-    applied_weight_ops_.assign(ops.begin(), ops.end());
+    for (CellDelta& cell : cell_deltas_)
+        cell.delta = cell.value - weights(cell.pre, cell.post);
+    std::ranges::sort(cell_deltas_, [](const CellDelta& a, const CellDelta& b) {
+        return a.pre != b.pre ? a.pre < b.pre : a.post < b.post;
+    });
 }
 
-void NetworkRuntime::rebuild_weight_patches(const FaultOverlay& effective) {
-    const DiehlCookConfig& config = model_->config();
-    cow_rows_.clear();
-    cell_deltas_.clear();
-    row_ptr_.resize(config.n_input);
-    for (std::size_t pre = 0; pre < config.n_input; ++pre)
-        row_ptr_[pre] = model_->input_weights().padded_row(pre).data();
-    if (effective.weight_ops().empty()) return;
-
-    // Materialise only the touched rows (copy-on-write) as whole padded
-    // rows — padding lanes stay zero, so the blocked kernel can stream
-    // them like model rows — then apply the patch operations in order.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> touched;
-    for (const WeightOp& op : effective.weight_ops()) {
-        if (op.pre >= config.n_input || op.post >= config.n_neurons)
-            throw std::out_of_range("NetworkRuntime: weight patch out of range");
-        auto it = std::find_if(cow_rows_.begin(), cow_rows_.end(),
-                               [&](const auto& row) { return row.first == op.pre; });
-        if (it == cow_rows_.end()) {
-            const auto row = model_->input_weights().padded_row(op.pre);
-            cow_rows_.emplace_back(op.pre, AlignedVector(row.begin(), row.end()));
-            it = std::prev(cow_rows_.end());
-        }
-        float& w = it->second[op.post];
-        if (op.kind == WeightOp::Kind::kSet) {
-            w = op.value;
-        } else {
-            w = xor_weight_bits(w, op.bits);
-        }
-        const auto cell = std::make_pair(op.pre, op.post);
-        if (std::find(touched.begin(), touched.end(), cell) == touched.end())
-            touched.push_back(cell);
-    }
-    for (auto& [pre, row] : cow_rows_) row_ptr_[pre] = row.data();
-    // Batch-path deltas of every touched cell versus the shared matrix,
-    // sorted by (pre, post) so adopt_drive can merge-join them against
-    // the ascending active list in one pass.
-    cell_deltas_.reserve(touched.size());
-    for (const auto& [pre, post] : touched) {
-        CellDelta delta;
-        delta.pre = pre;
-        delta.post = post;
-        delta.delta = row_ptr_[pre][post] - model_->input_weights()(pre, post);
-        cell_deltas_.push_back(delta);
-    }
-    std::sort(cell_deltas_.begin(), cell_deltas_.end(),
-              [](const CellDelta& a, const CellDelta& b) {
-                  return a.pre != b.pre ? a.pre < b.pre : a.post < b.post;
-              });
+void NetworkRuntime::write_cells(Matrix& weights) const {
+    for (const CellDelta& cell : cell_deltas_) weights(cell.pre, cell.post) = cell.value;
 }
 
 void NetworkRuntime::set_learning(bool enabled) {
     const DiehlCookConfig& config = model_->config();
     if (enabled && !learned_) {
-        // Materialise the *model* matrix, then re-apply the replica's
-        // current fault state (base overlay, or active schedule segment)
-        // through the reversible learning-mode patch path — the resulting
-        // weights equal the inference-mode copy-on-write state, but later
-        // overlay swaps and schedule boundaries can retract the patches.
+        // Segments carrying no weight ops leave the cells the base
+        // overlay's, whichever segment is active now.
+        if (carries_weight_ops(schedule_))
+            throw std::invalid_argument(
+                "NetworkRuntime: cannot learn under a schedule segment carrying "
+                "weight ops");
         learned_.emplace(Matrix(model_->input_weights()), config.stdp,
                          config.norm_total);
-        row_ptr_.clear();
-        cow_rows_.clear();
-        cell_deltas_.clear();
-        apply_effective_overlay(current_effective_overlay());
+        write_cells(learned_->weights());
     }
     learning_ = enabled;
     if (learned_) learned_->set_learning(enabled);
@@ -400,12 +302,6 @@ float NetworkRuntime::threshold_scale(OverlayLayer layer, std::size_t neuron) co
     const LayerState& state = layer_state(layer);
     check_neuron_index(neuron, state.thresh_scale.size());
     return state.thresh_scale[neuron];
-}
-
-float NetworkRuntime::input_gain(OverlayLayer layer, std::size_t neuron) const {
-    const LayerState& state = layer_state(layer);
-    check_neuron_index(neuron, state.input_gain.size());
-    return state.input_gain[neuron];
 }
 
 float NetworkRuntime::neuron_driver_gain(OverlayLayer layer,
@@ -441,11 +337,18 @@ float NetworkRuntime::effective_threshold(OverlayLayer layer,
     return threshold;
 }
 
-std::span<const float> NetworkRuntime::weight_row(std::size_t pre) const {
-    if (learned_) return learned_->weights().row(pre);
-    if (pre >= row_ptr_.size())
+std::vector<float> NetworkRuntime::weight_row(std::size_t pre) const {
+    const Matrix& weights = learned_ ? learned_->weights() : model_->input_weights();
+    if (pre >= weights.rows())
         throw std::out_of_range("NetworkRuntime: weight row out of range");
-    return {row_ptr_[pre], model_->n_neurons()};
+    const auto row = weights.row(pre);
+    std::vector<float> effective(row.begin(), row.end());
+    if (!learned_) {
+        for (const CellDelta& cell : cell_deltas_) {
+            if (cell.pre == pre) effective[cell.post] = cell.value;
+        }
+    }
+    return effective;
 }
 
 std::shared_ptr<const NetworkModel> NetworkRuntime::freeze() const {
@@ -454,10 +357,7 @@ std::shared_ptr<const NetworkModel> NetworkRuntime::freeze() const {
             model_->config(), learned_->weights(), exc_theta_, rng_);
     }
     Matrix weights = model_->input_weights();
-    for (const auto& [pre, row] : cow_rows_) {
-        // cow rows are padded; copy the logical prefix only.
-        for (std::size_t j = 0; j < weights.cols(); ++j) weights(pre, j) = row[j];
-    }
+    write_cells(weights);
     return std::make_shared<const NetworkModel>(model_->config(), std::move(weights),
                                                 exc_theta_, rng_);
 }
@@ -482,8 +382,10 @@ void NetworkRuntime::accumulate_drive(std::span<const std::uint32_t> active) {
         learned_->propagate(active,
                             std::span<float>(exc_input_.data(), exc_input_.size()));
     } else {
-        kernels::accumulate_rows(row_ptr_.data(), active, exc_input_.data(),
-                                 exc_input_.size());
+        const Matrix& weights = model_->input_weights();
+        kernels::accumulate_rows(weights.data(), weights.stride(), active,
+                                 exc_input_.data(), exc_input_.size());
+        add_cell_deltas(active);
     }
     drive_ = exc_input_.data();
 }
@@ -498,9 +400,14 @@ void NetworkRuntime::adopt_drive(std::span<const float> base,
     }
     const std::size_t n = std::min(base.size(), exc_input_.size());
     std::copy_n(base.data(), n, exc_input_.data());
+    add_cell_deltas(active);
+    drive_ = exc_input_.data();
+}
+
+void NetworkRuntime::add_cell_deltas(std::span<const std::uint32_t> active) {
     // Merge-join: cell_deltas_ is sorted by (pre, post) and `active` is
     // ascending (PoissonEncoder emits pixel indices in order), so one
-    // linear pass replaces the old per-delta binary_search.
+    // linear pass finds every delta of an active row.
     auto delta = cell_deltas_.cbegin();
     const auto deltas_end = cell_deltas_.cend();
     for (const std::uint32_t pre : active) {
@@ -509,7 +416,6 @@ void NetworkRuntime::adopt_drive(std::span<const float> base,
         for (; delta != deltas_end && delta->pre == pre; ++delta)
             exc_input_[delta->post] += delta->delta;
     }
-    drive_ = exc_input_.data();
 }
 
 void NetworkRuntime::advance_step(std::span<const std::uint32_t> active,
@@ -617,9 +523,6 @@ BatchRunner::BatchRunner(const NetworkModel& model,
                 "BatchRunner: learning runtimes cannot join a batch");
     }
     base_drive_.assign(kernels::padded_size(model_.n_neurons()), 0.0f);
-    model_rows_.resize(model_.n_input());
-    for (std::size_t pre = 0; pre < model_.n_input(); ++pre)
-        model_rows_[pre] = model_.input_weights().padded_row(pre).data();
 }
 
 std::vector<SampleActivity> BatchRunner::run_sample(std::span<const float> image,
@@ -663,13 +566,14 @@ void BatchRunner::run_spikes(std::span<SampleActivity> activities) {
     if (obs::enabled()) tally.emplace(SnnMetrics::get());
     const double inv_input = 1.0 / static_cast<double>(model_.n_input());
     const std::span<const float> base(base_drive_.data(), base_drive_.size());
+    const Matrix& weights = model_.input_weights();
     for (std::size_t step = 0; step < model_.config().steps_per_sample; ++step) {
         const std::span<const std::uint32_t> active = spikes_.step(step);
         // Shared blocked propagation over the frozen weights, once per
         // step, over the full padded length (padding lanes stay zero).
         std::fill(base_drive_.begin(), base_drive_.end(), 0.0f);
-        kernels::accumulate_rows(model_rows_.data(), active, base_drive_.data(),
-                                 base_drive_.size());
+        kernels::accumulate_rows(weights.data(), weights.stride(), active,
+                                 base_drive_.data(), base_drive_.size());
         if (tally) tally->step(static_cast<double>(active.size()) * inv_input);
         for (std::size_t k = 0; k < runtimes_.size(); ++k) {
             if (!runtimes_[k]->schedule_.empty()) runtimes_[k]->advance_schedule(step);

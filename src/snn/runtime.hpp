@@ -5,18 +5,25 @@
 // dynamic state of one replica — voltages, refractory counters, adaptive
 // thresholds, spike buffers — laid out as struct-of-arrays so the fused
 // LIF/DiehlCook step is a single pass over contiguous spans. Faults come
-// in through a FaultOverlay: parametric faults expand into the SoA arrays,
-// and weight patches are copy-on-write — the replica shares the model's
-// weight matrix and materialises only the touched rows. Construction is
-// therefore cheap (no weight copy, no RNG re-init), which is what lets a
-// fault-injection campaign run one runtime per (cell, replica) with no
-// snapshot/restore and no locking.
+// in through a FaultOverlay: neuron faults expand into the SoA arrays, and
+// weight patches into one sorted list of patched cells, each with its
+// effective value and its delta against the model. The replica shares the
+// model's weight matrix: a step accumulates the model rows and adds the
+// deltas of the spiking rows, the same arithmetic whether the replica runs
+// alone or as a BatchRunner member, so both give the same drive bit for
+// bit. Construction is therefore cheap (no weight copy, no RNG re-init),
+// which is what lets a fault-injection campaign run one runtime per
+// (cell, replica) with no snapshot/restore and no locking.
 //
-// With learning enabled the runtime materialises the full weight matrix
-// into a DenseConnection (STDP + normalisation reuse the exact legacy
-// kernels) and freeze() packages the learned parameters into a new
-// immutable NetworkModel. Training over NetworkModel::random() is
-// regression-pinned to the historical mutable-network numbers.
+// With learning enabled the runtime materialises the full weight matrix,
+// patched cells included, into a DenseConnection (STDP + normalisation
+// reuse the exact legacy kernels) and freeze() packages the learned
+// parameters into a new immutable NetworkModel. Weight faults are
+// inference-time faults (stuck-at and bit-flip cells in the trained
+// network), so once the matrix is materialised the weight patches are
+// fixed: a change to them is rejected, never applied under STDP.
+// Training over NetworkModel::random() is regression-pinned to the
+// historical mutable-network numbers.
 //
 // A FaultOverlay describes faults that hold for a whole run; an
 // OverlaySchedule adds the time axis: segments merged onto the base
@@ -34,7 +41,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "snn/connection.hpp"
@@ -58,14 +64,10 @@ public:
     const NetworkModel& model() const noexcept { return *model_; }
     std::shared_ptr<const NetworkModel> model_ptr() const noexcept { return model_; }
 
-    /// Replaces the replica's fault state with `overlay` (previous
-    /// parametric faults and copy-on-write weight patches are cleared).
-    /// With learning enabled, weight patches land on the materialised
-    /// matrix through a record-and-undo of the touched rows, so a later
-    /// set_overlay (or a schedule-segment retraction) restores them —
-    /// STDP updates a patch masked during its window are rolled back with
-    /// it, which is the transient-fault semantic the glitch pipeline
-    /// wants.
+    /// Replaces the replica's fault state with `overlay` (previous neuron
+    /// faults and weight patches are cleared). Once learning has
+    /// materialised the weights, an overlay whose weight ops differ from
+    /// the current overlay's throws std::invalid_argument.
     void set_overlay(const FaultOverlay& overlay);
     const FaultOverlay& overlay() const noexcept { return overlay_; }
 
@@ -73,25 +75,18 @@ public:
     /// glitch attacks). While a segment is active the replica's fault
     /// state is the base overlay with the segment's overlay merged on
     /// top; outside every segment it is the base overlay alone. Swaps
-    /// happen at step boundaries: fault state is re-expanded and weight
-    /// patches rebuilt (inference) or applied/retracted reversibly on the
-    /// materialised matrix (learning), dynamic state (voltages,
-    /// refractory counters, theta) is untouched. A schedule spanning
-    /// [0, steps_per_sample) with one segment is bit-identical to a
-    /// static overlay — under learning too for parametric faults
-    /// (threshold, gains, forced state, refractory), which is what lets
-    /// Trainer run STDP under a mid-epoch glitch. Scheduled *weight
-    /// patches* under learning deliberately differ from a static
-    /// overlay: each segment activation records-and-undoes the touched
-    /// rows, so a full-range scheduled patch rolls its rows back at
-    /// every sample boundary while a static set_overlay patch is applied
-    /// once and lets STDP accumulate on top. Validates ordering/overlap.
+    /// happen at step boundaries: fault state is re-expanded, dynamic
+    /// state (voltages, refractory counters, theta) is untouched. A
+    /// schedule spanning [0, steps_per_sample) with one segment is
+    /// bit-identical to a static overlay, under learning too, which is
+    /// what lets Trainer run STDP under a mid-epoch glitch. Validates
+    /// ordering/overlap; once learning has materialised the weights, a
+    /// segment carrying weight ops throws std::invalid_argument.
     void set_schedule(OverlaySchedule schedule);
     const OverlaySchedule& schedule() const noexcept { return schedule_; }
 
     // --- fault-state inspection (current step's effective values) -------
     float threshold_scale(OverlayLayer layer, std::size_t neuron) const;
-    float input_gain(OverlayLayer layer, std::size_t neuron) const;
     /// Per-neuron feedforward drive gain (glitch-footprint driver ops);
     /// multiplies with the network-wide driver_gain().
     float neuron_driver_gain(OverlayLayer layer, std::size_t neuron) const;
@@ -102,11 +97,11 @@ public:
     /// excitatory layer) the adaptive theta included.
     float effective_threshold(OverlayLayer layer, std::size_t neuron) const;
 
-    /// Learning materialises the model's weight matrix into an STDP
-    /// connection on first enable and re-applies the current fault state
-    /// (overlay, or active schedule segment) through the reversible
-    /// record-and-undo patch path; disabling freezes further updates but
-    /// keeps the materialised weights.
+    /// Learning materialises the model's weight matrix, with the patched
+    /// cells' values written in, into an STDP connection on first enable;
+    /// disabling freezes further updates but keeps the materialised
+    /// weights. Enabling throws std::invalid_argument while a schedule
+    /// segment carries weight ops.
     void set_learning(bool enabled);
     bool learning_enabled() const noexcept { return learning_; }
 
@@ -145,8 +140,9 @@ public:
     util::Rng& rng() noexcept { return rng_; }
     float driver_gain() const noexcept { return exc_params_.driver_gain; }
     std::span<const float> exc_theta() const noexcept { return exc_theta_; }
-    /// Effective weight row (materialised patches included).
-    std::span<const float> weight_row(std::size_t pre) const;
+    /// Effective weight row, patched cells included (a copy). Throws
+    /// std::out_of_range when `pre` is not an input index.
+    std::vector<float> weight_row(std::size_t pre) const;
 
 private:
     friend class BatchRunner;
@@ -157,7 +153,6 @@ private:
         std::vector<float> v;
         std::vector<std::int32_t> refrac;
         std::vector<float> thresh_scale;
-        std::vector<float> input_gain;
         std::vector<float> drive_gain;  ///< per-neuron feedforward drive gain
         std::vector<std::uint8_t> forced;
         std::vector<std::int32_t> refrac_period;
@@ -173,29 +168,25 @@ private:
         kernels::LayerFaults faults() const;
     };
 
-    /// One materialised copy-on-write weight cell: effective minus model.
+    /// One patched weight cell: its effective value (the overlay's ops on
+    /// it applied in order over the model's value) and that value minus
+    /// the model's.
     struct CellDelta {
         std::uint32_t pre = 0;
         std::uint32_t post = 0;
+        float value = 0.0f;
         float delta = 0.0f;
     };
 
-    /// Re-expands the given overlay into the SoA fault state + weight
-    /// patches (dynamic state untouched). set_overlay and the schedule
+    /// Re-expands the given overlay into the SoA fault state and the cell
+    /// deltas (dynamic state untouched). set_overlay and the schedule
     /// swaps share this path, so a one-segment full-range schedule is
     /// bit-identical to the static overlay it wraps.
     void apply_effective_overlay(const FaultOverlay& effective);
-    void apply_overlay_ops(const FaultOverlay& effective);
-    void rebuild_weight_patches(const FaultOverlay& effective);
-    /// Learning-mode weight patches: per-row diff of the previous vs new
-    /// op set — rows whose own ops changed restore their recorded
-    /// pre-patch snapshot and re-patch; rows whose patch stays in force
-    /// keep their learned values. The reversible path behind overlay
-    /// swaps and schedule segments under STDP.
-    void apply_weight_ops_learning(const FaultOverlay& effective);
-    /// The overlay currently in force: the base overlay, with the active
-    /// schedule segment (if any) merged on top.
-    FaultOverlay current_effective_overlay() const;
+    void apply_neuron_ops(const FaultOverlay& effective);
+    void rebuild_cell_deltas(const FaultOverlay& effective);
+    /// Writes the patched cells' values into `weights`.
+    void write_cells(Matrix& weights) const;
     /// Activates/retracts schedule segments whose boundary is `step`.
     void advance_schedule(std::size_t step);
     /// Rewinds the schedule cursor (and restores the base overlay if the
@@ -210,16 +201,18 @@ private:
     void run_spikes(SampleActivity& activity);
     void begin_sample();
     void end_sample();
-    /// Dense input drive of one step into exc_input_ (standalone path:
-    /// patched rows included via row_ptr_, or the STDP matrix when
-    /// learning).
+    /// Dense input drive of one step into exc_input_: the model rows plus
+    /// the cell deltas, or the STDP matrix when learning.
     void accumulate_drive(std::span<const std::uint32_t> active);
     /// Batch path: adopts a shared base drive (computed over the *model*
     /// weights). A replica without cell deltas aliases the batch buffer
-    /// read-only (zero copies); a patched replica copies it once and
-    /// merge-joins its sorted deltas against the ascending active list.
+    /// read-only (zero copies); a patched replica copies it once and adds
+    /// its deltas.
     void adopt_drive(std::span<const float> base,
                      std::span<const std::uint32_t> active);
+    /// exc_input_ += the deltas of the patched cells in active rows: a
+    /// merge-join of the sorted deltas against the ascending active list.
+    void add_cell_deltas(std::span<const std::uint32_t> active);
     /// The fused step: excitatory DiehlCook update (driver gain + lateral
     /// inhibition included) + STDP + inhibitory LIF update, one kernel
     /// call per layer over contiguous spans. Reads drive_.
@@ -245,27 +238,8 @@ private:
 
     /// Learning path: materialised weights + STDP state.
     std::optional<DenseConnection> learned_;
-    /// Learning path: one entry per materialised row currently carrying
-    /// weight patches. snapshots[i] is the row as it stood just before
-    /// ops[i] was applied, so an overlay swap rolls the row back exactly
-    /// to the point where its op sequence diverges — a schedule segment
-    /// stacking an op onto a persistently patched row undoes only its own
-    /// window, never pre-glitch STDP learning. applied_weight_ops_ is the
-    /// full op set in force (fast path: parametric-only swaps are no-ops
-    /// for the matrix).
-    struct PatchedRow {
-        std::uint32_t pre = 0;
-        std::vector<WeightOp> ops;
-        std::vector<std::vector<float>> snapshots;
-    };
-    std::vector<PatchedRow> patched_rows_;
-    std::vector<WeightOp> applied_weight_ops_;
-    /// Inference path: per-row pointers into the model matrix, redirected
-    /// to materialised copies for patched rows only.
-    std::vector<const float*> row_ptr_;
-    std::vector<std::pair<std::uint32_t, AlignedVector>> cow_rows_;
-    /// Sorted by (pre, post) — adopt_drive merge-joins this against the
-    /// ascending active list.
+    /// Sorted by (pre, post) — add_cell_deltas merge-joins this against
+    /// the ascending active list.
     std::vector<CellDelta> cell_deltas_;
 
     // Scratch reused across samples and steps. spikes_ holds the current
@@ -295,10 +269,9 @@ public:
     std::size_t size() const noexcept { return runtimes_.size(); }
 
     /// Runs one sample on every replica using `rng` as the shared encoder
-    /// stream; returns one activity per replica, in runtime order.
-    /// Replicas without weight patches match NetworkRuntime::run_sample
-    /// bit-for-bit; patched replicas apply their patch as a drive delta
-    /// (deterministic, last-ulp differences from the standalone path).
+    /// stream; returns one activity per replica, in runtime order. Each
+    /// matches NetworkRuntime::run_sample over the same stream bit for
+    /// bit.
     std::vector<SampleActivity> run_sample(std::span<const float> image,
                                            util::Rng& rng);
 
@@ -328,10 +301,8 @@ private:
     std::vector<NetworkRuntime*> runtimes_;
     PoissonEncoder encoder_;
     SampleSpikes spikes_;
-    /// Padded shared drive buffer + per-row pointer table over the model
-    /// matrix for the blocked accumulation kernel.
+    /// Padded shared drive buffer over the model matrix.
     AlignedVector base_drive_;
-    std::vector<const float*> model_rows_;
 };
 
 }  // namespace snnfi::snn

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <new>
 #include <span>
 #include <stdexcept>
@@ -48,7 +49,7 @@ struct AlignedAllocator {
     }
 };
 
-/// 64-byte-aligned float buffer (drive accumulators, materialised rows).
+/// 64-byte-aligned float buffer (matrix storage, drive accumulators).
 using AlignedVector = std::vector<float, AlignedAllocator<float>>;
 
 /// Row-major 2-D array (rows = pre-synaptic, cols = post-synaptic for
@@ -56,8 +57,10 @@ using AlignedVector = std::vector<float, AlignedAllocator<float>>;
 class Matrix {
 public:
     Matrix() = default;
+    /// Throws std::length_error when the padded row or the whole storage
+    /// would not fit in std::size_t.
     Matrix(std::size_t rows, std::size_t cols, float fill = 0.0f)
-        : rows_(rows), cols_(cols), stride_(kernels::padded_size(cols)),
+        : rows_(rows), cols_(cols), stride_(checked_stride(rows, cols)),
           data_(rows * stride_, 0.0f) {
         if (fill != 0.0f) this->fill(fill);
     }
@@ -112,6 +115,18 @@ public:
     void scale_column(std::size_t c, float factor);
 
 private:
+    /// padded_size(cols), once it and rows * stride are known not to wrap
+    /// (a wrapped size would allocate less than the rows index).
+    static std::size_t checked_stride(std::size_t rows, std::size_t cols) {
+        constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+        if (cols > kMax - (kernels::kPadFloats - 1))
+            throw std::length_error("Matrix: padded row length overflows");
+        const std::size_t stride = kernels::padded_size(cols);
+        if (stride != 0 && rows > kMax / stride)
+            throw std::length_error("Matrix: storage size overflows");
+        return stride;
+    }
+
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     std::size_t stride_ = 0;

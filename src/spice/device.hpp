@@ -20,16 +20,15 @@ namespace snnfi::spice {
 using NodeId = int;
 inline constexpr NodeId kGround = -1;
 
-enum class IntegrationMethod { kBackwardEuler, kTrapezoidal };
-
-/// Assembly interface handed to Device::stamp.
+/// Assembly interface handed to Device::stamp. Transient steps integrate
+/// with backward Euler.
 class Stamper {
 public:
     Stamper(Matrix& g, std::vector<double>& rhs, std::span<const double> x,
-            int num_nodes, double t, double dt, IntegrationMethod method,
-            double source_scale, double relax = 1.0)
+            int num_nodes, double t, double dt, double source_scale,
+            double relax = 1.0)
         : g_(g), rhs_(rhs), x_(x), num_nodes_(num_nodes), time_(t), dt_(dt),
-          method_(method), source_scale_(source_scale), relax_(relax) {}
+          source_scale_(source_scale), relax_(relax) {}
 
     /// Node voltage at the current Newton iterate (0 for ground).
     double voltage(NodeId node) const {
@@ -64,7 +63,6 @@ public:
     double time() const noexcept { return time_; }
     double dt() const noexcept { return dt_; }
     bool transient() const noexcept { return dt_ > 0.0; }
-    IntegrationMethod method() const noexcept { return method_; }
     /// Independent sources multiply their value by this (source stepping).
     double source_scale() const noexcept { return source_scale_; }
     /// Nonlinearity relaxation in (0, 1]: continuation knob for devices with
@@ -80,7 +78,6 @@ private:
     int num_nodes_;
     double time_;
     double dt_;
-    IntegrationMethod method_;
     double source_scale_;
     double relax_;
 };

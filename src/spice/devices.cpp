@@ -41,29 +41,20 @@ double Capacitor::terminal_voltage(std::span<const double> x) const {
 
 void Capacitor::stamp(Stamper& s) const {
     if (!s.transient()) return;  // open circuit at DC
-    const double dt = s.dt();
-    if (s.method() == IntegrationMethod::kBackwardEuler) {
-        const double geq = farads_ / dt;
-        s.add_conductance(a_, b_, geq);
-        // i = geq*(v - v_prev): history term enters as a source b -> a.
-        s.add_current_source(b_, a_, geq * v_prev_);
-    } else {  // trapezoidal: i = 2C/dt (v - v_prev) - i_prev
-        const double geq = 2.0 * farads_ / dt;
-        s.add_conductance(a_, b_, geq);
-        s.add_current_source(b_, a_, geq * v_prev_ + i_prev_);
-    }
+    // Backward Euler: i = geq*(v - v_prev), the history term entering as a
+    // source b -> a.
+    const double geq = farads_ / s.dt();
+    s.add_conductance(a_, b_, geq);
+    s.add_current_source(b_, a_, geq * v_prev_);
 }
 
 void Capacitor::begin_transient(std::span<const double> x, int /*num_nodes*/) {
     v_prev_ = terminal_voltage(x);
-    i_prev_ = 0.0;  // steady state: no capacitor current at DC
 }
 
-void Capacitor::accept_step(std::span<const double> x, int /*num_nodes*/, double dt) {
-    const double v_new = terminal_voltage(x);
-    // Current consistent with the companion model that produced this step.
-    i_prev_ = 2.0 * farads_ / dt * (v_new - v_prev_) - i_prev_;
-    v_prev_ = v_new;
+void Capacitor::accept_step(std::span<const double> x, int /*num_nodes*/,
+                            double /*dt*/) {
+    v_prev_ = terminal_voltage(x);
 }
 
 // ----------------------------------------------------------- VoltageSource

@@ -37,7 +37,6 @@ private:
     NodeId a_, b_;
     double farads_;
     double v_prev_ = 0.0;  ///< voltage across device at last accepted point
-    double i_prev_ = 0.0;  ///< device current at last accepted point (TRAP)
 };
 
 /// Independent voltage source from a(+) to b(-); adds one branch unknown.

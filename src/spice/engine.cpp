@@ -74,8 +74,7 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, double dt, double
     for (int iter = 0; iter < max_iters; ++iter) {
         g_.fill(0.0);
         std::fill(rhs_.begin(), rhs_.end(), 0.0);
-        Stamper stamper(g_, rhs_, x, num_nodes, t, dt, options_.method, source_scale,
-                        relax);
+        Stamper stamper(g_, rhs_, x, num_nodes, t, dt, source_scale, relax);
         for (const auto& dev : netlist_.devices()) dev->stamp(stamper);
         // Permanent gmin from every node to ground stabilises floating nodes.
         for (int node = 0; node < num_nodes; ++node)

@@ -1,6 +1,6 @@
 // Simulation engine: Newton-Raphson DC operating point (with gmin and
-// source stepping fallbacks) and fixed-step transient analysis with
-// automatic step halving on nonconvergence.
+// source stepping fallbacks) and fixed-step backward-Euler transient
+// analysis with automatic step halving on nonconvergence.
 //
 // Telemetry: each run_transient() is one `spice.transient` span, and each
 // solve_dc() and run_transient() call adds its work to the counters
@@ -27,7 +27,6 @@ struct SimOptions {
     int max_nr_iterations = 150;
     double gmin = 1e-12;        ///< permanent node-to-ground conductance
     double vlimit = 0.4;        ///< max per-iteration voltage update [V]
-    IntegrationMethod method = IntegrationMethod::kBackwardEuler;
     int max_step_halvings = 10; ///< transient step-retry budget
     bool record_branch_currents = true;
 };

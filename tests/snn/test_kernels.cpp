@@ -2,7 +2,8 @@
 // be BIT-identical to their naive scalar references — across shapes that
 // exercise every unroll tail and padding edge, across random fault state
 // in both layer-update shapes, and through NetworkRuntime/BatchRunner
-// (patch lists, merge-join vs binary-search adopt_drive).
+// (patch lists, merge-join vs binary-search adopt_drive, a replica's own
+// drive vs its batch-member drive).
 // Plus the steady-state no-allocation guarantee of the sample loop.
 #include "snn/kernels.hpp"
 
@@ -12,8 +13,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -59,6 +62,10 @@ namespace snnfi::snn {
 /// White-box access to NetworkRuntime internals for the adopt_drive,
 /// drive-aliasing and patch-list checks (friend of NetworkRuntime).
 struct RuntimeTestPeer {
+    static void accumulate_drive(NetworkRuntime& runtime,
+                                 std::span<const std::uint32_t> active) {
+        runtime.accumulate_drive(active);
+    }
     static void adopt_drive(NetworkRuntime& runtime, std::span<const float> base,
                             std::span<const std::uint32_t> active) {
         runtime.adopt_drive(base, active);
@@ -124,6 +131,16 @@ TEST(Kernels, MatrixPaddingLanesStayZero) {
     }
 }
 
+/// A shape whose padded row length or storage size wraps std::size_t is
+/// rejected before anything is allocated or written.
+TEST(Kernels, MatrixRejectsOverflowingShapes) {
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    // padded_size(kMax) would wrap to 0.
+    EXPECT_THROW(Matrix(784, kMax), std::length_error);
+    // 784 rows of 2^62 floats wrap to 0 (784 = 49 * 2^4).
+    EXPECT_THROW(Matrix(784, std::size_t{1} << 62), std::length_error);
+}
+
 /// Blocked accumulation must be bit-identical to the one-row-at-a-time
 /// reference for every unroll tail (active sizes 0..9) and for logical
 /// widths off the SIMD/padding grid.
@@ -146,18 +163,19 @@ TEST(Kernels, BlockedAccumulationBitIdenticalToReference) {
                 if (rng.uniform() < static_cast<double>(n_active) / n_pre)
                     active.push_back(r);
             }
-            AlignedVector blocked(padded, 0.25f);
-            AlignedVector strided(padded, 0.25f);
+            AlignedVector padded_out(padded, 0.25f);
+            std::vector<float> logical_out(n, 0.25f);
             std::vector<float> reference(n, 0.25f);
-            kernels::accumulate_rows(rows.data(), active, blocked.data(), padded);
             kernels::accumulate_rows(weights.data(), weights.stride(), active,
-                                     strided.data(), padded);
+                                     padded_out.data(), padded);
+            kernels::accumulate_rows(weights.data(), weights.stride(), active,
+                                     logical_out.data(), n);
             kernels::accumulate_rows_reference(rows.data(), active,
                                                reference.data(), n);
-            ASSERT_TRUE(same_bits({blocked.data(), n}, reference))
-                << "rows form, n=" << n << " active=" << active.size();
-            ASSERT_TRUE(same_bits({strided.data(), n}, reference))
-                << "strided form, n=" << n << " active=" << active.size();
+            ASSERT_TRUE(same_bits({padded_out.data(), n}, reference))
+                << "padded length, n=" << n << " active=" << active.size();
+            ASSERT_TRUE(same_bits(logical_out, reference))
+                << "logical length, n=" << n << " active=" << active.size();
         }
     }
 }
@@ -167,13 +185,13 @@ TEST(Kernels, BlockedAccumulationBitIdenticalToReference) {
 /// One layer's fault arrays with `n_faulty` random neurons carrying one
 /// random non-identity field each; `patch` lists them, ascending.
 struct RandomFaults {
-    std::vector<float> thresh_scale, input_gain, drive_gain;
+    std::vector<float> thresh_scale, drive_gain;
     std::vector<std::uint8_t> forced;
     std::vector<std::int32_t> refrac_period;
     std::vector<std::uint32_t> everyone, patch;
 
     RandomFaults(util::Rng& rng, std::size_t n, std::size_t n_faulty, std::int32_t refrac)
-        : thresh_scale(n, 1.0f), input_gain(n, 1.0f), drive_gain(n, 1.0f), forced(n, 0),
+        : thresh_scale(n, 1.0f), drive_gain(n, 1.0f), forced(n, 0),
           refrac_period(n, refrac), everyone(n) {
         std::iota(everyone.begin(), everyone.end(), 0u);
         patch = everyone;
@@ -181,11 +199,10 @@ struct RandomFaults {
         patch.resize(n_faulty);
         std::sort(patch.begin(), patch.end());
         for (const std::uint32_t i : patch) {
-            switch (rng.below(5)) {
+            switch (rng.below(4)) {
                 case 0: forced[i] = static_cast<std::uint8_t>(1 + rng.below(2)); break;
-                case 1: input_gain[i] = static_cast<float>(rng.uniform(0.3, 2.0)); break;
-                case 2: drive_gain[i] = static_cast<float>(rng.uniform(0.3, 2.0)); break;
-                case 3: thresh_scale[i] = static_cast<float>(rng.uniform(0.6, 1.4));
+                case 1: drive_gain[i] = static_cast<float>(rng.uniform(0.3, 2.0)); break;
+                case 2: thresh_scale[i] = static_cast<float>(rng.uniform(0.6, 1.4));
                         break;
                 default:  // any period in 0..9 but the nominal one
                     refrac_period[i] =
@@ -194,8 +211,8 @@ struct RandomFaults {
         }
     }
     kernels::LayerFaults view(std::span<const std::uint32_t> list) const {
-        return {thresh_scale.data(), input_gain.data(), drive_gain.data(),
-                forced.data(),       refrac_period.data(), list};
+        return {thresh_scale.data(), drive_gain.data(), forced.data(),
+                refrac_period.data(), list};
     }
 };
 
@@ -273,15 +290,15 @@ TEST(Kernels, LayerUpdateShapesBitIdenticalToOracle) {
 
 // --- the runtime's patch lists ----------------------------------------------
 
-/// Ops that compose to the identity (gain 1.0, scale 1.0, the nominal
-/// refractory period) leave the patch lists empty: the runtime stays on
+/// Ops that compose to the identity (drive gain 1.0, scale 1.0, the
+/// nominal refractory period) leave the patch lists empty: the runtime stays on
 /// the identity loop and matches a clean runtime bit for bit, standalone
 /// and as a batch member.
 TEST(Kernels, IdentityOpsKeepTheIdentityLoop) {
     const auto model = NetworkModel::random(tiny_config(), 21);
     FaultOverlay identity;
     const std::size_t targets[] = {0, 5};
-    identity.scale_input_gain(OverlayLayer::kExcitatory, targets, 1.0f)
+    identity.scale_driver_gain(targets, 1.0f)
         .scale_threshold(OverlayLayer::kInhibitory, targets, 1.0f)
         .override_refractory(OverlayLayer::kExcitatory, targets,
                              tiny_config().excitatory.lif.refrac_steps);
@@ -319,7 +336,6 @@ TEST(Kernels, NonIdentityOpsBuildSortedPatchLists) {
                       scaled[] = {7}, refrac[] = {3};
     faults.force_state(OverlayLayer::kExcitatory, dead, NeuronFault::kDead)
         .force_state(OverlayLayer::kExcitatory, saturated, NeuronFault::kSaturated)
-        .scale_input_gain(OverlayLayer::kExcitatory, gained, 0.5f)
         .scale_driver_gain(gained, 0.25f)
         .scale_threshold(OverlayLayer::kInhibitory, scaled, 1.3f)
         .override_refractory(OverlayLayer::kInhibitory, refrac, 9);
@@ -390,6 +406,46 @@ TEST(Kernels, AdoptDriveMergeJoinMatchesBinarySearchReference) {
         }
         RuntimeTestPeer::adopt_drive(runtime, {base.data(), base.size()}, active);
         ASSERT_TRUE(same_bits({RuntimeTestPeer::drive(runtime), n}, expected))
+            << "trial " << trial;
+    }
+}
+
+/// A replica computes its own drive with the arithmetic of a batch
+/// member — the model rows, then the deltas of its patched cells — so
+/// the two drives are equal bit for bit under stuck-at and bit-flip
+/// patches on many rows, not just close.
+TEST(Kernels, StandaloneDriveEqualsBatchMemberDrive) {
+    const auto model = NetworkModel::random(tiny_config(), 5);
+    const std::size_t n = model->n_neurons();
+    const std::uint32_t bits[] = {0, 15, 22, 23, 30, 31};
+    FaultOverlay overlay;
+    for (std::uint32_t pre = 1, k = 0; pre < model->n_input(); pre += 5, ++k) {
+        const std::size_t post = (pre * 7) % n;
+        switch (k % 3) {
+            case 0: overlay.set_weight(pre, post, 1.0f); break;  // stuck-at wmax
+            case 1: overlay.set_weight(pre, post, 0.0f); break;  // stuck-at wmin
+            default: overlay.flip_weight_bit(pre, (post + 3) % n, bits[k % 6]);
+        }
+    }
+    NetworkRuntime standalone(model, overlay);
+    NetworkRuntime member(model, overlay);
+    ASSERT_GT(RuntimeTestPeer::deltas(member).size(), 100u);
+
+    const Matrix& weights = model->input_weights();
+    AlignedVector base(kernels::padded_size(n), 0.0f);
+    util::Rng active_rng(19);
+    for (std::size_t trial = 0; trial < 50; ++trial) {
+        std::vector<std::uint32_t> active;
+        for (std::uint32_t pre = 0; pre < model->n_input(); ++pre) {
+            if (active_rng.uniform() < 0.1) active.push_back(pre);
+        }
+        RuntimeTestPeer::accumulate_drive(standalone, active);
+        std::fill(base.begin(), base.end(), 0.0f);
+        kernels::accumulate_rows(weights.data(), weights.stride(), active, base.data(),
+                                 base.size());
+        RuntimeTestPeer::adopt_drive(member, {base.data(), base.size()}, active);
+        ASSERT_TRUE(same_bits({RuntimeTestPeer::drive(standalone), n},
+                              {RuntimeTestPeer::drive(member), n}))
             << "trial " << trial;
     }
 }

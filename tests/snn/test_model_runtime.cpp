@@ -1,12 +1,14 @@
 // Model/Runtime split: deterministic init/training/inference, freeze round
-// trips, fault-spec overlay expansion, copy-on-write weight patches, and
-// lockstep batch runs.
+// trips, fault-spec overlay expansion, weight patches that leave the shared
+// model untouched, and lockstep batch runs.
 #include "snn/runtime.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include "attack/fault_model.hpp"
@@ -119,22 +121,25 @@ TEST(NetworkRuntime, OverlayForExpandsFaultSpec) {
     EXPECT_NE(exc_mask, inh_mask);
 }
 
-TEST(NetworkRuntime, WeightPatchesAreCopyOnWrite) {
+TEST(NetworkRuntime, WeightPatchesChangeOnlyTheReplica) {
     const auto model = NetworkModel::random(tiny_config(), 3);
     FaultOverlay overlay;
     overlay.set_weight(5, 2, 0.75f);
     NetworkRuntime runtime(model, overlay);
 
-    // Only the patched row is materialised; all others alias the model.
-    EXPECT_EQ(runtime.weight_row(0).data(), model->weight_row(0).data());
-    EXPECT_NE(runtime.weight_row(5).data(), model->weight_row(5).data());
-    EXPECT_EQ(runtime.weight_row(5)[2], 0.75f);
+    // The patched cell reads its patched value; every other cell, the
+    // model's, bit for bit.
+    std::vector<float> expected(model->weight_row(5).begin(), model->weight_row(5).end());
+    expected[2] = 0.75f;
+    EXPECT_TRUE(same_bits(runtime.weight_row(5), expected));
+    EXPECT_TRUE(same_bits(runtime.weight_row(0), model->weight_row(0)));
     // The shared model itself is untouched.
     EXPECT_NE(model->input_weights()(5, 2), 0.75f);
 
-    // Clearing the overlay drops the materialised row.
+    // Clearing the overlay drops the patch.
     runtime.set_overlay(FaultOverlay{});
-    EXPECT_EQ(runtime.weight_row(5).data(), model->weight_row(5).data());
+    EXPECT_TRUE(same_bits(runtime.weight_row(5), model->weight_row(5)));
+    EXPECT_THROW((void)runtime.weight_row(model->n_input()), std::out_of_range);
 }
 
 TEST(NetworkRuntime, FreezeAfterPatchMaterialisesThePatch) {
@@ -158,8 +163,26 @@ TEST(BatchRunner, LockstepMatchesStandaloneRuns) {
     dead.force_state(OverlayLayer::kExcitatory, mask, NeuronFault::kDead);
     FaultOverlay gain;
     gain.set_driver_gain(1.2f);
+    // Weight patches on the pixels that spike most over the four samples
+    // (central, lit in every digit), so the patched cells bite: stuck-at
+    // wmax on several, and an exponent-bit flip.
+    std::vector<float> intensity(model->n_input(), 0.0f);
+    for (std::size_t i = 0; i < 4; ++i) {
+        for (std::size_t pre = 0; pre < intensity.size(); ++pre)
+            intensity[pre] += dataset.images[i][pre];
+    }
+    std::vector<std::size_t> bright(intensity.size());
+    std::iota(bright.begin(), bright.end(), 0u);
+    std::sort(bright.begin(), bright.end(), [&](std::size_t a, std::size_t b) {
+        return intensity[a] != intensity[b] ? intensity[a] > intensity[b] : a < b;
+    });
+    FaultOverlay stuck;
+    for (std::size_t k = 0; k < 6; ++k) stuck.set_weight(bright[k], k, 1.0f);
+    FaultOverlay flipped;
+    flipped.flip_weight_bit(bright[0], 3, 30).flip_weight_bit(bright[1], 7, 22);
 
-    const std::vector<FaultOverlay> overlays = {FaultOverlay{}, dead, gain};
+    const std::vector<FaultOverlay> overlays = {FaultOverlay{}, dead, gain, stuck,
+                                                flipped};
     // Standalone reference runs, one shared stream per replica.
     std::vector<std::vector<std::uint32_t>> reference;
     for (const FaultOverlay& overlay : overlays) {
@@ -193,6 +216,10 @@ TEST(BatchRunner, LockstepMatchesStandaloneRuns) {
     }
     for (std::size_t k = 0; k < overlays.size(); ++k)
         EXPECT_EQ(batched[k], reference[k]) << "replica " << k;
+    // The weight patches bite: the patched replicas differ from the clean
+    // one, or their agreement above proves little.
+    EXPECT_NE(reference[3], reference[0]);
+    EXPECT_NE(reference[4], reference[0]);
 }
 
 bool same_activity(const SampleActivity& a, const SampleActivity& b) {

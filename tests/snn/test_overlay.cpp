@@ -96,14 +96,14 @@ TEST(FaultOverlay, EveryFieldKindExpandsIntoRuntimeState) {
     const std::size_t n4[] = {4};
     FaultOverlay overlay;
     overlay.set_driver_gain(1.25f)
-        .scale_input_gain(OverlayLayer::kExcitatory, n2, 0.7f)
+        .scale_driver_gain(n2, 0.7f)
         .force_state(OverlayLayer::kInhibitory, n3, NeuronFault::kSaturated)
         .override_refractory(OverlayLayer::kExcitatory, n4, 9)
         .set_weight(1, 1, 0.33f);
     NetworkRuntime runtime(model, overlay);
 
     EXPECT_FLOAT_EQ(runtime.driver_gain(), 1.25f);
-    EXPECT_FLOAT_EQ(runtime.input_gain(OverlayLayer::kExcitatory, 2), 0.7f);
+    EXPECT_FLOAT_EQ(runtime.neuron_driver_gain(OverlayLayer::kExcitatory, 2), 0.7f);
     EXPECT_EQ(runtime.forced_state(OverlayLayer::kInhibitory, 3),
               NeuronFault::kSaturated);
     EXPECT_EQ(runtime.refractory_steps(OverlayLayer::kExcitatory, 4), 9);

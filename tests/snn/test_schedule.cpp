@@ -253,25 +253,6 @@ TEST(OverlaySchedule, MidSampleGlitchUnderLearningDiffersFromClean) {
     EXPECT_NE(clean_state.first, glitched_state.first);
 }
 
-TEST(OverlaySchedule, LearningWeightPatchesRetractAtSegmentBoundaries) {
-    const auto model = NetworkModel::random(tiny_config(), 3);
-    FaultOverlay patch;
-    patch.set_weight(5, 2, 0.75f);
-
-    NetworkRuntime runtime(model);
-    runtime.set_learning(true);
-    runtime.set_learning(false);  // materialised matrix, STDP frozen
-    const float original = runtime.weight_row(5)[2];
-    ASSERT_NE(original, 0.75f);
-
-    // One glitched sample: the patch applies inside [40, 80) and must be
-    // retracted on the materialised matrix when the segment ends.
-    runtime.set_schedule({{40, 80, patch}});
-    const std::vector<float> image(tiny_config().n_input, 0.5f);
-    (void)runtime.run_sample(image);
-    EXPECT_EQ(runtime.weight_row(5)[2], original);
-}
-
 TEST(OverlaySchedule, BaseWeightPatchSurvivesParametricScheduleBoundaries) {
     // A persistent base-overlay weight patch crossed with a schedule that
     // carries NO weight ops: the segment boundaries must not roll the
@@ -292,82 +273,52 @@ TEST(OverlaySchedule, BaseWeightPatchSurvivesParametricScheduleBoundaries) {
     EXPECT_EQ(plain_state.second, crossed_state.second);
 }
 
-TEST(OverlaySchedule, ScheduledOpOnPatchedRowRollsBackOnlyItsOwnWindow) {
-    // A schedule segment stacking a weight op onto a row that already
-    // carries a persistent base-overlay patch: retraction must undo only
-    // the segment's window, not the pre-glitch STDP learning on the row.
-    const auto dataset = data::make_synthetic_dataset(10, 7);
-    const auto model = NetworkModel::random(tiny_config(), 9);
-    FaultOverlay base;
-    base.set_weight(5, 2, 0.9f);
-    NetworkRuntime runtime(model, base);
-    Trainer trainer(runtime, 5);
-    (void)trainer.run(dataset);  // STDP drifts row 5 under the base patch
-    runtime.set_learning(false);
-    const std::vector<float> learned_row(runtime.weight_row(5).begin(),
-                                         runtime.weight_row(5).end());
-    ASSERT_NE(learned_row,
-              std::vector<float>(model->weight_row(5).begin(),
-                                 model->weight_row(5).end()));
-
-    FaultOverlay segment;
-    segment.set_weight(5, 7, 0.1f);
-    runtime.set_schedule({{40, 80, segment}});
-    (void)runtime.run_sample(dataset.images[0]);
-    // The segment has retracted: row 5 is back to its learned state (base
-    // patch still in force), NOT the untrained model row.
-    EXPECT_EQ(std::vector<float>(runtime.weight_row(5).begin(),
-                                 runtime.weight_row(5).end()),
-              learned_row);
-}
-
-TEST(NetworkRuntime, UnchangedRowPatchKeepsLearnedValuesWhenOpSetChanges) {
-    // Adding an unrelated patch must not roll back STDP learning on a row
-    // whose own patch stays in force; retracting that patch later rolls
-    // its row back to the pre-patch snapshot (the transient semantic).
-    const auto dataset = data::make_synthetic_dataset(10, 7);
-    const auto model = NetworkModel::random(tiny_config(), 9);
-    FaultOverlay base;
-    base.set_weight(5, 2, 0.9f);
-    NetworkRuntime runtime(model, base);
-    Trainer trainer(runtime, 5);
-    (void)trainer.run(dataset);
-    const std::vector<float> learned_row(runtime.weight_row(5).begin(),
-                                         runtime.weight_row(5).end());
-
-    FaultOverlay more = base;       // row-5 op unchanged...
-    more.set_weight(9, 1, 0.5f);    // ...plus an unrelated row-9 patch
-    runtime.set_overlay(more);
-    EXPECT_EQ(std::vector<float>(runtime.weight_row(5).begin(),
-                                 runtime.weight_row(5).end()),
-              learned_row);
-    EXPECT_EQ(runtime.weight_row(9)[1], 0.5f);
-
-    // Dropping the row-5 patch restores its pre-patch snapshot.
-    FaultOverlay only_nine;
-    only_nine.set_weight(9, 1, 0.5f);
-    runtime.set_overlay(only_nine);
-    const auto model_row = model->weight_row(5);
-    EXPECT_EQ(std::vector<float>(runtime.weight_row(5).begin(),
-                                 runtime.weight_row(5).end()),
-              std::vector<float>(model_row.begin(), model_row.end()));
-}
-
-TEST(NetworkRuntime, LearningSetOverlayRestoresPatchedRows) {
+TEST(NetworkRuntime, LearningRejectsWeightPatchChanges) {
+    // Weight faults are inference-time faults: once learning has
+    // materialised the weights, the weight ops in force are fixed, and
+    // each entry point rejects a change before it touches the replica —
+    // never mid-sample.
     const auto model = NetworkModel::random(tiny_config(), 3);
-    NetworkRuntime runtime(model);
+    FaultOverlay base;
+    base.set_weight(5, 2, 0.75f);
+    FaultOverlay other;
+    other.set_weight(7, 1, 0.5f);
+
+    // set_learning: not while a schedule segment carries weight ops.
+    NetworkRuntime scheduled(model, base);
+    scheduled.set_schedule({{40, 80, other}});
+    EXPECT_THROW(scheduled.set_learning(true), std::invalid_argument);
+    EXPECT_FALSE(scheduled.learning_enabled());
+    scheduled.set_overlay(other);  // still an inference replica
+    scheduled.set_schedule({});
+    scheduled.set_learning(true);
+    EXPECT_EQ(scheduled.weight_row(7)[1], 0.5f);
+
+    NetworkRuntime runtime(model, base);
     runtime.set_learning(true);
-    const float original = runtime.weight_row(7)[1];
+    EXPECT_EQ(runtime.weight_row(5)[2], 0.75f);
+    // set_overlay: dropping, adding to or replacing the weight ops.
+    EXPECT_THROW(runtime.set_overlay(FaultOverlay{}), std::invalid_argument);
+    EXPECT_THROW(runtime.set_overlay(FaultOverlay::compose(base, other)),
+                 std::invalid_argument);
+    EXPECT_THROW(runtime.set_overlay(other), std::invalid_argument);
+    // set_schedule: a segment carrying weight ops.
+    EXPECT_THROW(runtime.set_schedule({{40, 80, other}}), std::invalid_argument);
+    // Frozen learning keeps the materialised weights, so the ops stay fixed.
+    runtime.set_learning(false);
+    EXPECT_THROW(runtime.set_overlay(FaultOverlay{}), std::invalid_argument);
 
-    FaultOverlay patch;
-    patch.set_weight(7, 1, 0.5f);
-    runtime.set_overlay(patch);
-    EXPECT_EQ(runtime.weight_row(7)[1], 0.5f);
-
-    // The documented footgun is gone: swapping the overlay restores the
-    // patched row on the materialised matrix.
-    runtime.set_overlay(FaultOverlay{});
-    EXPECT_EQ(runtime.weight_row(7)[1], original);
+    // The rejected calls changed nothing, and parametric faults over the
+    // same weight ops still come and go.
+    EXPECT_EQ(runtime.overlay().weight_ops().size(), 1u);
+    EXPECT_TRUE(runtime.schedule().empty());
+    EXPECT_EQ(runtime.weight_row(5)[2], 0.75f);
+    runtime.set_learning(true);
+    runtime.set_overlay(FaultOverlay::compose(base, glitch_overlay()));
+    EXPECT_FLOAT_EQ(runtime.driver_gain(), 0.68f);
+    runtime.set_schedule({{40, 80, glitch_overlay()}});
+    EXPECT_NO_THROW(
+        (void)runtime.run_sample(std::vector<float>(tiny_config().n_input, 0.5f)));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <utility>
@@ -88,10 +89,15 @@ TEST(TrainerFaults, LearningFrozenRuntimeKeepsWeights) {
     const auto model = runtime.model_ptr();
     for (const auto& image : dataset.images) (void)runtime.run_sample(image);
     for (std::size_t pre = 0; pre < model->n_input(); ++pre) {
-        // No copy-on-write rows were materialised: every row still aliases
-        // the immutable model.
-        ASSERT_EQ(runtime.weight_row(pre).data(), model->weight_row(pre).data());
+        // Every effective row is still the immutable model's, bit for bit.
+        const std::vector<float> row = runtime.weight_row(pre);
+        const auto model_row = model->weight_row(pre);
+        ASSERT_EQ(row.size(), model_row.size());
+        ASSERT_EQ(std::memcmp(row.data(), model_row.data(), row.size() * sizeof(float)),
+                  0)
+            << "row " << pre;
     }
+    EXPECT_THROW((void)runtime.weight_row(model->n_input()), std::out_of_range);
 }
 
 TEST(TrainerFaults, TrainingMovesWeights) {

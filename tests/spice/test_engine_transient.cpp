@@ -37,42 +37,36 @@ TEST(Transient, RcStepMatchesAnalytic) {
     }
 }
 
-TEST(Transient, TrapezoidalMoreAccurateThanBackwardEuler) {
-    // A smooth (sinusoidal) drive: trapezoidal's 2nd-order accuracy shows;
-    // discontinuous steps would instead excite its characteristic ringing.
-    auto error_with = [&](IntegrationMethod method) {
-        Netlist nl;
-        SinSpec sin_spec;
-        sin_spec.amplitude = 1.0;
-        sin_spec.frequency = 500.0;  // period 2 ms vs tau 1 ms
-        nl.add_voltage_source("V1", "in", "0", SourceSpec(sin_spec));
-        nl.add_resistor("R1", "in", "out", 1.0_kOhm);
-        nl.add_capacitor("C1", "out", "0", 1.0_uF);
-        SimOptions options;
-        options.method = method;
-        Simulator sim(nl, options);
-        const auto result = sim.run_transient(4e-3, 20e-6);
-        // Analytic steady response of RC to sin(wt): amplitude and phase.
-        const double w = 2.0 * std::numbers::pi * 500.0;
-        const double tau = 1e-3;
-        const double gain = 1.0 / std::sqrt(1.0 + w * w * tau * tau);
-        const double phase = std::atan(w * tau);
-        const auto t = result.time();
-        const auto v = result.signal("V(out)");
-        double worst = 0.0;
-        for (std::size_t k = 0; k < t.size(); ++k) {
-            if (t[k] < 3.0 * tau) continue;  // skip the startup transient
-            const double expected =
-                gain * std::sin(w * t[k] - phase) +
-                // decaying homogeneous part from v(0) = 0
-                (gain * std::sin(phase)) * std::exp(-t[k] / tau);
-            worst = std::max(worst, std::abs(v[k] - expected));
-        }
-        return worst;
-    };
-    const double be_error = error_with(IntegrationMethod::kBackwardEuler);
-    const double trap_error = error_with(IntegrationMethod::kTrapezoidal);
-    EXPECT_LT(trap_error, 0.5 * be_error);
+TEST(Transient, BackwardEulerTracksSinusoidalSteadyState) {
+    // A smooth (sinusoidal) drive against the analytic RC response: the
+    // backward-Euler error is first order in dt, about 3% of the output
+    // amplitude at 100 steps per period.
+    Netlist nl;
+    SinSpec sin_spec;
+    sin_spec.amplitude = 1.0;
+    sin_spec.frequency = 500.0;  // period 2 ms vs tau 1 ms
+    nl.add_voltage_source("V1", "in", "0", SourceSpec(sin_spec));
+    nl.add_resistor("R1", "in", "out", 1.0_kOhm);
+    nl.add_capacitor("C1", "out", "0", 1.0_uF);
+    Simulator sim(nl);
+    const auto result = sim.run_transient(4e-3, 20e-6);
+    // Analytic steady response of RC to sin(wt): amplitude and phase.
+    const double w = 2.0 * std::numbers::pi * 500.0;
+    const double tau = 1e-3;
+    const double gain = 1.0 / std::sqrt(1.0 + w * w * tau * tau);
+    const double phase = std::atan(w * tau);
+    const auto t = result.time();
+    const auto v = result.signal("V(out)");
+    double worst = 0.0;
+    for (std::size_t k = 0; k < t.size(); ++k) {
+        if (t[k] < 3.0 * tau) continue;  // skip the startup transient
+        const double expected =
+            gain * std::sin(w * t[k] - phase) +
+            // decaying homogeneous part from v(0) = 0
+            (gain * std::sin(phase)) * std::exp(-t[k] / tau);
+        worst = std::max(worst, std::abs(v[k] - expected));
+    }
+    EXPECT_LT(worst, 0.05 * gain);
 }
 
 TEST(Transient, RcDischargeFromDcState) {

@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
 #include "core/session.hpp"
@@ -43,6 +44,37 @@ std::string with_env_fallback(std::string value, const char* env_name) {
         if (const char* env = std::getenv(env_name)) value = env;
     }
     return value;
+}
+
+/// The ASCII presentation of a run: each table, then the timing summary.
+void print_results(const std::vector<snnfi::core::RunResult>& results,
+                   const snnfi::core::Session& session, bool csv) {
+    using namespace snnfi;
+    for (const auto& result : results) {
+        std::cout << result.table;
+        if (csv) std::cout << result.table.to_csv();
+        std::cout << "[" << result.id << " in " << result.seconds << " s (setup "
+                  << result.setup_seconds << " s + run " << result.run_seconds
+                  << " s), cache " << result.cache_hits << " hit(s) / "
+                  << result.cache_misses << " miss(es)]\n\n";
+    }
+    // Wall-time summary across the batch: where the time went, and how much
+    // of it a warm cache/store would have saved (the setup column).
+    util::ResultTable timing("experiment timing",
+                             {"id", "seconds", "setup_s", "run_s", "cache_hits",
+                              "cache_misses"});
+    for (const auto& result : results) {
+        timing.add_row({result.id, result.seconds, result.setup_seconds,
+                        result.run_seconds,
+                        static_cast<double>(result.cache_hits),
+                        static_cast<double>(result.cache_misses)});
+    }
+    std::cout << timing;
+    std::cout << "session cache: " << session.cache_hits() << " hit(s), "
+              << session.cache_misses() << " miss(es), " << session.cache_evictions()
+              << " eviction(s), " << session.cache_entries() << " live entr"
+              << (session.cache_entries() == 1 ? "y" : "ies") << " across "
+              << results.size() << " experiment(s)\n";
 }
 
 }  // namespace
@@ -128,6 +160,15 @@ int main(int argc, char** argv) {
                       << "\n";
     };
 
+    // The size flags reach allocation arithmetic as std::size_t, where a
+    // negative value wraps to a huge one.
+    for (const char* flag :
+         {"samples", "neurons", "threads", "cache-capacity", "store-max-bytes"}) {
+        if (parser.get_int(flag) < 0) {
+            std::cerr << "error: --" << flag << " must be >= 0\n";
+            return 1;
+        }
+    }
     core::RunOptions options;
     options.quick = parser.get_bool("quick");
     options.train_samples = static_cast<std::size_t>(parser.get_int("samples"));
@@ -239,40 +280,21 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    core::Session session(options);
-    const std::vector<core::RunResult> results = session.run_many(selection);
-
-    if (parser.get_bool("json")) {
-        std::cout << core::to_json(results, session) << "\n";
+    try {
+        core::Session session(options);
+        const std::vector<core::RunResult> results = session.run_many(selection);
+        if (parser.get_bool("json")) {
+            std::cout << core::to_json(results, session) << "\n";
+        } else {
+            print_results(results, session, parser.get_bool("csv"));
+        }
+    } catch (const std::exception& e) {
+        std::cerr << "error: " << e.what() << "\n";
         export_telemetry();
-        return 0;
+        return 1;
     }
-
-    for (const auto& result : results) {
-        std::cout << result.table;
-        if (parser.get_bool("csv")) std::cout << result.table.to_csv();
-        std::cout << "[" << result.id << " in " << result.seconds << " s (setup "
-                  << result.setup_seconds << " s + run " << result.run_seconds
-                  << " s), cache " << result.cache_hits << " hit(s) / "
-                  << result.cache_misses << " miss(es)]\n\n";
-    }
-    // Wall-time summary across the batch: where the time went, and how much
-    // of it a warm cache/store would have saved (the setup column).
-    util::ResultTable timing("experiment timing",
-                             {"id", "seconds", "setup_s", "run_s", "cache_hits",
-                              "cache_misses"});
-    for (const auto& result : results) {
-        timing.add_row({result.id, result.seconds, result.setup_seconds,
-                        result.run_seconds,
-                        static_cast<double>(result.cache_hits),
-                        static_cast<double>(result.cache_misses)});
-    }
-    std::cout << timing;
-    std::cout << "session cache: " << session.cache_hits() << " hit(s), "
-              << session.cache_misses() << " miss(es), " << session.cache_evictions()
-              << " eviction(s), " << session.cache_entries() << " live entr"
-              << (session.cache_entries() == 1 ? "y" : "ies") << " across "
-              << results.size() << " experiment(s)\n";
     export_telemetry();
     return 0;
 }
+
+
