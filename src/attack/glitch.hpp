@@ -121,7 +121,6 @@ struct GlitchFootprint {
     static GlitchFootprint stratified(double fraction, std::uint64_t seed,
                                       TargetLayer layer = TargetLayer::kBoth);
 
-    bool is_whole_layer() const noexcept { return kind == Kind::kWholeLayer; }
     /// The uniform paper setting: whole layers, both of them — the only
     /// footprint with a static whole-network FaultSpec form.
     bool is_uniform() const noexcept {

@@ -61,9 +61,4 @@ std::size_t ActivityClassifier::predict(std::span<const std::uint32_t> counts) c
                       std::max_element(per_class.begin(), per_class.end())));
 }
 
-void ActivityClassifier::reset_accumulation() {
-    for (auto& row : activity_) row.assign(n_neurons_, 0.0);
-    samples_per_class_.assign(n_classes_, 0);
-}
-
 }  // namespace snnfi::snn

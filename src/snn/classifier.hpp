@@ -29,9 +29,6 @@ public:
     /// neurons assigned to each label, argmax.
     std::size_t predict(std::span<const std::uint32_t> counts) const;
 
-    /// Clears accumulated activity (assignments persist until reassigned).
-    void reset_accumulation();
-
 private:
     std::size_t n_neurons_;
     std::size_t n_classes_;

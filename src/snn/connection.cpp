@@ -1,8 +1,8 @@
 #include "snn/connection.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace snnfi::snn {
 
@@ -37,21 +37,8 @@ DenseConnection::DenseConnection(Matrix initial, StdpParams params, float norm_t
     column_sums_.assign(weights_.stride(), 0.0f);
 }
 
-void DenseConnection::propagate(std::span<const std::uint32_t> active_pre,
-                                std::span<float> out) const {
-    if (out.size() < n_post())
-        throw std::invalid_argument("DenseConnection::propagate: size mismatch");
-    // Blocked kernel over the padded storage; a padded `out` (the
-    // runtime's drive buffer) skips the scalar tail, a logical one caps
-    // the write at n_post — bit-identical over the logical prefix.
-    const std::size_t n = std::min(out.size(), weights_.stride());
-    kernels::accumulate_rows(weights_.data(), weights_.stride(), active_pre,
-                             out.data(), n);
-}
-
 void DenseConnection::learn(std::span<const std::uint32_t> active_pre,
                             std::span<const std::uint8_t> post_spiked) {
-    if (!learning_enabled_) return;
     // Decay traces first (BindsNET order: decay, then event updates).
     for (float& t : trace_pre_) t *= trace_decay_;
     for (float& t : trace_post_) t *= trace_decay_;

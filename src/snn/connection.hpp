@@ -5,9 +5,11 @@
 //   inhibitory --(all-but-self, fixed negative)--> excitatory
 //
 // Only the learned dense connection is a class; the two fixed ones are
-// terms of the neuron update in snn/kernels.hpp. Propagation is
-// event-driven: only rows of spiking pre-neurons are touched, which keeps
-// the 784x100 training loop fast.
+// terms of the neuron update in snn/kernels.hpp. The connection holds the
+// weights and the STDP state: NetworkRuntime's step loop propagates its
+// rows like any weight matrix's and calls learn() only while learning is
+// enabled. STDP is event-driven: only rows of spiking pre-neurons are
+// depressed, which keeps the 784x100 training loop fast.
 #pragma once
 
 #include <cstddef>
@@ -51,10 +53,6 @@ public:
     const Matrix& weights() const noexcept { return weights_; }
     Matrix& weights() noexcept { return weights_; }
 
-    /// Accumulates w[pre][:] into `out` for each active pre index.
-    void propagate(std::span<const std::uint32_t> active_pre,
-                   std::span<float> out) const;
-
     /// One STDP step: decays traces, applies pre-event depression and
     /// post-event potentiation, updates traces.
     void learn(std::span<const std::uint32_t> active_pre,
@@ -65,8 +63,6 @@ public:
 
     /// Clears traces (between samples).
     void reset_traces();
-    bool learning_enabled() const noexcept { return learning_enabled_; }
-    void set_learning(bool enabled) noexcept { learning_enabled_ = enabled; }
 
     const StdpParams& params() const noexcept { return stdp_; }
 
@@ -75,7 +71,6 @@ private:
     StdpParams stdp_;
     float norm_total_;
     float trace_decay_;
-    bool learning_enabled_ = true;
     std::vector<float> trace_pre_;
     std::vector<float> trace_post_;
     // Scratch: the posts that spiked this step, and the column sums of

@@ -129,6 +129,7 @@ NetworkRuntime::NetworkRuntime(std::shared_ptr<const NetworkModel> model,
     // Padded drive buffer: the blocked kernel streams whole padded weight
     // rows, and the padding lanes (always zero in Matrix storage) land in
     // the tail the neuron update never reads.
+    base_drive_.assign(kernels::padded_size(config.n_neurons), 0.0f);
     exc_input_.assign(kernels::padded_size(config.n_neurons), 0.0f);
     drive_ = exc_input_.data();
     exc_spiked_.assign(config.n_neurons, 0);
@@ -136,7 +137,20 @@ NetworkRuntime::NetworkRuntime(std::shared_ptr<const NetworkModel> model,
     set_overlay(overlay);
 }
 
+void NetworkRuntime::check_ranges(const FaultOverlay& overlay) const {
+    const DiehlCookConfig& config = model_->config();
+    for (const NeuronOp& op : overlay.neuron_ops()) {
+        if (op.neuron >= config.n_neurons)
+            throw std::out_of_range("NetworkRuntime: overlay neuron out of range");
+    }
+    for (const WeightOp& op : overlay.weight_ops()) {
+        if (op.pre >= config.n_input || op.post >= config.n_neurons)
+            throw std::out_of_range("NetworkRuntime: weight patch out of range");
+    }
+}
+
 void NetworkRuntime::set_overlay(const FaultOverlay& overlay) {
+    check_ranges(overlay);
     if (learned_ && !std::ranges::equal(overlay.weight_ops(), overlay_.weight_ops()))
         throw std::invalid_argument(
             "NetworkRuntime: weight patches are fixed once learning materialised "
@@ -162,6 +176,7 @@ void NetworkRuntime::set_schedule(OverlaySchedule schedule) {
         if (s > 0 && schedule[s].begin_step < schedule[s - 1].end_step)
             throw std::invalid_argument(
                 "NetworkRuntime: schedule segments overlap or are unsorted");
+        check_ranges(schedule[s].overlay);
     }
     if (learned_ && carries_weight_ops(schedule))
         throw std::invalid_argument(
@@ -220,8 +235,6 @@ void NetworkRuntime::apply_neuron_ops(const FaultOverlay& effective) {
         const bool exc = op.layer == OverlayLayer::kExcitatory;
         LayerState& layer = exc ? exc_ : inh_;
         const LifParams& params = exc ? config.excitatory.lif : config.inhibitory;
-        if (op.neuron >= config.n_neurons)
-            throw std::out_of_range("NetworkRuntime: overlay neuron out of range");
         switch (op.field) {
             case NeuronOp::Field::kThresholdScale:
                 layer.thresh_scale[op.neuron] = op.value;
@@ -248,8 +261,6 @@ void NetworkRuntime::rebuild_cell_deltas(const FaultOverlay& effective) {
     const Matrix& weights = model_->input_weights();
     cell_deltas_.clear();
     for (const WeightOp& op : effective.weight_ops()) {
-        if (op.pre >= weights.rows() || op.post >= weights.cols())
-            throw std::out_of_range("NetworkRuntime: weight patch out of range");
         auto cell = std::ranges::find_if(cell_deltas_, [&](const CellDelta& c) {
             return c.pre == op.pre && c.post == op.post;
         });
@@ -286,7 +297,6 @@ void NetworkRuntime::set_learning(bool enabled) {
         write_cells(learned_->weights());
     }
     learning_ = enabled;
-    if (learned_) learned_->set_learning(enabled);
 }
 
 namespace {
@@ -338,7 +348,7 @@ float NetworkRuntime::effective_threshold(OverlayLayer layer,
 }
 
 std::vector<float> NetworkRuntime::weight_row(std::size_t pre) const {
-    const Matrix& weights = learned_ ? learned_->weights() : model_->input_weights();
+    const Matrix& weights = drive_weights();
     if (pre >= weights.rows())
         throw std::out_of_range("NetworkRuntime: weight row out of range");
     const auto row = weights.row(pre);
@@ -373,38 +383,21 @@ void NetworkRuntime::begin_sample() {
 }
 
 void NetworkRuntime::end_sample() {
-    if (learned_ && learning_) learned_->normalize();
-}
-
-void NetworkRuntime::accumulate_drive(std::span<const std::uint32_t> active) {
-    std::fill(exc_input_.begin(), exc_input_.end(), 0.0f);
-    if (learned_) {
-        learned_->propagate(active,
-                            std::span<float>(exc_input_.data(), exc_input_.size()));
-    } else {
-        const Matrix& weights = model_->input_weights();
-        kernels::accumulate_rows(weights.data(), weights.stride(), active,
-                                 exc_input_.data(), exc_input_.size());
-        add_cell_deltas(active);
-    }
-    drive_ = exc_input_.data();
+    if (learning_) learned_->normalize();
 }
 
 void NetworkRuntime::adopt_drive(std::span<const float> base,
                                  std::span<const std::uint32_t> active) {
-    if (cell_deltas_.empty()) {
-        // No weight patches: alias the batch's shared drive read-only —
-        // the common clean-replica case pays zero copies per step.
+    if (cell_deltas_.empty() || learned_) {
+        // No weight patches, or a base over the materialised matrix that
+        // holds them already: alias the base read-only — the common
+        // clean-replica case pays zero copies per step.
         drive_ = base.data();
         return;
     }
     const std::size_t n = std::min(base.size(), exc_input_.size());
     std::copy_n(base.data(), n, exc_input_.data());
-    add_cell_deltas(active);
     drive_ = exc_input_.data();
-}
-
-void NetworkRuntime::add_cell_deltas(std::span<const std::uint32_t> active) {
     // Merge-join: cell_deltas_ is sorted by (pre, post) and `active` is
     // ascending (PoissonEncoder emits pixel indices in order), so one
     // linear pass finds every delta of an active row.
@@ -430,7 +423,7 @@ void NetworkRuntime::advance_step(std::span<const std::uint32_t> active,
         patch_save_.data());
     activity.total_exc_spikes += exc_count;
 
-    if (learned_) learned_->learn(active, exc_spiked_);
+    if (learning_) learned_->learn(active, exc_spiked_);
 
     activity.total_inh_spikes += kernels::inh_update(
         inh_params_, inh_.faults(), exc_spiked_.data(), inh_.v.data(),
@@ -473,7 +466,8 @@ void NetworkRuntime::run_sample_into(std::span<const float> image,
     // (asserted by test_kernels).
     encoder_.set_image(image);
     encoder_.encode(rng_, config.steps_per_sample, spikes_);
-    run_spikes(activity);
+    NetworkRuntime* self = this;
+    run_lockstep({&self, 1}, drive_weights(), spikes_, base_drive_, {&activity, 1});
 }
 
 void NetworkRuntime::run_sample_into(const SpikeRaster& raster, std::size_t sample,
@@ -483,28 +477,41 @@ void NetworkRuntime::run_sample_into(const SpikeRaster& raster, std::size_t samp
         raster.steps_per_sample() != config.steps_per_sample)
         throw std::invalid_argument("run_sample: raster shape mismatch");
     raster.decode(sample, spikes_);
-    run_spikes(activity);
+    NetworkRuntime* self = this;
+    run_lockstep({&self, 1}, drive_weights(), spikes_, base_drive_, {&activity, 1});
 }
 
-void NetworkRuntime::run_spikes(SampleActivity& activity) {
-    const DiehlCookConfig& config = model_->config();
-    begin_sample();
-    reset_activity(activity, config.n_neurons);
+void NetworkRuntime::run_lockstep(std::span<NetworkRuntime* const> replicas,
+                                  const Matrix& weights, const SampleSpikes& spikes,
+                                  std::span<float> base,
+                                  std::span<SampleActivity> activities) {
+    const DiehlCookConfig& config = replicas.front()->config();
+    for (std::size_t k = 0; k < replicas.size(); ++k) {
+        replicas[k]->begin_sample();
+        reset_activity(activities[k], config.n_neurons);
+    }
     std::optional<SampleTally> tally;
     if (obs::enabled()) tally.emplace(SnnMetrics::get());
     const double inv_input = 1.0 / static_cast<double>(config.n_input);
     for (std::size_t step = 0; step < config.steps_per_sample; ++step) {
-        if (!schedule_.empty()) advance_schedule(step);
-        const std::span<const std::uint32_t> active = spikes_.step(step);
-        accumulate_drive(active);
-        advance_step(active, activity);
-        if (tally) {
-            tally->step(static_cast<double>(active.size()) * inv_input);
-            ++(fast_path_active() ? tally->fast_steps : tally->scalar_steps);
+        const std::span<const std::uint32_t> active = spikes.step(step);
+        // One blocked propagation per step, over the full padded length
+        // (padding lanes stay zero).
+        std::fill(base.begin(), base.end(), 0.0f);
+        kernels::accumulate_rows(weights.data(), weights.stride(), active, base.data(),
+                                 base.size());
+        if (tally) tally->step(static_cast<double>(active.size()) * inv_input);
+        for (std::size_t k = 0; k < replicas.size(); ++k) {
+            NetworkRuntime& replica = *replicas[k];
+            if (!replica.schedule_.empty()) replica.advance_schedule(step);
+            replica.adopt_drive(base, active);
+            replica.advance_step(active, activities[k]);
+            if (tally)
+                ++(replica.fast_path_active() ? tally->fast_steps : tally->scalar_steps);
         }
     }
     if (tally) tally->flush();
-    end_sample();
+    for (NetworkRuntime* replica : replicas) replica->end_sample();
 }
 
 BatchRunner::BatchRunner(const NetworkModel& model,
@@ -544,7 +551,8 @@ void BatchRunner::run_sample_into(std::span<const float> image, util::Rng& rng,
     check_batch(activities);
     encoder_.set_image(image);
     encoder_.encode(rng, model_.config().steps_per_sample, spikes_);
-    run_spikes(activities);
+    NetworkRuntime::run_lockstep(runtimes_, model_.input_weights(), spikes_, base_drive_,
+                                 activities);
 }
 
 void BatchRunner::run_sample_into(const SpikeRaster& raster, std::size_t sample,
@@ -554,37 +562,8 @@ void BatchRunner::run_sample_into(const SpikeRaster& raster, std::size_t sample,
         throw std::invalid_argument("BatchRunner: raster shape mismatch");
     check_batch(activities);
     raster.decode(sample, spikes_);
-    run_spikes(activities);
-}
-
-void BatchRunner::run_spikes(std::span<SampleActivity> activities) {
-    for (std::size_t k = 0; k < runtimes_.size(); ++k) {
-        runtimes_[k]->begin_sample();
-        reset_activity(activities[k], model_.n_neurons());
-    }
-    std::optional<SampleTally> tally;
-    if (obs::enabled()) tally.emplace(SnnMetrics::get());
-    const double inv_input = 1.0 / static_cast<double>(model_.n_input());
-    const std::span<const float> base(base_drive_.data(), base_drive_.size());
-    const Matrix& weights = model_.input_weights();
-    for (std::size_t step = 0; step < model_.config().steps_per_sample; ++step) {
-        const std::span<const std::uint32_t> active = spikes_.step(step);
-        // Shared blocked propagation over the frozen weights, once per
-        // step, over the full padded length (padding lanes stay zero).
-        std::fill(base_drive_.begin(), base_drive_.end(), 0.0f);
-        kernels::accumulate_rows(weights.data(), weights.stride(), active,
-                                 base_drive_.data(), base_drive_.size());
-        if (tally) tally->step(static_cast<double>(active.size()) * inv_input);
-        for (std::size_t k = 0; k < runtimes_.size(); ++k) {
-            if (!runtimes_[k]->schedule_.empty()) runtimes_[k]->advance_schedule(step);
-            runtimes_[k]->adopt_drive(base, active);
-            runtimes_[k]->advance_step(active, activities[k]);
-            if (tally)
-                ++(runtimes_[k]->fast_path_active() ? tally->fast_steps
-                                                    : tally->scalar_steps);
-        }
-    }
-    if (tally) tally->flush();
+    NetworkRuntime::run_lockstep(runtimes_, model_.input_weights(), spikes_, base_drive_,
+                                 activities);
 }
 
 }  // namespace snnfi::snn

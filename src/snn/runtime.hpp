@@ -9,25 +9,30 @@
 // weight patches into one sorted list of patched cells, each with its
 // effective value and its delta against the model. The replica shares the
 // model's weight matrix: a step accumulates the model rows and adds the
-// deltas of the spiking rows, the same arithmetic whether the replica runs
-// alone or as a BatchRunner member, so both give the same drive bit for
-// bit. Construction is therefore cheap (no weight copy, no RNG re-init),
-// which is what lets a fault-injection campaign run one runtime per
-// (cell, replica) with no snapshot/restore and no locking.
+// deltas of the spiking rows. Construction is therefore cheap (no weight
+// copy, no RNG re-init), which is what lets a fault-injection campaign
+// run one runtime per (cell, replica) with no snapshot/restore and no
+// locking.
+//
+// There is one step loop. A standalone runtime runs it as a lockstep
+// batch of one over its own matrix, and BatchRunner runs its members
+// through it over the model's, so a replica's activity is the same bit
+// for bit whether it runs alone or in a batch.
 //
 // With learning enabled the runtime materialises the full weight matrix,
 // patched cells included, into a DenseConnection (STDP + normalisation
-// reuse the exact legacy kernels) and freeze() packages the learned
-// parameters into a new immutable NetworkModel. Weight faults are
-// inference-time faults (stuck-at and bit-flip cells in the trained
-// network), so once the matrix is materialised the weight patches are
-// fixed: a change to them is rejected, never applied under STDP.
-// Training over NetworkModel::random() is regression-pinned to the
-// historical mutable-network numbers.
+// reuse the exact legacy kernels), drives itself from that matrix, and
+// freeze() packages the learned parameters into a new immutable
+// NetworkModel. Weight faults are inference-time faults (stuck-at and
+// bit-flip cells in the trained network), so once the matrix is
+// materialised the weight patches are fixed: a change to them is
+// rejected, never applied under STDP. Training over NetworkModel::random()
+// is regression-pinned to the historical mutable-network numbers.
 //
 // A FaultOverlay describes faults that hold for a whole run; an
 // OverlaySchedule adds the time axis: segments merged onto the base
 // overlay at step boundaries (the glitch pipeline's execution layer).
+// Both setters check every op's range before they change anything.
 //
 // BatchRunner advances several inference runtimes in lockstep over ONE
 // shared input stream, drawn live or replayed from a SpikeRaster: the
@@ -65,9 +70,10 @@ public:
     std::shared_ptr<const NetworkModel> model_ptr() const noexcept { return model_; }
 
     /// Replaces the replica's fault state with `overlay` (previous neuron
-    /// faults and weight patches are cleared). Once learning has
-    /// materialised the weights, an overlay whose weight ops differ from
-    /// the current overlay's throws std::invalid_argument.
+    /// faults and weight patches are cleared). Throws std::out_of_range on
+    /// an op outside the network, and, once learning has materialised the
+    /// weights, std::invalid_argument on an overlay whose weight ops
+    /// differ from the current overlay's; either way nothing changes.
     void set_overlay(const FaultOverlay& overlay);
     const FaultOverlay& overlay() const noexcept { return overlay_; }
 
@@ -80,8 +86,9 @@ public:
     /// schedule spanning [0, steps_per_sample) with one segment is
     /// bit-identical to a static overlay, under learning too, which is
     /// what lets Trainer run STDP under a mid-epoch glitch. Validates
-    /// ordering/overlap; once learning has materialised the weights, a
-    /// segment carrying weight ops throws std::invalid_argument.
+    /// ordering/overlap and every segment op's range (std::out_of_range)
+    /// before it changes anything; once learning has materialised the
+    /// weights, a segment carrying weight ops throws std::invalid_argument.
     void set_schedule(OverlaySchedule schedule);
     const OverlaySchedule& schedule() const noexcept { return schedule_; }
 
@@ -99,9 +106,9 @@ public:
 
     /// Learning materialises the model's weight matrix, with the patched
     /// cells' values written in, into an STDP connection on first enable;
-    /// disabling freezes further updates but keeps the materialised
-    /// weights. Enabling throws std::invalid_argument while a schedule
-    /// segment carries weight ops.
+    /// disabling stops STDP and normalisation but keeps driving from the
+    /// materialised weights. Enabling throws std::invalid_argument while a
+    /// schedule segment carries weight ops.
     void set_learning(bool enabled);
     bool learning_enabled() const noexcept { return learning_; }
 
@@ -178,6 +185,10 @@ private:
         float delta = 0.0f;
     };
 
+    /// Throws std::out_of_range unless every op of `overlay` addresses a
+    /// neuron and cell of this network. The setters run it on everything
+    /// they install, so the expansion below never meets a bad op.
+    void check_ranges(const FaultOverlay& overlay) const;
     /// Re-expands the given overlay into the SoA fault state and the cell
     /// deltas (dynamic state untouched). set_overlay and the schedule
     /// swaps share this path, so a one-segment full-range schedule is
@@ -195,27 +206,32 @@ private:
     const LayerState& layer_state(OverlayLayer layer) const {
         return layer == OverlayLayer::kExcitatory ? exc_ : inh_;
     }
-    /// The one per-sample step loop, over the spikes in spikes_: schedule
-    /// advance, drive, neuron update and STDP per step, then the telemetry
-    /// flush and end-of-sample normalisation.
-    void run_spikes(SampleActivity& activity);
+    /// The weights this replica's drive comes from: the materialised STDP
+    /// matrix once learning has been enabled, else the model's.
+    const Matrix& drive_weights() const {
+        return learned_ ? learned_->weights() : model_->input_weights();
+    }
+    /// The one step loop, standalone runtimes (a batch of one) and
+    /// BatchRunner members alike, over `spikes`: per step the active rows
+    /// of `weights` are accumulated once into the padded `base`, then each
+    /// replica advances its schedule, adopts the base drive, updates its
+    /// layers and learns; after the last step each replica runs
+    /// end_sample. activities[k] belongs to replicas[k].
+    static void run_lockstep(std::span<NetworkRuntime* const> replicas,
+                             const Matrix& weights, const SampleSpikes& spikes,
+                             std::span<float> base, std::span<SampleActivity> activities);
     void begin_sample();
     void end_sample();
-    /// Dense input drive of one step into exc_input_: the model rows plus
-    /// the cell deltas, or the STDP matrix when learning.
-    void accumulate_drive(std::span<const std::uint32_t> active);
-    /// Batch path: adopts a shared base drive (computed over the *model*
-    /// weights). A replica without cell deltas aliases the batch buffer
-    /// read-only (zero copies); a patched replica copies it once and adds
-    /// its deltas.
+    /// Adopts the step's base drive. A replica without cell deltas, or
+    /// whose base already comes from its materialised matrix (the cells
+    /// written in), aliases the buffer read-only (zero copies); a patched
+    /// inference replica copies it into exc_input_ and adds the deltas of
+    /// its active rows.
     void adopt_drive(std::span<const float> base,
                      std::span<const std::uint32_t> active);
-    /// exc_input_ += the deltas of the patched cells in active rows: a
-    /// merge-join of the sorted deltas against the ascending active list.
-    void add_cell_deltas(std::span<const std::uint32_t> active);
     /// The fused step: excitatory DiehlCook update (driver gain + lateral
-    /// inhibition included) + STDP + inhibitory LIF update, one kernel
-    /// call per layer over contiguous spans. Reads drive_.
+    /// inhibition included) + STDP while learning + inhibitory LIF update,
+    /// one kernel call per layer over contiguous spans. Reads drive_.
     void advance_step(std::span<const std::uint32_t> active, SampleActivity& activity);
 
     std::shared_ptr<const NetworkModel> model_;
@@ -238,15 +254,16 @@ private:
 
     /// Learning path: materialised weights + STDP state.
     std::optional<DenseConnection> learned_;
-    /// Sorted by (pre, post) — add_cell_deltas merge-joins this against
-    /// the ascending active list.
+    /// Sorted by (pre, post) — adopt_drive merge-joins this against the
+    /// ascending active list.
     std::vector<CellDelta> cell_deltas_;
 
     // Scratch reused across samples and steps. spikes_ holds the current
-    // sample's input spikes. exc_input_ is padded to the kernel stride;
-    // drive_ points at it after accumulate_drive, or at the batch's shared
-    // base drive after a delta-free adopt_drive.
+    // sample's input spikes and base_drive_ the step's base drive when the
+    // runtime runs standalone. exc_input_ is padded to the kernel stride;
+    // drive_ points at it after a patched adopt_drive, else at the base.
     SampleSpikes spikes_;
+    AlignedVector base_drive_;
     AlignedVector exc_input_;
     const float* drive_ = nullptr;
     std::vector<std::uint8_t> exc_spiked_;
@@ -254,12 +271,14 @@ private:
 };
 
 /// Lockstep batch evaluation of several inference replicas of ONE model
-/// over one shared input stream. Per timestep the dense propagation over
-/// the shared weight matrix is computed once and broadcast; each replica
-/// then applies its own overlay state. Amortising the encoder and the
-/// propagation across the batch is the fi campaign's >= 2x speedup over
-/// the legacy snapshot/restore engine. A member's activity depends only on
-/// its own runtime and the input spikes, never on its batch-mates.
+/// over one shared input stream, through the runtime's one step loop over
+/// the model's weight matrix: per timestep the dense propagation is
+/// computed once and broadcast, and each replica then applies its own
+/// overlay state. Amortising the encoder and the propagation across the
+/// batch is the fi campaign's >= 2x speedup over the legacy
+/// snapshot/restore engine. A member's activity depends only on its own
+/// runtime and the input spikes, never on its batch-mates, and equals its
+/// standalone run_sample's bit for bit.
 class BatchRunner {
 public:
     /// All runtimes must share `model`, be inference-mode (learning never
@@ -292,10 +311,6 @@ public:
 
 private:
     void check_batch(std::span<SampleActivity> activities) const;
-    /// The one lockstep step loop, over the spikes in spikes_: shared
-    /// propagation, then per member schedule advance, drive adoption and
-    /// neuron update.
-    void run_spikes(std::span<SampleActivity> activities);
 
     const NetworkModel& model_;
     std::vector<NetworkRuntime*> runtimes_;

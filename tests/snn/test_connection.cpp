@@ -23,29 +23,6 @@ TEST(DenseConnection, InitialWeightsInRangeAndNormalized) {
     for (const float w : conn.weights().to_vector()) EXPECT_GE(w, 0.0f);
 }
 
-TEST(DenseConnection, PropagateSumsActiveRows) {
-    util::Rng rng(3);
-    DenseConnection conn(3, 2, test_params(), /*norm_total=*/0.0f, rng);
-    conn.weights().fill(0.0f);
-    conn.weights()(0, 0) = 1.0f;
-    conn.weights()(0, 1) = 2.0f;
-    conn.weights()(2, 0) = 5.0f;
-    std::vector<float> out(2, 0.0f);
-    const std::vector<std::uint32_t> active = {0, 2};
-    conn.propagate(active, out);
-    EXPECT_FLOAT_EQ(out[0], 6.0f);
-    EXPECT_FLOAT_EQ(out[1], 2.0f);
-    std::vector<float> too_small(1, 0.0f);
-    EXPECT_THROW(conn.propagate(active, too_small), std::invalid_argument);
-    // Oversized (padded) outputs are allowed: extra lanes only ever
-    // accumulate the all-zero padding of the weight rows.
-    std::vector<float> padded(3, 7.0f);
-    conn.propagate(active, padded);
-    EXPECT_FLOAT_EQ(padded[0], 13.0f);
-    EXPECT_FLOAT_EQ(padded[1], 9.0f);
-    EXPECT_FLOAT_EQ(padded[2], 7.0f);
-}
-
 TEST(DenseConnection, PreEventDepressesViaPostTrace) {
     util::Rng rng(3);
     DenseConnection conn(2, 1, test_params(), 0.0f, rng);
@@ -83,17 +60,6 @@ TEST(DenseConnection, WeightsClampedToBounds) {
     conn.learn(std::vector<std::uint32_t>{0}, std::vector<std::uint8_t>{0});
     conn.learn({}, std::vector<std::uint8_t>{1});
     EXPECT_FLOAT_EQ(conn.weights()(0, 0), 1.0f);           // clamped at wmax
-}
-
-TEST(DenseConnection, LearningToggle) {
-    util::Rng rng(3);
-    DenseConnection conn(1, 1, test_params(), 0.0f, rng);
-    conn.weights().fill(0.5f);
-    conn.set_learning(false);
-    conn.learn({}, std::vector<std::uint8_t>{1});
-    conn.learn(std::vector<std::uint32_t>{0}, std::vector<std::uint8_t>{0});
-    EXPECT_FLOAT_EQ(conn.weights()(0, 0), 0.5f);
-    EXPECT_FALSE(conn.learning_enabled());
 }
 
 TEST(DenseConnection, TracesDecayAndReset) {

@@ -2,8 +2,8 @@
 // be BIT-identical to their naive scalar references — across shapes that
 // exercise every unroll tail and padding edge, across random fault state
 // in both layer-update shapes, and through NetworkRuntime/BatchRunner
-// (patch lists, merge-join vs binary-search adopt_drive, a replica's own
-// drive vs its batch-member drive).
+// (patch lists, merge-join vs binary-search adopt_drive, a patched
+// replica's own run vs its batch-member run).
 // Plus the steady-state no-allocation guarantee of the sample loop.
 #include "snn/kernels.hpp"
 
@@ -29,25 +29,42 @@ namespace {
 // --- allocation counting (used by the steady-state test) -----------------
 // Replacing global operator new in the test binary counts every heap
 // allocation made by the code under test. Counting is always on; the test
-// reads the counter around the hot loop.
+// reads the counter around the hot loop. The nothrow forms are replaced
+// too: every form a replaced delete can free must come from the same
+// malloc, or a sanitizer's own nothrow new (std::stable_sort's temporary
+// buffer) meets our delete as an alloc-dealloc mismatch.
 std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_malloc(std::size_t size) noexcept {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    const auto alignment = static_cast<std::size_t>(align);
+    return std::aligned_alloc(alignment, (size + alignment - 1) / alignment * alignment);
+}
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size ? size : 1)) return p;
+    if (void* p = counted_malloc(size)) return p;
     throw std::bad_alloc();
 }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                     (size + static_cast<std::size_t>(align) - 1) /
-                                         static_cast<std::size_t>(align) *
-                                         static_cast<std::size_t>(align)))
-        return p;
+    if (void* p = counted_aligned_alloc(size, align)) return p;
     throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+    return counted_malloc(size);
+}
+
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+    return counted_aligned_alloc(size, align);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -56,16 +73,16 @@ void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
     std::free(p);
 }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept {
+    std::free(p);
+}
 
 namespace snnfi::snn {
 
 /// White-box access to NetworkRuntime internals for the adopt_drive,
 /// drive-aliasing and patch-list checks (friend of NetworkRuntime).
 struct RuntimeTestPeer {
-    static void accumulate_drive(NetworkRuntime& runtime,
-                                 std::span<const std::uint32_t> active) {
-        runtime.accumulate_drive(active);
-    }
     static void adopt_drive(NetworkRuntime& runtime, std::span<const float> base,
                             std::span<const std::uint32_t> active) {
         runtime.adopt_drive(base, active);
@@ -359,6 +376,16 @@ TEST(Kernels, AdoptDriveAliasesSharedBaseWhenNoDeltas) {
     RuntimeTestPeer::adopt_drive(runtime, {base.data(), base.size()}, active);
     EXPECT_EQ(RuntimeTestPeer::drive(runtime), base.data())
         << "clean runtime must alias the shared buffer, not copy it";
+
+    // A learning runtime's base comes from its materialised matrix, which
+    // holds the patched cells already: adding the deltas again would count
+    // them twice.
+    FaultOverlay patched;
+    patched.set_weight(5, 2, 0.9f);
+    NetworkRuntime learner(model, patched);
+    learner.set_learning(true);
+    RuntimeTestPeer::adopt_drive(learner, {base.data(), base.size()}, active);
+    EXPECT_EQ(RuntimeTestPeer::drive(learner), base.data());
 }
 
 /// Many-delta overlay (several deltas per row, rows out of order): the
@@ -410,12 +437,21 @@ TEST(Kernels, AdoptDriveMergeJoinMatchesBinarySearchReference) {
     }
 }
 
-/// A replica computes its own drive with the arithmetic of a batch
-/// member — the model rows, then the deltas of its patched cells — so
-/// the two drives are equal bit for bit under stuck-at and bit-flip
-/// patches on many rows, not just close.
-TEST(Kernels, StandaloneDriveEqualsBatchMemberDrive) {
+bool same_activity(const SampleActivity& a, const SampleActivity& b) {
+    return a.total_exc_spikes == b.total_exc_spikes &&
+           a.total_inh_spikes == b.total_inh_spikes &&
+           a.exc_counts.size() == b.exc_counts.size() &&
+           std::memcmp(a.exc_counts.data(), b.exc_counts.data(),
+                       a.exc_counts.size() * sizeof(a.exc_counts[0])) == 0;
+}
+
+/// A standalone replica runs the one step loop as a batch of one, so
+/// under stuck-at and bit-flip patches on many rows its activity over a
+/// raster equals its BatchRunner member twin's bit for bit, not just
+/// closely.
+TEST(Kernels, PatchedStandaloneRunEqualsBatchMemberRun) {
     const auto model = NetworkModel::random(tiny_config(), 5);
+    const DiehlCookConfig& config = model->config();
     const std::size_t n = model->n_neurons();
     const std::uint32_t bits[] = {0, 15, 22, 23, 30, 31};
     FaultOverlay overlay;
@@ -429,25 +465,27 @@ TEST(Kernels, StandaloneDriveEqualsBatchMemberDrive) {
     }
     NetworkRuntime standalone(model, overlay);
     NetworkRuntime member(model, overlay);
+    NetworkRuntime clean(model);
     ASSERT_GT(RuntimeTestPeer::deltas(member).size(), 100u);
+    BatchRunner batch(*model, {&member, &clean});
 
-    const Matrix& weights = model->input_weights();
-    AlignedVector base(kernels::padded_size(n), 0.0f);
-    util::Rng active_rng(19);
-    for (std::size_t trial = 0; trial < 50; ++trial) {
-        std::vector<std::uint32_t> active;
-        for (std::uint32_t pre = 0; pre < model->n_input(); ++pre) {
-            if (active_rng.uniform() < 0.1) active.push_back(pre);
-        }
-        RuntimeTestPeer::accumulate_drive(standalone, active);
-        std::fill(base.begin(), base.end(), 0.0f);
-        kernels::accumulate_rows(weights.data(), weights.stride(), active, base.data(),
-                                 base.size());
-        RuntimeTestPeer::adopt_drive(member, {base.data(), base.size()}, active);
-        ASSERT_TRUE(same_bits({RuntimeTestPeer::drive(standalone), n},
-                              {RuntimeTestPeer::drive(member), n}))
-            << "trial " << trial;
+    util::Rng image_rng(19);
+    std::vector<std::vector<float>> images;
+    for (std::size_t i = 0; i < 6; ++i)
+        images.push_back(random_image(image_rng, config.n_input));
+    const SpikeRaster raster =
+        SpikeRaster::encode(config.encoder, config.steps_per_sample, images, util::Rng(23));
+    SampleActivity own;
+    std::vector<SampleActivity> batched(batch.size());
+    bool patches_matter = false;
+    for (std::size_t i = 0; i < raster.samples(); ++i) {
+        standalone.run_sample_into(raster, i, own);
+        batch.run_sample_into(raster, i, batched);
+        ASSERT_GT(own.total_exc_spikes, 0u) << "sample " << i;
+        ASSERT_TRUE(same_activity(own, batched[0])) << "sample " << i;
+        patches_matter = patches_matter || !same_activity(own, batched[1]);
     }
+    EXPECT_TRUE(patches_matter) << "the patches never changed a spike";
 }
 
 // --- STDP potentiation and normalisation ----------------------------------
@@ -557,7 +595,10 @@ TEST(Kernels, NormalizeColumnsBitIdenticalToColumnWalk) {
 
 TEST(Kernels, SampleLoopIsAllocationFreeAtSteadyState) {
     const auto model = NetworkModel::random(tiny_config(), 29);
+    const DiehlCookConfig& config = model->config();
     NetworkRuntime standalone(model);
+    NetworkRuntime learner(model);
+    learner.set_learning(true);
     FaultOverlay patched;
     patched.set_weight(10, 2, 0.9f).set_weight(300, 5, 0.1f);
     NetworkRuntime member_clean(model);
@@ -565,26 +606,50 @@ TEST(Kernels, SampleLoopIsAllocationFreeAtSteadyState) {
     BatchRunner batch(*model, {&member_clean, &member_patched});
 
     util::Rng image_rng(31);
-    const auto image_a = random_image(image_rng, model->config().n_input);
-    const auto image_b = random_image(image_rng, model->config().n_input);
+    const std::vector<std::vector<float>> images = {random_image(image_rng, config.n_input),
+                                                    random_image(image_rng, config.n_input)};
+    const SpikeRaster raster =
+        SpikeRaster::encode(config.encoder, config.steps_per_sample, images, util::Rng(37));
     SampleActivity activity;
+    SampleActivity learned;
     std::vector<SampleActivity> activities(batch.size());
     util::Rng batch_rng(33);
-    // Warm-up: sizes the activity records and the reserved worklists.
-    standalone.run_sample_into(image_a, activity);
-    batch.run_sample_into(image_a, batch_rng, activities);
+    // Warm-up: sizes the activity records, the reserved worklists and the
+    // spike buffers for the denser sample.
+    for (std::size_t i = 0; i < images.size(); ++i) {
+        standalone.run_sample_into(images[i], activity);
+        learner.run_sample_into(images[i], learned);
+        learner.run_sample_into(raster, i, learned);
+        batch.run_sample_into(images[i], batch_rng, activities);
+    }
 
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
     for (std::size_t rep = 0; rep < 3; ++rep) {
-        standalone.run_sample_into(image_a, activity);
-        standalone.run_sample_into(image_b, activity);
-        batch.run_sample_into(image_a, batch_rng, activities);
-        batch.run_sample_into(image_b, batch_rng, activities);
+        for (std::size_t i = 0; i < images.size(); ++i) {
+            standalone.run_sample_into(images[i], activity);
+            learner.run_sample_into(images[i], learned);
+            learner.run_sample_into(raster, i, learned);
+            batch.run_sample_into(images[i], batch_rng, activities);
+        }
     }
     const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after, before)
         << "the sample loop allocated " << (after - before)
         << " time(s) at steady state";
+}
+
+/// std::stable_sort takes its temporary buffer from nothrow new and hands
+/// it back through delete. Both ends must be this binary's counted forms:
+/// with only the throwing forms replaced, a sanitizer build aborts here on
+/// an alloc-dealloc mismatch.
+TEST(Kernels, NothrowNewIsCountedAndPairsWithDelete) {
+    std::vector<std::uint64_t> values(4096);
+    std::iota(values.rbegin(), values.rend(), 0u);
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    std::stable_sort(values.begin(), values.end());
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
+    EXPECT_GT(after, before) << "the temporary buffer was not counted";
 }
 
 }  // namespace

@@ -154,6 +154,29 @@ TEST(NetworkRuntime, FreezeAfterPatchMaterialisesThePatch) {
     EXPECT_TRUE(same_bits(frozen->weight_row(0), model->weight_row(0)));
 }
 
+TEST(NetworkRuntime, DisabledLearningKeepsTheLearnedWeights) {
+    // Disabling learning stops STDP and normalisation, while the replica
+    // keeps driving from its learned weights: samples run afterwards
+    // leave freeze()'s weights the same bit for bit.
+    const auto dataset = data::make_synthetic_dataset(6, 5);
+    const auto model = NetworkModel::random(tiny_config(), 13);
+    NetworkRuntime runtime(model);
+    runtime.set_learning(true);
+    (void)runtime.run_sample(dataset.images[0]);
+    const auto learned = runtime.freeze();
+    ASSERT_FALSE(same_bits(learned->input_weights().to_vector(),
+                           model->input_weights().to_vector()));
+
+    runtime.set_learning(false);
+    EXPECT_FALSE(runtime.learning_enabled());
+    std::uint64_t exc_spikes = 0;
+    for (std::size_t i = 1; i < dataset.size(); ++i)
+        exc_spikes += runtime.run_sample(dataset.images[i]).total_exc_spikes;
+    EXPECT_GT(exc_spikes, 0u);  // spikes STDP would have learned from
+    EXPECT_TRUE(same_bits(runtime.freeze()->input_weights().to_vector(),
+                          learned->input_weights().to_vector()));
+}
+
 TEST(BatchRunner, LockstepMatchesStandaloneRuns) {
     const auto dataset = data::make_synthetic_dataset(20, 5);
     const auto model = trained_model(dataset, 9, 10);

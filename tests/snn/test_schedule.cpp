@@ -321,5 +321,55 @@ TEST(NetworkRuntime, LearningRejectsWeightPatchChanges) {
         (void)runtime.run_sample(std::vector<float>(tiny_config().n_input, 0.5f)));
 }
 
+TEST(NetworkRuntime, FaultSettersChangeAllOrNothing) {
+    // Every op of an overlay or schedule is range-checked before either
+    // setter changes anything: a neuron or cell outside the network
+    // throws std::out_of_range on the call, not at a later step, and the
+    // replica keeps the overlay and schedule it had — its next sample is
+    // a fresh replica's under them.
+    const auto dataset = data::make_synthetic_dataset(2, 7);
+    const auto model = trained_model();
+    const std::size_t n = tiny_config().n_neurons;
+    const std::vector<std::size_t> first = {0, 1, 2, 3};
+    FaultOverlay dead_segment;
+    dead_segment.force_state(OverlayLayer::kExcitatory, first, NeuronFault::kDead);
+    const OverlaySchedule schedule = {{40, 80, dead_segment}};
+
+    // Each bad overlay applies valid ops before its bad one.
+    const std::vector<std::size_t> beyond = {999};
+    FaultOverlay bad_neuron;
+    bad_neuron.scale_threshold(OverlayLayer::kExcitatory, first, 2.0f)
+        .force_state(OverlayLayer::kInhibitory, beyond, NeuronFault::kSaturated);
+    FaultOverlay bad_post;
+    bad_post.scale_threshold(OverlayLayer::kExcitatory, first, 2.0f).set_weight(3, n, 0.5f);
+    FaultOverlay bad_pre;
+    bad_pre.set_weight(3, 1, 0.5f).flip_weight_bit(model->n_input(), 0, 30);
+
+    NetworkRuntime runtime(model, glitch_overlay());
+    runtime.set_schedule(schedule);
+    for (const FaultOverlay& bad : {bad_neuron, bad_post, bad_pre}) {
+        EXPECT_THROW(runtime.set_overlay(bad), std::out_of_range);
+        EXPECT_THROW(runtime.set_schedule({{40, 80, bad}}), std::out_of_range);
+        EXPECT_THROW(runtime.set_schedule({{0, 10, FaultOverlay{}}, {40, 80, bad}}),
+                     std::out_of_range);
+    }
+    EXPECT_EQ(runtime.overlay().neuron_ops().size(),
+              glitch_overlay().neuron_ops().size());
+    EXPECT_TRUE(runtime.overlay().weight_ops().empty());
+    ASSERT_EQ(runtime.schedule().size(), 1u);
+
+    NetworkRuntime fresh(model, glitch_overlay());
+    fresh.set_schedule(schedule);
+    NetworkRuntime clean(model);
+    for (const auto& image : dataset.images) {
+        const SampleActivity expected = fresh.run_sample(image);
+        const SampleActivity got = runtime.run_sample(image);
+        EXPECT_EQ(got.exc_counts, expected.exc_counts);
+        EXPECT_EQ(got.total_inh_spikes, expected.total_inh_spikes);
+        // The kept faults are visible: a clean replica spikes otherwise.
+        EXPECT_NE(clean.run_sample(image).exc_counts, expected.exc_counts);
+    }
+}
+
 }  // namespace
 }  // namespace snnfi::snn
