@@ -39,6 +39,7 @@ namespace {
 
 using namespace snnfi;
 
+constexpr std::uint64_t kSeed = fi::CampaignEngine::kSeed;
 constexpr std::uint64_t kReplicaStream = fi::CampaignEngine::kReplicaStream;
 constexpr std::size_t kBatchCells = fi::CampaignEngine::kBatchCells;
 
@@ -143,7 +144,7 @@ int main(int argc, char** argv) {
                 }
                 for (auto& runtime : runtimes) members.push_back(&runtime);
                 snn::BatchRunner batch(*baseline, std::move(members));
-                util::Rng rng(util::derive_seed(0xCA30, kReplicaStream + r));
+                util::Rng rng(util::derive_seed(kSeed, kReplicaStream + r));
                 std::vector<snn::SampleActivity> activities(batch.size());
                 for (std::size_t i = 0; i < eval_n; ++i) {
                     batch.run_sample_into(data.images[i], rng, activities);

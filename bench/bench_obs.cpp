@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
     config.eval_samples = std::min<std::size_t>(
         static_cast<std::size_t>(parser.get_int("eval-samples")),
         options.train_samples);
-    config.early_stop.enabled = false;
-    config.early_stop.min_replicas = 2;
+    config.early_stop = {.min_replicas = 2, .max_replicas = 2};
     const std::size_t eval_samples = config.eval_samples;
     fi::CampaignEngine engine(session, std::move(config));
     std::vector<std::size_t> all_cells(engine.plan_cells());

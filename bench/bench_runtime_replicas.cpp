@@ -38,6 +38,7 @@ using namespace snnfi;
 
 // Shared with the production campaign engine so the benchmark measures
 // the batching scheme that actually ships.
+constexpr std::uint64_t kSeed = fi::CampaignEngine::kSeed;
 constexpr std::uint64_t kReplicaStream = fi::CampaignEngine::kReplicaStream;
 constexpr std::size_t kBatchCells = fi::CampaignEngine::kBatchCells;
 
@@ -148,7 +149,7 @@ int main(int argc, char** argv) {
             const std::size_t c = t / replicas;
             const std::size_t r = t % replicas;
             snn::NetworkRuntime runtime(baseline, overlays[c]);
-            runtime.rng().reseed(util::derive_seed(0xCA30, kReplicaStream + r));
+            runtime.rng().reseed(util::derive_seed(kSeed, kReplicaStream + r));
             std::size_t total = 0;
             for (std::size_t i = 0; i < eval_n; ++i)
                 total += runtime.run_sample(data.images[i]).total_exc_spikes;
@@ -180,7 +181,7 @@ int main(int argc, char** argv) {
                 runtimes.emplace_back(baseline, overlays[task.begin + k]);
             for (auto& runtime : runtimes) members.push_back(&runtime);
             snn::BatchRunner batch(*baseline, std::move(members));
-            util::Rng rng(util::derive_seed(0xCA30, kReplicaStream + task.replica));
+            util::Rng rng(util::derive_seed(kSeed, kReplicaStream + task.replica));
             std::vector<std::size_t> totals(count, 0);
             std::vector<snn::SampleActivity> activities(count);
             for (std::size_t i = 0; i < eval_n; ++i) {

@@ -8,7 +8,8 @@
 namespace snnfi::core {
 
 // Anchors defined in the builtin scenario translation units; referencing
-// them here guarantees their self-registering statics are linked in.
+// them here guarantees their self-registering statics are linked in. The
+// fi anchor registers the campaign catalog (fi/catalog.hpp) itself.
 void link_circuit_scenarios();
 void link_attack_scenarios();
 void link_defense_scenarios();
@@ -76,8 +77,10 @@ void ScenarioRegistry::add(ScenarioSpec spec) {
 void ScenarioRegistry::ensure_builtins() {
     if (builtins_loaded_) return;
     builtins_loaded_ = true;
-    // The anchor calls force the builtin TUs into the link; registration
-    // itself happened through their static ScenarioRegistrar objects.
+    // The anchor calls force the builtin TUs into the link; the circuit,
+    // attack and defense specs registered through their static
+    // ScenarioRegistrar objects, and link_fi_scenarios adds one spec per
+    // campaign catalog entry.
     link_circuit_scenarios();
     link_attack_scenarios();
     link_defense_scenarios();

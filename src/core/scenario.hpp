@@ -41,9 +41,6 @@ struct RunOptions {
     std::uint64_t network_seed = 7;
     std::size_t eval_window = 250;
     std::size_t max_workers = 0;      ///< 0 = hardware concurrency
-    /// Artifact-cache entry cap; the least-recently-used entry is evicted
-    /// beyond it. 0 = unbounded (the default: registry-sized batches fit).
-    std::size_t cache_capacity = 0;
     std::string mnist_dir = "data/mnist";
     /// Persistent artifact store directory (second cache tier below the
     /// in-memory one): trained baselines, characterisation sweeps and

@@ -22,13 +22,11 @@ namespace {
 struct CacheMetrics {
     obs::Counter& hits;
     obs::Counter& misses;
-    obs::Counter& evictions;
 
     static CacheMetrics& get() {
         static CacheMetrics metrics{
             obs::Registry::global().counter("session.cache.hits"),
-            obs::Registry::global().counter("session.cache.misses"),
-            obs::Registry::global().counter("session.cache.evictions")};
+            obs::Registry::global().counter("session.cache.misses")};
         return metrics;
     }
 };
@@ -89,30 +87,13 @@ std::shared_ptr<void> Session::find_cached(const std::string& key) {
     }
     ++hits_;
     CacheMetrics::get().hits.add();
-    lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-    return it->second.value;
+    return it->second;
 }
 
 std::shared_ptr<void> Session::insert_cached(const std::string& key,
                                              std::shared_ptr<void> artifact) {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = artifacts_.find(key);
-    if (it != artifacts_.end()) {
-        // Another thread built the same artifact first; keep theirs.
-        lru_.splice(lru_.begin(), lru_, it->second.lru_position);
-        return it->second.value;
-    }
-    lru_.push_front(key);
-    artifacts_.emplace(key, CacheEntry{std::move(artifact), lru_.begin()});
-    // Evict beyond the configured cap, least-recently-used first. Holders
-    // of evicted shared_ptrs keep their references; the cache just forgets.
-    while (options_.cache_capacity != 0 && artifacts_.size() > options_.cache_capacity) {
-        artifacts_.erase(lru_.back());
-        lru_.pop_back();
-        ++evictions_;
-        CacheMetrics::get().evictions.add();
-    }
-    return artifacts_.find(key)->second.value;
+    return artifacts_.try_emplace(key, std::move(artifact)).first->second;
 }
 
 std::size_t Session::cache_entries() const {
@@ -564,7 +545,6 @@ std::string to_json(const std::vector<RunResult>& results, const Session& sessio
     }
     os << "],\"cache\":{\"memory\":{\"hits\":" << session.cache_hits()
        << ",\"misses\":" << session.cache_misses()
-       << ",\"evictions\":" << session.cache_evictions()
        << ",\"entries\":" << session.cache_entries() << "},\"store\":{";
     if (const store::ArtifactStore* artifact_store = session.store()) {
         os << "\"enabled\":true,\"hits\":" << artifact_store->hits()

@@ -8,10 +8,10 @@
 //     their AttackSuite), datasets, circuit characterisations, VDD
 //     calibrations and fault-injection campaign results are built once and
 //     shared, so replaying all five paper attacks trains the attack-free
-//     baseline exactly once. The cache is optionally capped
-//     (RunOptions::cache_capacity) with LRU eviction so registry-wide
-//     batches cannot grow memory unboundedly; traffic is observable
-//     through cache_hits()/cache_misses()/cache_evictions().
+//     baseline exactly once. The cache keeps every artifact for the
+//     Session's lifetime (the persistent store below it has its own disk
+//     cap, RunOptions::store_max_bytes); traffic is observable through
+//     cache_hits()/cache_misses().
 //
 // Declarative ScenarioSpecs (core/scenario.hpp) are expanded here: the
 // cartesian product of their fault axes becomes a FaultSpec batch, executed
@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -123,7 +122,6 @@ public:
 
     std::size_t cache_hits() const noexcept { return hits_; }
     std::size_t cache_misses() const noexcept { return misses_; }
-    std::size_t cache_evictions() const noexcept { return evictions_; }
     std::size_t cache_entries() const;
 
     /// The persistent artifact store, or nullptr when the session runs
@@ -147,22 +145,15 @@ private:
     std::vector<double> measure_points(const circuits::Characterizer& characterizer,
                                        const std::vector<circuits::PointSpec>& points);
 
-    struct CacheEntry {
-        std::shared_ptr<void> value;
-        std::list<std::string>::iterator lru_position;  ///< into lru_
-    };
-
     RunOptions options_;
     util::ThreadPool pool_;
     std::unique_ptr<store::ArtifactStore> store_;  ///< nullptr = no store
-    mutable std::mutex mutex_;  ///< guards the cache maps and the counters
-    std::map<std::string, CacheEntry> artifacts_;
-    std::list<std::string> lru_;  ///< most-recently-used first
+    mutable std::mutex mutex_;  ///< guards the cache map and the counters
+    std::map<std::string, std::shared_ptr<void>> artifacts_;
     // Atomic so the counter accessors stay lock-free while workers are
     // inside cached(); mutations still happen under mutex_.
     std::atomic<std::size_t> hits_{0};
     std::atomic<std::size_t> misses_{0};
-    std::atomic<std::size_t> evictions_{0};
     std::mutex points_mutex_;  ///< guards points_
     std::map<circuits::PointSpec, double> points_;  ///< measured by this Session
 };
@@ -172,7 +163,7 @@ private:
 /// telemetry registry (obs::metrics_json — {"enabled":false,...} empty
 /// when telemetry stayed off):
 /// {"experiments":[<RunResult>...],
-///  "cache":{"memory":{"hits":..,"misses":..,"evictions":..,"entries":..},
+///  "cache":{"memory":{"hits":..,"misses":..,"entries":..},
 ///           "store":{"enabled":..,"hits":..,"misses":..,"evictions":..,
 ///                    "entries":..,"bytes":..}},
 ///  "obs":{"enabled":..,"counters":..,"gauges":..,"histograms":..}}.

@@ -26,6 +26,8 @@ namespace {
 
 constexpr double kZ95 = 1.96;            ///< 95% normal CI quantile
 constexpr std::size_t kNumClasses = 10;  ///< digit workload
+/// A mean drop beyond this many percentage points marks a cell critical.
+constexpr double kCriticalDropPct = 5.0;
 constexpr std::uint64_t kReplicaStream = CampaignEngine::kReplicaStream;
 constexpr std::size_t kBatchCells = CampaignEngine::kBatchCells;
 
@@ -77,6 +79,19 @@ std::string layer_label(const FaultSite& site) {
             }
     }
     return "?";
+}
+
+/// Fills a cell's replica count, mean accuracy and drop, the drop's 95% CI
+/// halfwidth and its critical flag from its replicas' samples.
+void summarize(CellResult& cell, std::span<const double> accuracies,
+               std::span<const double> drops) {
+    const std::size_t n = drops.size();
+    cell.replicas = n;
+    cell.accuracy_pct = util::mean(accuracies);
+    cell.drop_pct = util::mean(drops);
+    cell.ci_halfwidth_pct =
+        n > 1 ? kZ95 * util::stddev(drops) / std::sqrt(static_cast<double>(n)) : 0.0;
+    cell.critical = cell.drop_pct > kCriticalDropPct;
 }
 
 /// A clean (fault-free) inference pass over the eval subset with one
@@ -164,10 +179,9 @@ std::string CampaignConfig::cache_key() const {
     os << "|layers=";
     for (const auto layer : sites.layers) os << attack::to_string(layer) << "+";
     os << "|max_sites=" << sites.max_sites << "|site_seed=" << sites.sample_seed
-       << "|eval=" << eval_samples << "|seed=" << seed
-       << "|crit=" << critical_drop_pct << "|es=" << early_stop.enabled
-       << "," << early_stop.min_replicas << "," << early_stop.max_replicas
-       << "," << early_stop.ci_halfwidth_pct << "|treps=" << train_replicas;
+       << "|eval=" << eval_samples << "|es=" << early_stop.min_replicas << ","
+       << early_stop.max_replicas << "," << early_stop.ci_halfwidth_pct
+       << "|treps=" << train_replicas;
     return os.str();
 }
 
@@ -278,20 +292,15 @@ void CampaignResult::recount() {
 // ---------------------------------------------------------------- planning
 
 /// Everything execute() needs, planned up front: the cell skeletons in
-/// their stable planning order plus the per-cell execution payloads.
+/// their stable planning order, each with the fault it runs under.
 struct CampaignEngine::Plan {
     std::shared_ptr<attack::AttackSuite> suite;
     std::shared_ptr<const snn::NetworkModel> baseline;
     double baseline_pct = 0.0;
     std::size_t eval_n = 0;
-    snn::DiehlCookConfig network_config;
 
-    std::vector<CellResult> cells;             ///< skeletons, plan_index set
-    std::vector<const FaultModel*> cell_model; ///< nullptr for glitch cells
-    std::vector<std::size_t> training_cells;
-    std::vector<attack::TrainingFault> training_faults;  ///< parallel to training_cells
-    std::vector<std::size_t> inference_cells;
-    std::vector<snn::OverlaySchedule> schedules;    ///< per cell
+    std::vector<CellResult> cells;              ///< skeletons, plan_index set
+    std::vector<attack::TrainingFault> faults;  ///< per cell
 };
 
 CampaignEngine::CampaignEngine(core::Session& session, CampaignConfig config)
@@ -337,8 +346,8 @@ CampaignEngine::Plan CampaignEngine::make_plan() {
     plan.baseline_pct = plan.suite->baseline_accuracy() * 100.0;
     // The trained baseline, frozen once and shared by every replica.
     plan.baseline = plan.suite->baseline_model();
+    const snn::DiehlCookConfig& network = plan.baseline->config();
     const snn::Dataset& data = plan.suite->dataset();
-    plan.network_config = plan.suite->config().network;
     plan.eval_n =
         std::min(config_.eval_samples == 0 ? data.size() : config_.eval_samples,
                  data.size());
@@ -353,8 +362,7 @@ CampaignEngine::Plan CampaignEngine::make_plan() {
             site.layer = attack::TargetLayer::kNone;
             sites.push_back(site);
         } else {
-            sites = enumerate_sites(plan.network_config, model->site_kind(),
-                                    config_.sites);
+            sites = enumerate_sites(network, model->site_kind(), config_.sites);
         }
         for (const FaultSite& site : sites) {
             for (const double severity : model->severity_grid(quick)) {
@@ -364,15 +372,9 @@ CampaignEngine::Plan CampaignEngine::make_plan() {
                 cell.site = site;
                 cell.severity = severity;
                 cell.trained = model->trains_under_fault();
-                if (cell.trained) {
-                    plan.training_cells.push_back(plan.cells.size());
-                    plan.training_faults.emplace_back().overlay =
-                        model->overlay(plan.network_config, site, severity);
-                } else {
-                    plan.inference_cells.push_back(plan.cells.size());
-                }
                 plan.cells.push_back(std::move(cell));
-                plan.cell_model.push_back(model.get());
+                plan.faults.emplace_back().overlay =
+                    model->overlay(network, site, severity);
             }
         }
     }
@@ -383,7 +385,7 @@ CampaignEngine::Plan CampaignEngine::make_plan() {
     // profiles become scheduled overlays evaluated at inference on the
     // trained baseline; train-mode cells run STDP under the compiled
     // schedule for their window of the training pass.
-    const attack::GlitchCompiler compiler(plan.network_config);
+    const attack::GlitchCompiler compiler(network);
     for (const GlitchCellSpec& glitch : config_.glitches) {
         CellResult cell;
         cell.plan_index = plan.cells.size();
@@ -393,36 +395,29 @@ CampaignEngine::Plan CampaignEngine::make_plan() {
         cell.label = glitch.id;
         cell.footprint = glitch.footprint.fingerprint();
         cell.severity = glitch.severity;
+        attack::TrainingFault& fault = plan.faults.emplace_back();
         if (glitch.train) {
             cell.trained = true;
             cell.scheduled = true;
-            plan.training_cells.push_back(plan.cells.size());
-            attack::TrainingFault& fault = plan.training_faults.emplace_back();
             fault.schedule = compiler.compile(glitch.profile, glitch.footprint);
             fault.sample_begin = glitch.train_begin;
             fault.sample_end = glitch.train_end;
         } else if (glitch.profile.is_constant() && glitch.footprint.is_uniform()) {
             cell.trained = true;
-            plan.training_cells.push_back(plan.cells.size());
-            plan.training_faults.emplace_back().overlay =
-                attack::overlay_for(glitch.profile.to_fault_spec(), plan.network_config);
+            fault.overlay = attack::overlay_for(glitch.profile.to_fault_spec(), network);
         } else {
             cell.scheduled = true;
-            plan.inference_cells.push_back(plan.cells.size());
-            plan.schedules.resize(plan.cells.size() + 1);
-            plan.schedules[plan.cells.size()] =
-                compiler.compile(glitch.profile, glitch.footprint);
+            fault.schedule = compiler.compile(glitch.profile, glitch.footprint);
         }
         plan.cells.push_back(std::move(cell));
-        plan.cell_model.push_back(nullptr);
     }
-    plan.schedules.resize(plan.cells.size());
     return plan;
 }
 
 // --------------------------------------------------------------- execution
 
-CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& include,
+CampaignResult CampaignEngine::execute(const Plan& plan,
+                                       const std::vector<char>& include,
                                        const CellSink& on_close) {
     obs::Span exec_span("fi.execute");
     const auto exec_start = std::chrono::steady_clock::now();
@@ -431,35 +426,40 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
     const std::size_t eval_n = plan.eval_n;
     const double baseline_pct = plan.baseline_pct;
 
+    // The selected cells, in plan order: trained ones with their faults,
+    // and the inference cells the queue below runs.
     CampaignResult result;
     result.baseline_accuracy_pct = baseline_pct;
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     std::vector<std::size_t> slot(plan.cells.size(), kNone);
+    std::vector<std::size_t> train_cells;
+    std::vector<attack::TrainingFault> train_faults;
+    std::vector<std::size_t> open;
     for (std::size_t c = 0; c < plan.cells.size(); ++c) {
         if (!include[c]) continue;
         slot[c] = result.cells.size();
         result.cells.push_back(plan.cells[c]);
+        if (plan.cells[c].trained) {
+            train_cells.push_back(c);
+            train_faults.push_back(plan.faults[c]);
+        } else {
+            open.push_back(c);
+        }
     }
     exec_span.tag("cells", static_cast<double>(result.cells.size()));
+
+    // Per plan index: each replica's accuracy and clean-paired drop.
+    std::vector<std::vector<double>> drops(plan.cells.size());
+    std::vector<std::vector<double>> accuracies(plan.cells.size());
 
     // --- train-under-fault cells (drift models + glitch cells) ----------
     // Replica 0 always runs the session-default suite, so a
     // train_replicas == 1 campaign is bit-identical to the classic
     // engine; replicas >= 1 retrain under derived data/network seed
     // streams and are paired against *their own* suite's baseline.
-    std::vector<std::size_t> train_cells;  // plan indices, selected
-    std::vector<attack::TrainingFault> train_faults;
-    for (std::size_t f = 0; f < plan.training_cells.size(); ++f) {
-        if (!include[plan.training_cells[f]]) continue;
-        train_cells.push_back(plan.training_cells[f]);
-        train_faults.push_back(plan.training_faults[f]);
-    }
-
     if (!train_cells.empty()) {
         const std::size_t train_reps =
             std::max<std::size_t>(1, config_.train_replicas);
-        std::vector<std::vector<double>> train_drops(train_cells.size());
-        std::vector<std::vector<double>> train_accs(train_cells.size());
         for (std::size_t r = 0; r < train_reps; ++r) {
             obs::Span replica_span("fi.train");
             replica_span.tag("replica", static_cast<double>(r));
@@ -484,52 +484,28 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
                 suite->train_many(train_faults);
             const double replica_baseline_pct = suite->baseline_accuracy() * 100.0;
             for (std::size_t f = 0; f < train_cells.size(); ++f) {
+                const std::size_t c = train_cells[f];
                 const double accuracy_pct = outcomes[f].accuracy * 100.0;
-                train_accs[f].push_back(accuracy_pct);
-                train_drops[f].push_back(replica_baseline_pct - accuracy_pct);
+                accuracies[c].push_back(accuracy_pct);
+                drops[c].push_back(replica_baseline_pct - accuracy_pct);
             }
             FiMetrics::get().train_ms.observe(ms_since(replica_start));
         }
-        for (std::size_t f = 0; f < train_cells.size(); ++f) {
-            CellResult& cell = result.cells[slot[train_cells[f]]];
-            const std::size_t n = train_drops[f].size();
-            cell.replicas = n;
-            cell.accuracy_pct = util::mean(train_accs[f]);
-            cell.drop_pct = util::mean(train_drops[f]);
-            cell.ci_halfwidth_pct =
-                n > 1 ? kZ95 * util::stddev(train_drops[f]) /
-                            std::sqrt(static_cast<double>(n))
-                      : 0.0;
-            cell.critical = cell.drop_pct > config_.critical_drop_pct;
+        for (const std::size_t c : train_cells) {
+            CellResult& cell = result.cells[slot[c]];
+            summarize(cell, accuracies[c], drops[c]);
             if (on_close) on_close(cell, baseline_pct);
         }
     }
 
     // --- behavioural models: batched Model/Runtime inference path -------
-    std::vector<std::size_t> open;
-    for (const std::size_t c : plan.inference_cells) {
-        if (include[c]) open.push_back(c);
-    }
-
     EarlyStopPolicy es = config_.early_stop;
     // Quick mode always runs a fixed replica count: smoke runs and CI must
     // be shape-stable, so early stopping never activates (documented
     // invariant, enforced here rather than in every scenario config).
-    if (quick) es.enabled = false;
+    if (quick) es.max_replicas = es.min_replicas;
     const std::size_t min_reps = std::max<std::size_t>(1, es.min_replicas);
-    const std::size_t max_reps =
-        es.enabled ? std::max(min_reps, es.max_replicas) : min_reps;
-
-    // One overlay per selected inference cell, built up front from the
-    // topology. Scheduled glitch cells have an empty base overlay: their
-    // faults arrive through the compiled schedule instead.
-    std::vector<snn::FaultOverlay> overlays(plan.cells.size());
-    for (const std::size_t c : open) {
-        if (plan.cell_model[c] == nullptr) continue;
-        plan.cell_model[c]->build_overlay(overlays[c], plan.network_config,
-                                          plan.cells[c].site,
-                                          plan.cells[c].severity);
-    }
+    const std::size_t max_reps = std::max(min_reps, es.max_replicas);
 
     // Replica r's Poisson stream over the eval subset, encoded once: the
     // clean pass and every batch of replica r replay the same raster.
@@ -551,10 +527,9 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
             snn::SpikeRaster::encode(network.encoder, network.steps_per_sample,
                                      eval_images,
                                      util::Rng(util::derive_seed(
-                                         config_.seed, kReplicaStream + replica))));
+                                         kSeed, kReplicaStream + replica))));
         snn::NetworkRuntime runtime(plan.baseline);
-        snn::ActivityClassifier classifier(plan.network_config.n_neurons,
-                                           kNumClasses);
+        snn::ActivityClassifier classifier(network.n_neurons, kNumClasses);
         std::vector<snn::SampleActivity> activity(eval_n);
         for (std::size_t i = 0; i < eval_n; ++i) {
             runtime.run_sample_into(raster, i, activity[i]);
@@ -576,21 +551,14 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
 
     // The stop rule, applied to one cell after each of its replicas: true
     // while the cell has replicas left to run.
-    std::vector<std::vector<double>> drops(plan.cells.size());
-    std::vector<std::vector<double>> accuracies(plan.cells.size());
     const auto stays_open = [&](std::size_t c) {
         const std::size_t n = drops[c].size();
         if (n < min_reps) return true;  // judged from min_replicas on
         CellResult& cell = result.cells[slot[c]];
-        cell.replicas = n;
-        cell.drop_pct = util::mean(drops[c]);
-        cell.accuracy_pct = util::mean(accuracies[c]);
-        cell.ci_halfwidth_pct =
-            n > 1 ? kZ95 * util::stddev(drops[c]) / std::sqrt(static_cast<double>(n))
-                  : 0.0;
-        cell.critical = cell.drop_pct > config_.critical_drop_pct;
-        // A fixed replica count, or the cap: the cell is done.
-        if (!es.enabled || n >= max_reps) return false;
+        summarize(cell, accuracies[c], drops[c]);
+        // The cap (a fixed replica count when it equals min_replicas): the
+        // cell is done.
+        if (n >= max_reps) return false;
         const bool tight = cell.ci_halfwidth_pct <= es.ci_halfwidth_pct;
         if (!tight) return true;
         cell.early_stopped = true;
@@ -623,9 +591,9 @@ CampaignResult CampaignEngine::execute(Plan& plan, const std::vector<char>& incl
             cell_span.tag("model", plan.cells[cell].model);
             cell_span.tag("severity", plan.cells[cell].severity);
             cell_span.tag("replica", static_cast<double>(replica));
-            runtimes.emplace_back(plan.baseline, overlays[cell]);
-            if (!plan.schedules[cell].empty())
-                runtimes.back().set_schedule(plan.schedules[cell]);
+            const attack::TrainingFault& fault = plan.faults[cell];
+            runtimes.emplace_back(plan.baseline, fault.overlay);
+            if (!fault.schedule.empty()) runtimes.back().set_schedule(fault.schedule);
         }
         for (snn::NetworkRuntime& runtime : runtimes) members.push_back(&runtime);
         snn::BatchRunner batch(*plan.baseline, std::move(members));

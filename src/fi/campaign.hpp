@@ -1,6 +1,12 @@
 // Campaign engine: plans site x model x severity grids and executes them
 // over the shared core::Session infrastructure.
 //
+// The plan lists the cells in a stable order, each with one
+// attack::TrainingFault: the overlay, schedule and training window the
+// cell runs under, built up front for fault-model and glitch cells alike.
+// A trained cell trains under its fault; any other cell runs the fault's
+// overlay and schedule at inference over the trained baseline.
+//
 // Execution strategy (Model/Runtime split, see snn/model.hpp):
 //   * the attack-free baseline is trained once (Session artifact cache —
 //     the cache counters prove it) and frozen into an immutable
@@ -58,9 +64,11 @@ class Session;
 
 namespace snnfi::fi {
 
-/// Statistical early stopping of a cell's replicas.
+/// Statistical early stopping of a cell's replicas. max_replicas ==
+/// min_replicas is a fixed replica count: every cell runs exactly that many
+/// and none stops early. Quick mode always runs that form, with
+/// max_replicas lowered to min_replicas.
 struct EarlyStopPolicy {
-    bool enabled = true;
     std::size_t min_replicas = 3;   ///< always run at least this many
     std::size_t max_replicas = 10;  ///< hard cap per cell
     /// Stop once the 95% CI halfwidth of the accuracy drop (percentage
@@ -104,9 +112,6 @@ struct CampaignConfig {
     std::vector<GlitchCellSpec> glitches;
     /// Inference-evaluation subset size (clamped to the session dataset).
     std::size_t eval_samples = 120;
-    std::uint64_t seed = 0xCA30;  ///< root of the replica seed streams
-    /// Mean drop beyond this many percentage points marks a cell critical.
-    double critical_drop_pct = 5.0;
     EarlyStopPolicy early_stop;
     /// Independent training replicas per train-under-fault cell (drift
     /// models and train-mode glitch cells). Replica 0 trains under the
@@ -135,7 +140,7 @@ struct CellResult {
     double accuracy_pct = 0.0;      ///< mean over replicas
     double drop_pct = 0.0;          ///< clean-paired accuracy drop, mean
     double ci_halfwidth_pct = 0.0;  ///< 95% CI halfwidth of the drop
-    bool critical = false;
+    bool critical = false;  ///< drop_pct above 5 percentage points
     bool early_stopped = false;  ///< CI criterion fired before max_replicas
     bool trained = false;        ///< train-under-fault path (drift models)
     bool scheduled = false;      ///< time-localised scheduled-overlay path
@@ -175,8 +180,11 @@ public:
     /// its batch-mates. Shared with the benchmarks (bench_runtime_replicas,
     /// snnbench) so they measure the batch size that actually ships.
     static constexpr std::size_t kBatchCells = 8;
+    /// Root of the replica seed streams: replica r encodes its eval stream
+    /// from derive_seed(kSeed, kReplicaStream + r).
+    static constexpr std::uint64_t kSeed = 0xCA30;
     /// Stream id offset separating replica rng seeds from everything else
-    /// derived from the campaign seed.
+    /// derived from kSeed.
     static constexpr std::uint64_t kReplicaStream = 0x5EED0000;
 
     /// The session provides the thread pool, the cached trained baseline
@@ -215,9 +223,11 @@ public:
                              const CellSink& on_close = {});
 
 private:
+    /// The baseline, the eval subset size and the planned cells with their
+    /// faults (campaign.cpp).
     struct Plan;
     Plan make_plan();
-    CampaignResult execute(Plan& plan, const std::vector<char>& include,
+    CampaignResult execute(const Plan& plan, const std::vector<char>& include,
                            const CellSink& on_close);
 
     core::Session& session_;

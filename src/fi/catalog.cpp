@@ -15,19 +15,10 @@ namespace {
 using attack::TargetLayer;
 
 EarlyStopPolicy early_stop_policy(bool quick) {
-    EarlyStopPolicy policy;
-    if (quick) {
-        // Smoke/CI mode: a fixed replica count, early stopping never
-        // activates (campaign tests rely on this).
-        policy.enabled = false;
-        policy.min_replicas = 2;
-    } else {
-        policy.enabled = true;
-        policy.min_replicas = 3;
-        policy.max_replicas = 8;
-        policy.ci_halfwidth_pct = 1.5;
-    }
-    return policy;
+    // Smoke/CI mode: a fixed replica count, early stopping never activates
+    // (campaign tests rely on this).
+    if (quick) return {.min_replicas = 2, .max_replicas = 2};
+    return {.min_replicas = 3, .max_replicas = 8, .ci_halfwidth_pct = 1.5};
 }
 
 CampaignConfig sweep_config(bool quick) {
@@ -102,38 +93,54 @@ std::vector<CampaignCatalogEntry> build_catalog() {
     std::vector<CampaignCatalogEntry> catalog;
 
     catalog.push_back(
-        {"fi.smoke", "FI smoke — minimal campaign", [](core::Session& session) {
+        {.id = "fi.smoke",
+         .title = "FI smoke — minimal campaign",
+         .description = "Minimal FI campaign for CI",
+         .tags = {"fi", "smoke"},
+         .paper_order = 300,
+         .build = [](core::Session& session) {
              CampaignConfig config;
              config.models = {find_fault_model("dead_neuron"),
                               find_fault_model("stuck_at_0")};
              config.sites.layers = {TargetLayer::kExcitatory};
              config.sites.max_sites = 2;
              config.eval_samples = session.options().quick ? 30 : 60;
-             config.early_stop.enabled = false;
-             config.early_stop.min_replicas = 2;
+             config.early_stop = {.min_replicas = 2, .max_replicas = 2};
              return config;
          }});
 
     catalog.push_back(
-        {"fi.quick-sweep",
-         "FI sweep — all fault models x both layers (sampled sites)",
-         [](core::Session& session) {
+        {.id = "fi.quick-sweep",
+         .title = "FI sweep — all fault models x both layers (sampled sites)",
+         .description = "Full fault library campaign",
+         .tags = {"fi"},
+         .paper_order = 310,
+         .notes = {"driver_gain_drift severities reproduce the fig7b (attack 1) grid; "
+                   "threshold_drift generalises attacks 2-4."},
+         .build = [](core::Session& session) {
              return sweep_config(session.options().quick);
          }});
 
     // Same configuration as fi.quick-sweep on purpose: the sensitivity map
     // is the second view of that cached execution.
     catalog.push_back(
-        {"fi.sensitivity",
-         "FI sensitivity map — per-layer aggregation of the FI sweep",
-         [](core::Session& session) {
+        {.id = "fi.sensitivity",
+         .title = "FI sensitivity map — per-layer aggregation of the FI sweep",
+         .description = "Per-layer/per-footprint sensitivity + critical rates",
+         .tags = {"fi"},
+         .paper_order = 320,
+         .sensitivity_map = true,
+         .build = [](core::Session& session) {
              return sweep_config(session.options().quick);
          }});
 
     catalog.push_back(
-        {"fi.weights",
-         "FI weights — stuck-at and bit-flip faults on input synapses",
-         [](core::Session& session) {
+        {.id = "fi.weights",
+         .title = "FI weights — stuck-at and bit-flip faults on input synapses",
+         .description = "Synaptic memory fault campaign",
+         .tags = {"fi"},
+         .paper_order = 330,
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              CampaignConfig config;
              config.models = {find_fault_model("stuck_at_0"),
@@ -146,9 +153,12 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.neurons",
-         "FI neurons — dead, saturated and refractory-stretched neurons",
-         [](core::Session& session) {
+        {.id = "fi.neurons",
+         .title = "FI neurons — dead, saturated and refractory-stretched neurons",
+         .description = "Behavioural neuron fault campaign",
+         .tags = {"fi"},
+         .paper_order = 340,
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              CampaignConfig config;
              config.models = {find_fault_model("dead_neuron"),
@@ -161,9 +171,14 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.drift",
-         "FI drift — parametric threshold/driver drift (paper attacks)",
-         [](core::Session& session) {
+        {.id = "fi.drift",
+         .title = "FI drift — parametric threshold/driver drift (paper attacks)",
+         .description = "Paper attacks as drift fault models",
+         .tags = {"fi", "attack"},
+         .paper_order = 350,
+         .notes = {"Train-under-fault path: each cell retrains like the paper's "
+                   "scenarios; accuracy matches figs. 7b/8a/8b by construction."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              CampaignConfig config;
              config.models = {find_fault_model("threshold_drift"),
@@ -174,9 +189,15 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.drift.driver_gain",
-         "FI drift — driver-gain drift only (fig7b through the campaign)",
-         [](core::Session& session) {
+        {.id = "fi.drift.driver_gain",
+         .title = "FI drift — driver-gain drift only (fig7b through the campaign)",
+         .description = "Attack 1 as a campaign drift model",
+         .tags = {"fi", "attack"},
+         .paper_order = 351,
+         .notes = {"Severity grid and train-under-fault path are identical to "
+                   "fig7b, so the accuracy column reproduces attack 1 "
+                   "bit-for-bit (regression-tested)."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              CampaignConfig config;
              config.models = {find_fault_model("driver_gain_drift")};
@@ -186,9 +207,14 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.smoke",
-         "FI glitch smoke — one rect VDD glitch (depth 0.8 V, width 25%)",
-         [](core::Session& session) {
+        {.id = "fi.glitch.smoke",
+         .title = "FI glitch smoke — one rect VDD glitch (depth 0.8 V, width 25%)",
+         .description = "Minimal scheduled-glitch campaign for CI",
+         .tags = {"fi", "glitch", "smoke"},
+         .paper_order = 360,
+         .notes = {"Time-localised supply dip applied at inference through a "
+                   "scheduled overlay; severities are circuit-characterized."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              circuits::GlitchSpec glitch;
              glitch.depth_vdd = 0.8;
@@ -198,9 +224,14 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.depth",
-         "FI glitch depth — rect glitch severity swept over the VDD grid",
-         [](core::Session& session) {
+        {.id = "fi.glitch.depth",
+         .title = "FI glitch depth — rect glitch severity swept over the VDD grid",
+         .description = "Glitch depth (VDD) axis",
+         .tags = {"fi", "glitch"},
+         .paper_order = 361,
+         .notes = {"Depth axis reuses the paper's VDD grid; the per-depth "
+                   "threshold/driver severities come from the characterizer."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              std::vector<GlitchCellSpec> cells;
              for (const circuits::GlitchSpec& glitch : depth_axis_specs(quick))
@@ -209,9 +240,15 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.width",
-         "FI glitch width — dip duration axis (incl. the constant limit)",
-         [](core::Session& session) {
+        {.id = "fi.glitch.width",
+         .title = "FI glitch width — dip duration axis (incl. the constant limit)",
+         .description = "Glitch width axis",
+         .tags = {"fi", "glitch"},
+         .paper_order = 362,
+         .notes = {"The width-1 cell is the degenerate constant glitch: it "
+                   "routes through the static train-under-fault path (mode "
+                   "'train'), shorter widths are scheduled at inference."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              const std::vector<double> widths =
                  quick ? std::vector<double>{0.25}
@@ -233,8 +270,12 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.onset", "FI glitch onset — when in the sample the dip lands",
-         [](core::Session& session) {
+        {.id = "fi.glitch.onset",
+         .title = "FI glitch onset — when in the sample the dip lands",
+         .description = "Glitch onset axis",
+         .tags = {"fi", "glitch"},
+         .paper_order = 363,
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              const std::vector<double> onsets =
                  quick ? std::vector<double>{0.0, 0.5}
@@ -251,9 +292,12 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.shape",
-         "FI glitch shape — rect vs triangle vs exponential recovery",
-         [](core::Session& session) {
+        {.id = "fi.glitch.shape",
+         .title = "FI glitch shape — rect vs triangle vs exponential recovery",
+         .description = "Glitch waveform shape axis",
+         .tags = {"fi", "glitch"},
+         .paper_order = 364,
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              std::vector<GlitchCellSpec> cells;
              for (const auto shape :
@@ -270,9 +314,15 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.train.smoke",
-         "FI glitch train smoke — mid-epoch rect glitch under STDP",
-         [](core::Session& session) {
+        {.id = "fi.glitch.train.smoke",
+         .title = "FI glitch train smoke — mid-epoch rect glitch under STDP",
+         .description = "Minimal training-time glitch campaign for CI",
+         .tags = {"fi", "glitch", "train", "smoke"},
+         .paper_order = 365,
+         .notes = {"The dip lands on the middle half of the training pass; "
+                   "STDP runs under the scheduled fault, so the accuracy "
+                   "damage persists after the rail recovers."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              circuits::GlitchSpec glitch;
              glitch.depth_vdd = 0.8;
@@ -285,9 +335,17 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.train.depth",
-         "FI glitch train depth — mid-epoch dip severity over the VDD grid",
-         [](core::Session& session) {
+        {.id = "fi.glitch.train.depth",
+         .title = "FI glitch train depth — mid-epoch dip severity over the VDD grid",
+         .description = "Training-time glitch depth axis",
+         .tags = {"fi", "glitch", "train"},
+         .paper_order = 366,
+         .notes = {"Deeper dips corrupt the STDP updates harder: the "
+                   "accuracy drop is monotone in glitch depth (tested).",
+                   "Full runs replicate each training over independent data/init "
+                   "seed streams (train_replicas), so the drop column carries a "
+                   "95% CI; quick mode keeps the single fig7b-pinned training."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              std::vector<GlitchCellSpec> cells;
              for (const circuits::GlitchSpec& glitch : depth_axis_specs(quick))
@@ -299,9 +357,15 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.train.window",
-         "FI glitch train window — when in the pass the glitch lands",
-         [](core::Session& session) {
+        {.id = "fi.glitch.train.window",
+         .title = "FI glitch train window — when in the pass the glitch lands",
+         .description = "Training-time glitch sample-window axis",
+         .tags = {"fi", "glitch", "train"},
+         .paper_order = 367,
+         .notes = {"The full-pass window is the persistent-supply-fault "
+                   "limit; partial windows measure how much of the damage "
+                   "STDP repairs once the rail recovers."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              const std::vector<std::pair<double, double>> windows =
                  quick ? std::vector<std::pair<double, double>>{{0.25, 0.75},
@@ -329,9 +393,16 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.footprint",
-         "FI glitch footprint — whole-layer vs per-neuron coupling",
-         [](core::Session& session) {
+        {.id = "fi.glitch.footprint",
+         .title = "FI glitch footprint — whole-layer vs per-neuron coupling",
+         .description = "Glitch spatial-coupling axis",
+         .tags = {"fi", "glitch"},
+         .paper_order = 368,
+         .notes = {"Whole-layer is the paper's uniform setting; fractional "
+                   "footprints compile to per-neuron threshold and driver "
+                   "ops on a seeded stratified neuron sample — and get their own "
+                   "strata in the sensitivity map's footprint column."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              circuits::GlitchSpec glitch;
              glitch.depth_vdd = 0.8;
@@ -359,8 +430,15 @@ std::vector<CampaignCatalogEntry> build_catalog() {
          }});
 
     catalog.push_back(
-        {"fi.glitch.vamp", "FI glitch VampIF — rect glitch through the VampIF preset",
-         [](core::Session& session) {
+        {.id = "fi.glitch.vamp",
+         .title = "FI glitch VampIF — rect glitch through the VampIF preset",
+         .description = "VampIF glitch characterisation preset",
+         .tags = {"fi", "glitch"},
+         .paper_order = 369,
+         .notes = {"Severities come from the VampIF preset: threshold dips "
+                   "track the VDD divider directly, unlike the AH inverter "
+                   "switching point."},
+         .build = [](core::Session& session) {
              const bool quick = session.options().quick;
              circuits::GlitchSpec glitch;
              glitch.depth_vdd = 0.8;

@@ -542,6 +542,13 @@ std::vector<SampleActivity> BatchRunner::run_sample(std::span<const float> image
 void BatchRunner::check_batch(std::span<SampleActivity> activities) const {
     if (activities.size() != runtimes_.size())
         throw std::invalid_argument("BatchRunner: activity batch size mismatch");
+    // A member that enabled learning after joining drives from its own
+    // materialised matrix, which the shared model-matrix step never reads.
+    for (const NetworkRuntime* runtime : runtimes_) {
+        if (runtime->learned_.has_value())
+            throw std::invalid_argument(
+                "BatchRunner: a member materialised its weights after joining");
+    }
 }
 
 void BatchRunner::run_sample_into(std::span<const float> image, util::Rng& rng,

@@ -282,7 +282,8 @@ private:
 class BatchRunner {
 public:
     /// All runtimes must share `model`, be inference-mode (learning never
-    /// enabled), and stay alive for the runner's lifetime.
+    /// enabled, before or after joining), and stay alive for the runner's
+    /// lifetime.
     BatchRunner(const NetworkModel& model, std::vector<NetworkRuntime*> runtimes);
 
     std::size_t size() const noexcept { return runtimes_.size(); }
@@ -297,7 +298,10 @@ public:
     /// Allocation-free variant: one caller-owned activity per replica
     /// (activities.size() must equal size()). Records already sized to
     /// n_neurons are zeroed in place — reuse them across samples and the
-    /// batch loop performs no heap allocation at steady state.
+    /// batch loop performs no heap allocation at steady state. Both
+    /// overloads throw std::invalid_argument, before any member changes,
+    /// on a batch size mismatch or a member that has materialised its
+    /// weights (set_learning after joining).
     void run_sample_into(std::span<const float> image, util::Rng& rng,
                          std::span<SampleActivity> activities);
 

@@ -1,7 +1,8 @@
 // Campaign engine behaviour through a real (tiny) Session: baseline reuse,
 // quick-mode early-stopping guarantees, full-mode early-stopping rounds,
-// worker-count and cell-subset determinism, and the paper's attacks 1-3
-// falling out of the drift models with identical numbers.
+// worker-count and cell-subset determinism, the paper's attacks 1-3
+// falling out of the drift models with identical numbers, and the
+// registry's fi scenarios being the campaign catalog.
 #include "fi/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <variant>
 #include <vector>
 
+#include "core/scenario.hpp"
 #include "core/session.hpp"
+#include "fi/catalog.hpp"
 
 namespace snnfi::fi {
 namespace {
@@ -33,8 +36,7 @@ CampaignConfig tiny_config() {
     config.models = {find_fault_model("dead_neuron"), find_fault_model("stuck_at_0")};
     config.sites.max_sites = 2;
     config.eval_samples = 20;
-    config.early_stop.enabled = false;
-    config.early_stop.min_replicas = 2;
+    config.early_stop = {.min_replicas = 2, .max_replicas = 2};
     return config;
 }
 
@@ -92,8 +94,7 @@ TEST(Campaign, DriverGainDriftReproducesAttack1Numbers) {
     CampaignConfig config;
     config.models = {find_fault_model("driver_gain_drift")};
     config.eval_samples = 20;
-    config.early_stop.enabled = false;
-    config.early_stop.min_replicas = 1;
+    config.early_stop = {.min_replicas = 1, .max_replicas = 1};
     CampaignEngine engine(session, config);
     const auto campaign = engine.run();
     ASSERT_EQ(campaign->cells.size(), 2u);
@@ -171,10 +172,7 @@ CampaignConfig early_stop_config() {
                      find_fault_model("stuck_at_1")};
     config.sites.max_sites = 3;
     config.eval_samples = 30;
-    config.early_stop.enabled = true;
-    config.early_stop.min_replicas = 2;
-    config.early_stop.max_replicas = 6;
-    config.early_stop.ci_halfwidth_pct = 4.0;
+    config.early_stop = {.min_replicas = 2, .max_replicas = 6, .ci_halfwidth_pct = 4.0};
     return config;
 }
 
@@ -291,6 +289,21 @@ TEST(Campaign, EvaluationsCountCleanAndFaultyRuntimePasses) {
     // (cell, replica) — the batched engine must count them all.
     std::size_t cells = campaign->cells.size();
     EXPECT_EQ(campaign->evaluations, 2u + 2u * cells);
+}
+
+TEST(Catalog, RegistryFiScenariosAreTheCatalog) {
+    core::ScenarioRegistry& registry = core::ScenarioRegistry::instance();
+    for (const CampaignCatalogEntry& entry : campaign_catalog()) {
+        const core::ScenarioSpec& spec = registry.find(entry.id);
+        EXPECT_EQ(spec.title, entry.title) << entry.id;
+        EXPECT_EQ(spec.description, entry.description) << entry.id;
+        EXPECT_EQ(spec.tags, entry.tags) << entry.id;
+        EXPECT_EQ(spec.paper_order, entry.paper_order) << entry.id;
+        EXPECT_EQ(spec.notes, entry.notes) << entry.id;
+    }
+    // And no fi scenario lives outside the catalog.
+    for (const core::ScenarioSpec* spec : registry.by_tag("fi"))
+        EXPECT_NO_THROW((void)find_campaign_entry(spec->id)) << spec->id;
 }
 
 }  // namespace

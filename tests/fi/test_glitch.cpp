@@ -32,8 +32,7 @@ CampaignConfig glitch_config(std::vector<GlitchCellSpec> cells) {
     CampaignConfig config;
     config.glitches = std::move(cells);
     config.eval_samples = 20;
-    config.early_stop.enabled = false;
-    config.early_stop.min_replicas = 2;
+    config.early_stop = {.min_replicas = 2, .max_replicas = 2};
     return config;
 }
 

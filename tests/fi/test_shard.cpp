@@ -323,8 +323,7 @@ TEST(TrainReplicas, TrainCellsCarryConfidenceIntervals) {
     CampaignConfig config;
     config.models = {find_fault_model("driver_gain_drift")};
     config.eval_samples = 30;
-    config.early_stop.enabled = false;
-    config.early_stop.min_replicas = 2;
+    config.early_stop = {.min_replicas = 2, .max_replicas = 2};
     config.train_replicas = 2;
 
     CampaignEngine engine(session, config);

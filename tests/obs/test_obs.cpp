@@ -282,8 +282,7 @@ TEST_F(ObsTest, CampaignResultsAreBitIdenticalWithTelemetryOnAndOff) {
         config.models = {fi::find_fault_model("dead_neuron")};
         config.sites.max_sites = 2;
         config.eval_samples = 20;
-        config.early_stop.enabled = false;
-        config.early_stop.min_replicas = 2;
+        config.early_stop = {.min_replicas = 2, .max_replicas = 2};
         fi::CampaignEngine engine(session, std::move(config));
         return engine.run()->to_json();
     };

@@ -413,5 +413,27 @@ TEST(BatchRunner, RejectsForeignModelsAndLearningRuntimes) {
     EXPECT_THROW(BatchRunner(*model, {}), std::invalid_argument);
 }
 
+TEST(BatchRunner, RejectsAMemberThatStartsLearningAfterJoining) {
+    const auto model = NetworkModel::random(tiny_config(), 1);
+    const DiehlCookConfig& config = model->config();
+    NetworkRuntime clean(model);
+    NetworkRuntime learner(model);
+    BatchRunner batch(*model, {&clean, &learner});
+    learner.set_learning(true);
+    const std::vector<float> before = learner.freeze()->input_weights().to_vector();
+
+    // The batch steps over the model's matrix, so a run would drive the
+    // learner from weights its STDP never writes; both overloads refuse
+    // before any member changes.
+    const std::vector<std::vector<float>> images(2, std::vector<float>(config.n_input, 0.5f));
+    std::vector<SampleActivity> activities(2);
+    util::Rng rng(3);
+    EXPECT_THROW(batch.run_sample_into(images[0], rng, activities), std::invalid_argument);
+    const SpikeRaster raster =
+        SpikeRaster::encode(config.encoder, config.steps_per_sample, images, util::Rng(1));
+    EXPECT_THROW(batch.run_sample_into(raster, 0, activities), std::invalid_argument);
+    EXPECT_TRUE(same_bits(learner.freeze()->input_weights().to_vector(), before));
+}
+
 }  // namespace
 }  // namespace snnfi::snn

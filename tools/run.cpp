@@ -71,10 +71,9 @@ void print_results(const std::vector<snnfi::core::RunResult>& results,
     }
     std::cout << timing;
     std::cout << "session cache: " << session.cache_hits() << " hit(s), "
-              << session.cache_misses() << " miss(es), " << session.cache_evictions()
-              << " eviction(s), " << session.cache_entries() << " live entr"
-              << (session.cache_entries() == 1 ? "y" : "ies") << " across "
-              << results.size() << " experiment(s)\n";
+              << session.cache_misses() << " miss(es), " << session.cache_entries()
+              << " live entr" << (session.cache_entries() == 1 ? "y" : "ies")
+              << " across " << results.size() << " experiment(s)\n";
 }
 
 }  // namespace
@@ -96,8 +95,6 @@ int main(int argc, char** argv) {
     parser.add_option("threads", "0",
                       "Session thread-pool size (0 = SNNFI_THREADS env or all "
                       "cores)");
-    parser.add_option("cache-capacity", "0",
-                      "Artifact-cache entry cap with LRU eviction (0 = unbounded)");
     parser.add_option("store-dir", "",
                       "Persistent artifact store directory shared across "
                       "processes (default: SNNFI_STORE_DIR env; empty = no "
@@ -163,7 +160,7 @@ int main(int argc, char** argv) {
     // The size flags reach allocation arithmetic as std::size_t, where a
     // negative value wraps to a huge one.
     for (const char* flag :
-         {"samples", "neurons", "threads", "cache-capacity", "store-max-bytes"}) {
+         {"samples", "neurons", "threads", "store-max-bytes"}) {
         if (parser.get_int(flag) < 0) {
             std::cerr << "error: --" << flag << " must be >= 0\n";
             return 1;
@@ -174,8 +171,6 @@ int main(int argc, char** argv) {
     options.train_samples = static_cast<std::size_t>(parser.get_int("samples"));
     options.n_neurons = static_cast<std::size_t>(parser.get_int("neurons"));
     options.max_workers = static_cast<std::size_t>(parser.get_int("threads"));
-    options.cache_capacity =
-        static_cast<std::size_t>(parser.get_int("cache-capacity"));
     options.store_dir = parser.get("store-dir");
     options.store_max_bytes =
         static_cast<std::uint64_t>(parser.get_int("store-max-bytes"));
