@@ -7,9 +7,8 @@
 
 namespace snnfi::core {
 
-// Anchors defined in the builtin scenario translation units; referencing
-// them here guarantees their self-registering statics are linked in. The
-// fi anchor registers the campaign catalog (fi/catalog.hpp) itself.
+// Defined in the builtin scenario translation units: each registers its
+// family's specs (the fi one, one spec per fi/catalog.hpp entry).
 void link_circuit_scenarios();
 void link_attack_scenarios();
 void link_defense_scenarios();
@@ -62,6 +61,7 @@ ScenarioRegistry& ScenarioRegistry::instance() {
 }
 
 void ScenarioRegistry::add(ScenarioSpec spec) {
+    ensure_builtins();
     if (spec.id.empty())
         throw std::invalid_argument("ScenarioRegistry: spec with empty id");
     if (!spec.declarative() && !spec.custom_run)
@@ -76,11 +76,8 @@ void ScenarioRegistry::add(ScenarioSpec spec) {
 
 void ScenarioRegistry::ensure_builtins() {
     if (builtins_loaded_) return;
+    // Set first: the link functions register through add().
     builtins_loaded_ = true;
-    // The anchor calls force the builtin TUs into the link; the circuit,
-    // attack and defense specs registered through their static
-    // ScenarioRegistrar objects, and link_fi_scenarios adds one spec per
-    // campaign catalog entry.
     link_circuit_scenarios();
     link_attack_scenarios();
     link_defense_scenarios();
@@ -153,10 +150,6 @@ std::vector<std::string> ScenarioRegistry::tag_names() {
     for (const auto& spec : all())
         names.insert(spec.tags.begin(), spec.tags.end());
     return {names.begin(), names.end()};
-}
-
-ScenarioRegistrar::ScenarioRegistrar(ScenarioSpec spec) {
-    ScenarioRegistry::instance().add(std::move(spec));
 }
 
 const std::vector<double>& paper_vdd_grid(bool quick) {

@@ -9,10 +9,10 @@
 // carry a custom body instead and still run through the same Session and
 // artifact cache.
 //
-// Specs self-register into the ScenarioRegistry with tags (figure / attack
-// / defense / ablation / circuit / snn), so clients select work by id or by
-// tag: `Session::run_selector("attack")` replays every attack of the paper
-// off one shared baseline.
+// The builtin specs register into the ScenarioRegistry with tags (figure /
+// attack / defense / ablation / circuit / snn) when it is first used, so
+// clients select work by id or by tag: `Session::run_selector("attack")`
+// replays every attack of the paper off one shared baseline.
 #pragma once
 
 #include <algorithm>
@@ -139,22 +139,23 @@ struct RunResult {
     std::string to_json() const;
 };
 
-/// Process-wide registry of scenario descriptors. Builtin specs (the
-/// paper's figures, attacks, defenses and the ablations) self-register on
-/// first access; clients may add their own at static-init time through
-/// ScenarioRegistrar.
+/// Process-wide registry of scenario descriptors. The builtin specs (the
+/// paper's figures, attacks, defenses, the ablations and the fi campaigns)
+/// are registered on first use, by any accessor or add(); clients add
+/// their own after them.
 class ScenarioRegistry {
 public:
     static ScenarioRegistry& instance();
 
-    /// Registers a spec. Throws std::invalid_argument on an empty or
-    /// duplicate id, or a spec with neither axes nor a custom body.
-    /// References and pointers previously handed out by all()/find()/
-    /// select() stay valid across add() (deque storage).
+    /// Registers a spec after the builtins. Throws std::invalid_argument on
+    /// an empty or duplicate id (a builtin's included), or a spec with
+    /// neither axes nor a custom body. References and pointers previously
+    /// handed out by all()/find()/select() stay valid across add() (deque
+    /// storage).
     void add(ScenarioSpec spec);
 
-    /// All specs: builtins ordered by (paper_order, id); specs registered
-    /// after the first registry read follow in registration order.
+    /// All specs: builtins ordered by (paper_order, id), then the client
+    /// specs in registration order.
     const std::deque<ScenarioSpec>& all();
     const ScenarioSpec& find(const std::string& id);
     std::vector<const ScenarioSpec*> by_tag(const std::string& tag);
@@ -172,11 +173,6 @@ private:
 
     std::deque<ScenarioSpec> specs_;
     bool builtins_loaded_ = false;
-};
-
-/// Self-registration helper: `static ScenarioRegistrar reg(my_spec());`
-struct ScenarioRegistrar {
-    explicit ScenarioRegistrar(ScenarioSpec spec);
 };
 
 /// The paper's canonical VDD sweep grid — the one source of truth shared

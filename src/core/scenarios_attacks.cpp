@@ -6,9 +6,6 @@
 #include "core/session.hpp"
 
 namespace snnfi::core {
-
-void link_attack_scenarios() {}
-
 namespace {
 
 using attack::TargetLayer;
@@ -180,22 +177,28 @@ ScenarioSpec ablation_semantics_spec() {
     return spec;
 }
 
-const ScenarioRegistrar registrar_baseline{baseline_spec()};
-const ScenarioRegistrar registrar_attack1{attack1_spec()};
-const ScenarioRegistrar registrar_attack2{layer_attack_spec(
-    "fig8a", 90, TargetLayer::kExcitatory,
-    "Fig. 8a — Attack 2: threshold fault on the excitatory layer",
-    "Excitatory threshold grid",
-    "Paper: >= baseline while <= 90% affected; worst -7.32% at -20%, 100%.")};
-const ScenarioRegistrar registrar_attack3{layer_attack_spec(
-    "fig8b", 100, TargetLayer::kInhibitory,
-    "Fig. 8b — Attack 3: threshold fault on the inhibitory layer",
-    "Inhibitory threshold grid",
-    "Paper: degrades in 3 of 4 threshold cases; worst -84.52% at -20%, 100%.")};
-const ScenarioRegistrar registrar_attack4{attack4_spec()};
-const ScenarioRegistrar registrar_attack5{attack5_spec()};
-const ScenarioRegistrar registrar_ablation_inference{ablation_inference_spec()};
-const ScenarioRegistrar registrar_ablation_semantics{ablation_semantics_spec()};
-
 }  // namespace
+
+/// Called once, when the registry loads its builtins.
+void link_attack_scenarios() {
+    for (ScenarioSpec& spec : std::vector<ScenarioSpec>{
+             baseline_spec(),
+             attack1_spec(),
+             layer_attack_spec(
+                 "fig8a", 90, TargetLayer::kExcitatory,
+                 "Fig. 8a — Attack 2: threshold fault on the excitatory layer",
+                 "Excitatory threshold grid",
+                 "Paper: >= baseline while <= 90% affected; worst -7.32% at -20%, 100%."),
+             layer_attack_spec(
+                 "fig8b", 100, TargetLayer::kInhibitory,
+                 "Fig. 8b — Attack 3: threshold fault on the inhibitory layer",
+                 "Inhibitory threshold grid",
+                 "Paper: degrades in 3 of 4 threshold cases; worst -84.52% at -20%, 100%."),
+             attack4_spec(),
+             attack5_spec(),
+             ablation_inference_spec(),
+             ablation_semantics_spec()})
+        ScenarioRegistry::instance().add(std::move(spec));
+}
+
 }  // namespace snnfi::core

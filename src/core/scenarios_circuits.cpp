@@ -8,9 +8,6 @@
 #include "util/stats.hpp"
 
 namespace snnfi::core {
-
-void link_circuit_scenarios() {}
-
 namespace {
 
 using util::ResultTable;
@@ -211,12 +208,13 @@ ScenarioSpec fig6bc_spec() {
     return spec;
 }
 
-const ScenarioRegistrar registrar_fig3{fig3_spec()};
-const ScenarioRegistrar registrar_fig4{fig4_spec()};
-const ScenarioRegistrar registrar_fig5b{fig5b_spec()};
-const ScenarioRegistrar registrar_fig5c{fig5c_spec()};
-const ScenarioRegistrar registrar_fig6a{fig6a_spec()};
-const ScenarioRegistrar registrar_fig6bc{fig6bc_spec()};
-
 }  // namespace
+
+/// Called once, when the registry loads its builtins.
+void link_circuit_scenarios() {
+    for (ScenarioSpec (*make)() :
+         {fig3_spec, fig4_spec, fig5b_spec, fig5c_spec, fig6a_spec, fig6bc_spec})
+        ScenarioRegistry::instance().add(make());
+}
+
 }  // namespace snnfi::core

@@ -1,16 +1,16 @@
-// Builtin scenarios: hardened circuits, the detector, and the §V defense
-// evaluations. The accuracy replay shares the Session's attack suite (and
-// therefore the trained baseline) with the attack scenarios.
+// Builtin scenarios: hardened circuits, the dummy-neuron detector, and the
+// §V defense evaluations. Every circuit measurement, the detector's dummy
+// cell included, is a characterisation point (Characterizer::measure).
+// The accuracy replay shares the Session's attack suite (and therefore the
+// trained baseline) with the attack scenarios.
+#include <cmath>
+
 #include "core/scenario.hpp"
 #include "core/session.hpp"
 #include "defense/defenses.hpp"
-#include "defense/detector.hpp"
 #include "defense/overhead.hpp"
 
 namespace snnfi::core {
-
-void link_defense_scenarios() {}
-
 namespace {
 
 using util::ResultTable;
@@ -104,17 +104,28 @@ ScenarioSpec fig10c_spec() {
     spec.tags = {"figure", "defense", "detector"};
     spec.paper_order = 160;
     spec.custom_run = [](Session& session, const RunOptions& options) {
-        defense::DetectorConfig config;
-        defense::DummyNeuronDetector detector(config);
-        const auto readings =
-            detector.sweep(paper_vdd_grid(options.quick), &session.pool());
+        // The dummy cell's spike period at each grid supply, and at the
+        // nominal supply that sets the golden count.
+        const double nominal_vdd = session.characterizer()->config().nominal_vdd;
+        const auto periods = session.sweeps({{.quantity = circuits::Quantity::kTimeToSpike,
+                                              .circuit = circuits::Circuit::kDummyNeuron,
+                                              .grid = paper_vdd_grid(options.quick)},
+                                             {.quantity = circuits::Quantity::kTimeToSpike,
+                                              .circuit = circuits::Circuit::kDummyNeuron,
+                                              .grid = {nominal_vdd}}});
         ResultTable table("Fig. 10c — Dummy-neuron output vs VDD (detector)",
                           {"vdd_V", "spike_count_100ms", "deviation_pct", "flagged"});
         table.add_note("Paper: >= 10% deviation in dummy output spike count flags a "
                        "local VDD attack; fixed 200 nA / 100 ns / 200 ns input.");
-        for (const auto& r : readings)
-            table.add_row({r.vdd, r.spike_count, r.deviation_pct,
-                           std::string(r.flagged ? "yes" : "no")});
+        // Counts over the paper's 100 ms sampling window.
+        const double window = 100e-3;
+        const double nominal_count = window / periods[1]->front().value;
+        for (const auto& p : *periods[0]) {
+            const double count = window / p.value;
+            const double deviation = 100.0 * (count - nominal_count) / nominal_count;
+            table.add_row({p.vdd, count, deviation,
+                           std::string(std::abs(deviation) >= 10.0 ? "yes" : "no")});
+        }
         return table;
     };
     return spec;
@@ -195,12 +206,13 @@ ScenarioSpec overheads_spec() {
     return spec;
 }
 
-const ScenarioRegistrar registrar_fig9b{fig9b_spec()};
-const ScenarioRegistrar registrar_fig9c{fig9c_spec()};
-const ScenarioRegistrar registrar_fig10a{fig10a_spec()};
-const ScenarioRegistrar registrar_fig10c{fig10c_spec()};
-const ScenarioRegistrar registrar_defense_accuracy{defense_accuracy_spec()};
-const ScenarioRegistrar registrar_overheads{overheads_spec()};
-
 }  // namespace
+
+/// Called once, when the registry loads its builtins.
+void link_defense_scenarios() {
+    for (ScenarioSpec (*make)() : {fig9b_spec, fig9c_spec, fig10a_spec, fig10c_spec,
+                                   defense_accuracy_spec, overheads_spec})
+        ScenarioRegistry::instance().add(make());
+}
+
 }  // namespace snnfi::core

@@ -14,19 +14,12 @@ namespace snnfi::util {
 ResultTable::ResultTable(std::string title, std::vector<std::string> columns)
     : title_(std::move(title)), columns_(std::move(columns)) {
     if (columns_.empty()) throw std::invalid_argument("ResultTable: no columns");
-    precision_.assign(columns_.size(), 4);
 }
 
 void ResultTable::add_row(std::vector<Cell> cells) {
     if (cells.size() != columns_.size())
         throw std::invalid_argument("ResultTable::add_row: wrong cell count");
     rows_.push_back(std::move(cells));
-}
-
-void ResultTable::set_precision(std::size_t column, int digits) {
-    if (column >= columns_.size())
-        throw std::out_of_range("ResultTable::set_precision: bad column");
-    precision_[column] = digits;
 }
 
 const Cell& ResultTable::at(std::size_t row, std::size_t col) const {
@@ -50,10 +43,10 @@ std::vector<double> ResultTable::numeric_column(std::size_t col) const {
 
 namespace {
 
-std::string format_cell(const Cell& cell, int precision) {
+std::string format_cell(const Cell& cell) {
     if (const std::string* text = std::get_if<std::string>(&cell)) return *text;
     std::ostringstream os;
-    os << std::fixed << std::setprecision(precision) << std::get<double>(cell);
+    os << std::fixed << std::setprecision(4) << std::get<double>(cell);
     return os.str();
 }
 
@@ -80,7 +73,7 @@ void ResultTable::print(std::ostream& os) const {
         std::vector<std::string> cells;
         cells.reserve(row.size());
         for (std::size_t c = 0; c < row.size(); ++c) {
-            cells.push_back(format_cell(row[c], precision_[c]));
+            cells.push_back(format_cell(row[c]));
             widths[c] = std::max(widths[c], cells.back().size());
         }
         rendered.push_back(std::move(cells));
@@ -125,7 +118,7 @@ std::string ResultTable::to_csv() const {
     for (const auto& row : rows_) {
         for (std::size_t c = 0; c < row.size(); ++c) {
             if (c) os << ",";
-            os << csv_escape(format_cell(row[c], precision_[c]));
+            os << csv_escape(format_cell(row[c]));
         }
         os << "\n";
     }

@@ -18,7 +18,7 @@
 
 namespace snnfi::util {
 
-/// A cell is either text or a number (printed with per-column precision).
+/// A cell is either text or a number (printed with 4 decimals).
 using Cell = std::variant<std::string, double>;
 
 class ResultTable {
@@ -32,9 +32,6 @@ public:
 
     /// Appends a row; must match the column count.
     void add_row(std::vector<Cell> cells);
-
-    /// Sets print precision (decimal places) for a numeric column. Default 4.
-    void set_precision(std::size_t column, int digits);
 
     /// Free-form caption lines printed under the title (workload parameters,
     /// paper reference values, notes).
@@ -60,7 +57,6 @@ public:
 private:
     std::string title_;
     std::vector<std::string> columns_;
-    std::vector<int> precision_;
     std::vector<std::vector<Cell>> rows_;
     std::vector<std::string> notes_;
 };

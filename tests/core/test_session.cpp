@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "fi/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "store/hash.hpp"
@@ -75,6 +76,23 @@ TEST(ScenarioRegistry, RejectsMalformedSpecs) {
     ScenarioSpec empty_body;
     empty_body.id = "not_runnable";
     EXPECT_THROW(registry.add(empty_body), std::invalid_argument);
+}
+
+// Also run alone, as the first registry use of its process (ctest
+// snnfi_registry_loads_builtins_first): the add() is then what loads the
+// builtins, and a client spec with a builtin's id must not displace it.
+TEST(ScenarioRegistry, ClientSpecCannotTakeABuiltinId) {
+    auto& registry = ScenarioRegistry::instance();
+    ScenarioSpec clash;
+    clash.id = "fi.smoke";
+    clash.title = "client";
+    clash.custom_run = [](Session&, const RunOptions&) {
+        return util::ResultTable("x", {"c"});
+    };
+    EXPECT_THROW(registry.add(clash), std::invalid_argument);
+    for (const fi::CampaignCatalogEntry& entry : fi::campaign_catalog())
+        EXPECT_EQ(registry.find(entry.id).title, entry.title) << entry.id;
+    EXPECT_EQ(registry.find("fig10c").id, "fig10c");
 }
 
 TEST(Session, EveryRegisteredScenarioRunsQuick) {
@@ -261,6 +279,12 @@ TEST(Session, CircuitPointsSimulatedOncePerSession) {
     EXPECT_EQ(run(fresh, "overheads"), 6u);
     // Three comparator thresholds: the 1.0 V grid value is the nominal.
     EXPECT_EQ(run(fresh, "fig10a"), 3u);
+    // The dummy cell's three supplies; the nominal is the 1.0 V one.
+    EXPECT_EQ(run(fresh, "fig10c"), 3u);
+    const util::ResultTable detector = fresh.run("fig10c").table;  // cached sweeps
+    ASSERT_EQ(detector.num_rows(), 3u);
+    for (std::size_t r = 0; r < 3; ++r)
+        EXPECT_EQ(std::get<std::string>(detector.at(r, 3)), r == 1 ? "no" : "yes") << r;
     run(fresh, "fig9b");
     run(fresh, "fig9c");
     // defense_acc's residual curves hold only points fig9b, fig9c and

@@ -3,7 +3,6 @@
 #include "attack/scenarios.hpp"
 #include "data/synthetic_digits.hpp"
 #include "defense/defenses.hpp"
-#include "defense/detector.hpp"
 #include "defense/overhead.hpp"
 #include "util/thread_pool.hpp"
 
@@ -21,44 +20,6 @@ attack::AttackSuite tiny_suite() {
     config.train_samples = 300;
     config.eval_window = 100;
     return attack::AttackSuite(data::make_synthetic_dataset(300, 42), config);
-}
-
-// ---------------------------------------------------------------- detector
-TEST(Detector, DecisionRule) {
-    DummyNeuronDetector detector;
-    EXPECT_FALSE(detector.flags(105.0, 100.0));  // 5% deviation
-    EXPECT_TRUE(detector.flags(111.0, 100.0));   // 11%
-    EXPECT_TRUE(detector.flags(89.0, 100.0));
-    EXPECT_TRUE(detector.flags(50.0, 0.0));      // degenerate golden count
-}
-
-TEST(Detector, CustomThreshold) {
-    DetectorConfig config;
-    config.threshold_pct = 25.0;
-    DummyNeuronDetector detector(config);
-    EXPECT_FALSE(detector.flags(120.0, 100.0));
-    EXPECT_TRUE(detector.flags(75.0, 100.0));
-}
-
-TEST(Detector, SweepFlagsAttackVoltages) {
-    // Fig. 10c: +/-20% VDD must trip the 10% rule; nominal must not.
-    DetectorConfig config;
-    config.cell.sim_window = 60e-6;
-    DummyNeuronDetector detector(config);
-    const auto readings = detector.sweep({0.8, 1.0, 1.2});
-    ASSERT_EQ(readings.size(), 3u);
-    EXPECT_TRUE(readings[0].flagged);
-    EXPECT_FALSE(readings[1].flagged);
-    EXPECT_TRUE(readings[2].flagged);
-}
-
-TEST(Detector, DetectionEdges) {
-    DetectorConfig config;
-    config.cell.sim_window = 60e-6;
-    DummyNeuronDetector detector(config);
-    const auto [low, high] = detector.detection_edges({0.8, 0.9, 1.0, 1.1, 1.2});
-    EXPECT_GT(low, 0.0);   // some low-side voltage trips
-    EXPECT_GT(high, 1.0);  // some high-side voltage trips
 }
 
 // ---------------------------------------------------------------- overhead

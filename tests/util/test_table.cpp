@@ -51,15 +51,7 @@ TEST(ResultTable, PrintContainsHeaderAndCells) {
     EXPECT_NE(text.find("Demo"), std::string::npos);
     EXPECT_NE(text.find("a caption"), std::string::npos);
     EXPECT_NE(text.find("alpha"), std::string::npos);
-    EXPECT_NE(text.find("1.5000"), std::string::npos);  // default 4 digits
-}
-
-TEST(ResultTable, PrecisionControl) {
-    auto table = sample_table();
-    table.set_precision(1, 1);
-    EXPECT_NE(table.to_string().find("1.5"), std::string::npos);
-    EXPECT_EQ(table.to_string().find("1.5000"), std::string::npos);
-    EXPECT_THROW(table.set_precision(7, 2), std::out_of_range);
+    EXPECT_NE(text.find("1.5000"), std::string::npos);  // 4 decimals
 }
 
 TEST(ResultTable, CsvFormatAndEscaping) {

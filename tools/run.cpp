@@ -20,6 +20,7 @@
 //   $ run --experiment=fi.quick-sweep --campaign-dir=camp --shard=1 --shards=2
 //   $ run --campaign-dir=camp
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -117,15 +118,39 @@ int main(int argc, char** argv) {
     parser.add_option("metrics-out", "",
                       "Write the metrics-registry JSON document and enable "
                       "telemetry (default: SNNFI_METRICS env)");
+    // Every typed flag is read here, so a malformed value is a usage error.
+    core::RunOptions options;
+    bool list = false, json = false, csv = false;
+    std::int64_t shard = 0, shards = 1;
     try {
         if (!parser.parse(argc, argv)) return 0;
+        list = parser.get_bool("list");
+        json = parser.get_bool("json");
+        csv = parser.get_bool("csv");
+        shard = parser.get_int("shard");
+        shards = parser.get_int("shards");
+        // The size flags reach allocation arithmetic as std::size_t, where a
+        // negative value wraps to a huge one.
+        for (const char* flag : {"samples", "neurons", "threads", "store-max-bytes"}) {
+            if (parser.get_int(flag) < 0) {
+                std::cerr << "error: --" << flag << " must be >= 0\n";
+                return 1;
+            }
+        }
+        options.quick = parser.get_bool("quick");
+        options.train_samples = static_cast<std::size_t>(parser.get_int("samples"));
+        options.n_neurons = static_cast<std::size_t>(parser.get_int("neurons"));
+        options.max_workers = static_cast<std::size_t>(parser.get_int("threads"));
+        options.store_max_bytes =
+            static_cast<std::uint64_t>(parser.get_int("store-max-bytes"));
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n" << parser.usage();
         return 2;
     }
+    options.store_dir = parser.get("store-dir");
 
     auto& registry = core::ScenarioRegistry::instance();
-    if (parser.get_bool("list")) {
+    if (list) {
         util::ResultTable table("registered experiments",
                                 {"id", "tags", "description"});
         for (const auto& spec : registry.all()) {
@@ -157,24 +182,6 @@ int main(int argc, char** argv) {
                       << "\n";
     };
 
-    // The size flags reach allocation arithmetic as std::size_t, where a
-    // negative value wraps to a huge one.
-    for (const char* flag :
-         {"samples", "neurons", "threads", "store-max-bytes"}) {
-        if (parser.get_int(flag) < 0) {
-            std::cerr << "error: --" << flag << " must be >= 0\n";
-            return 1;
-        }
-    }
-    core::RunOptions options;
-    options.quick = parser.get_bool("quick");
-    options.train_samples = static_cast<std::size_t>(parser.get_int("samples"));
-    options.n_neurons = static_cast<std::size_t>(parser.get_int("neurons"));
-    options.max_workers = static_cast<std::size_t>(parser.get_int("threads"));
-    options.store_dir = parser.get("store-dir");
-    options.store_max_bytes =
-        static_cast<std::uint64_t>(parser.get_int("store-max-bytes"));
-
     // Shard mode: execute shard K of N of one campaign-backed scenario
     // into the campaign directory, checkpointing as it goes.
     const std::string campaign_dir = parser.get("campaign-dir");
@@ -191,8 +198,6 @@ int main(int argc, char** argv) {
             return 2;
         }
         try {
-            const std::int64_t shard = parser.get_int("shard");
-            const std::int64_t shards = parser.get_int("shards");
             if (shard < 0 || shards < 1)
                 throw std::invalid_argument("--shard must be >= 0 and --shards >= 1");
             core::Session session(options);
@@ -228,12 +233,12 @@ int main(int argc, char** argv) {
             // behind (or stalled) instead of only the merge error.
             const util::ResultTable progress =
                 fi::shard_progress_table(campaign_dir);
-            if (!parser.get_bool("json")) std::cout << progress;
+            if (!json) std::cout << progress;
             const fi::CampaignResult merged =
                 fi::merge_campaign_dir(campaign_dir);
             const std::string title =
                 fi::find_campaign_entry(manifest.scenario).title;
-            if (parser.get_bool("json")) {
+            if (json) {
                 std::cout << "{\"scenario\":\""
                           << util::json_escape(manifest.scenario)
                           << "\",\"shards\":" << manifest.shards
@@ -242,7 +247,7 @@ int main(int argc, char** argv) {
             } else {
                 const util::ResultTable table = merged.detail_table(title);
                 std::cout << table;
-                if (parser.get_bool("csv")) std::cout << table.to_csv();
+                if (csv) std::cout << table.to_csv();
                 std::cout << merged.sensitivity_map(title + " — sensitivity map");
                 std::cout << "[" << manifest.scenario << " merged from "
                           << manifest.shards << " shard(s), " << merged.cells.size()
@@ -278,10 +283,10 @@ int main(int argc, char** argv) {
     try {
         core::Session session(options);
         const std::vector<core::RunResult> results = session.run_many(selection);
-        if (parser.get_bool("json")) {
+        if (json) {
             std::cout << core::to_json(results, session) << "\n";
         } else {
-            print_results(results, session, parser.get_bool("csv"));
+            print_results(results, session, csv);
         }
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
