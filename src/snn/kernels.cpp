@@ -1,6 +1,8 @@
 #include "snn/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <type_traits>
 
 namespace snnfi::snn::kernels {
@@ -94,36 +96,88 @@ std::size_t update_layer(const LayerFaults& f, std::size_t n, NeuronState* save,
     return count;
 }
 
-}  // namespace
+// The STDP rule of one weight, written once for the kernels below and the
+// no-op check.
+SNNFI_ALWAYS_INLINE float depressed(float w, float trace_post, float nu_pre, float wmin) {
+    return std::max(wmin, w - nu_pre * trace_post);
+}
 
-// The unroll factor (4) amortises the out[] load/store traffic across
-// rows; the adds per element stay left-to-right, so every rounding matches
-// the reference.
-void accumulate_rows(const float* base, std::size_t stride,
-                     std::span<const std::uint32_t> active, float* SNNFI_RESTRICT out,
-                     std::size_t n) {
+SNNFI_ALWAYS_INLINE float potentiated(float w, float dw, float wmax) {
+    return std::min(wmax, w + dw);
+}
+
+/// The drive pass of accumulate_rows and depress_rows. The unroll factor
+/// (4) amortises the out[] load/store traffic across rows; the adds per
+/// element stay left-to-right, so every rounding matches the reference.
+/// With kDepress each element of a block's rows is depressed once the
+/// block has read all of them, so the rows must be distinct.
+template <bool kDepress>
+SNNFI_ALWAYS_INLINE void drive_pass(std::conditional_t<kDepress, float, const float>* base,
+                                    std::size_t stride,
+                                    std::span<const std::uint32_t> active,
+                                    float* SNNFI_RESTRICT out, std::size_t n,
+                                    const float* SNNFI_RESTRICT trace_post, float nu_pre,
+                                    float wmin) {
+    using Row = std::conditional_t<kDepress, float, const float>* SNNFI_RESTRICT;
     const auto row_at = [base, stride](std::uint32_t a) { return base + a * stride; };
     const std::size_t n_active = active.size();
     std::size_t a = 0;
     for (; a + 4 <= n_active; a += 4) {
-        const float* SNNFI_RESTRICT r0 = row_at(active[a]);
-        const float* SNNFI_RESTRICT r1 = row_at(active[a + 1]);
-        const float* SNNFI_RESTRICT r2 = row_at(active[a + 2]);
-        const float* SNNFI_RESTRICT r3 = row_at(active[a + 3]);
-        for (std::size_t j = 0; j < n; ++j)
-            out[j] = (((out[j] + r0[j]) + r1[j]) + r2[j]) + r3[j];
+        const Row r0 = row_at(active[a]);
+        const Row r1 = row_at(active[a + 1]);
+        const Row r2 = row_at(active[a + 2]);
+        const Row r3 = row_at(active[a + 3]);
+        for (std::size_t j = 0; j < n; ++j) {
+            const float w0 = r0[j];
+            const float w1 = r1[j];
+            const float w2 = r2[j];
+            const float w3 = r3[j];
+            out[j] = (((out[j] + w0) + w1) + w2) + w3;
+            if constexpr (kDepress) {
+                const float t = trace_post[j];
+                r0[j] = depressed(w0, t, nu_pre, wmin);
+                r1[j] = depressed(w1, t, nu_pre, wmin);
+                r2[j] = depressed(w2, t, nu_pre, wmin);
+                r3[j] = depressed(w3, t, nu_pre, wmin);
+            }
+        }
     }
     if (a + 2 <= n_active) {
-        const float* SNNFI_RESTRICT r0 = row_at(active[a]);
-        const float* SNNFI_RESTRICT r1 = row_at(active[a + 1]);
-        for (std::size_t j = 0; j < n; ++j)
-            out[j] = (out[j] + r0[j]) + r1[j];
+        const Row r0 = row_at(active[a]);
+        const Row r1 = row_at(active[a + 1]);
+        for (std::size_t j = 0; j < n; ++j) {
+            const float w0 = r0[j];
+            const float w1 = r1[j];
+            out[j] = (out[j] + w0) + w1;
+            if constexpr (kDepress) {
+                const float t = trace_post[j];
+                r0[j] = depressed(w0, t, nu_pre, wmin);
+                r1[j] = depressed(w1, t, nu_pre, wmin);
+            }
+        }
         a += 2;
     }
     if (a < n_active) {
-        const float* SNNFI_RESTRICT r0 = row_at(active[a]);
-        for (std::size_t j = 0; j < n; ++j) out[j] += r0[j];
+        const Row r0 = row_at(active[a]);
+        for (std::size_t j = 0; j < n; ++j) {
+            const float w0 = r0[j];
+            out[j] += w0;
+            if constexpr (kDepress) r0[j] = depressed(w0, trace_post[j], nu_pre, wmin);
+        }
     }
+}
+
+}  // namespace
+
+void accumulate_rows(const float* base, std::size_t stride,
+                     std::span<const std::uint32_t> active, float* out, std::size_t n) {
+    drive_pass<false>(base, stride, active, out, n, nullptr, 0.0f, 0.0f);
+}
+
+void depress_rows(float* weights, std::size_t stride,
+                  std::span<const std::uint32_t> active, const float* trace_post,
+                  float nu_pre, float wmin, float* drive, std::size_t n) {
+    drive_pass<true>(weights, stride, active, drive, n, trace_post, nu_pre, wmin);
 }
 
 void accumulate_rows_reference(const float* const* rows,
@@ -236,27 +290,30 @@ void add_counts(std::uint32_t* counts, const std::uint8_t* spiked,
     for (std::size_t i = 0; i < n; ++i) counts[i] += spiked[i];
 }
 
-void depress(float* weights, std::size_t stride, std::span<const std::uint32_t> active,
-             const float* trace_post, float nu_pre, float wmin, std::size_t n) {
-    for (const std::uint32_t a : active) {
-        float* SNNFI_RESTRICT row = weights + a * stride;
-        for (std::size_t j = 0; j < n; ++j)
-            row[j] = std::max(wmin, row[j] - nu_pre * trace_post[j]);
+void potentiate(float* weights, std::size_t stride,
+                std::span<const std::uint32_t> rows, const float* trace,
+                float nu_post, float wmax, std::span<const std::uint32_t> posts) {
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+        float* row = weights + rows[k] * stride;
+        const float dw = nu_post * trace[k];
+        for (const std::uint32_t j : posts) row[j] = potentiated(row[j], dw, wmax);
     }
 }
 
-void potentiate(float* weights, std::size_t stride, std::size_t rows,
-                const float* trace_pre, float nu_post, float wmax,
-                std::span<const std::uint32_t> posts) {
-    for (std::size_t i = 0; i < rows; ++i) {
-        float* row = weights + i * stride;
-        const float dw = nu_post * trace_pre[i];
-        for (const std::uint32_t j : posts) row[j] = std::min(wmax, row[j] + dw);
+bool potentiation_is_noop(const float* weights, std::size_t stride,
+                          std::size_t rows, float nu_post, float wmax) {
+    const float dw = nu_post * 0.0f;
+    std::uint32_t changed = 0;
+    for (std::size_t k = 0; k < rows * stride; ++k) {
+        changed |= std::bit_cast<std::uint32_t>(potentiated(weights[k], dw, wmax)) ^
+                   std::bit_cast<std::uint32_t>(weights[k]);
     }
+    return changed == 0;
 }
 
-void normalize_columns(float* SNNFI_RESTRICT weights, std::size_t stride,
-                       std::size_t rows, float total, float* SNNFI_RESTRICT sums) {
+bool normalize_columns(float* SNNFI_RESTRICT weights, std::size_t stride,
+                       std::size_t rows, float total, float* SNNFI_RESTRICT sums,
+                       float nu_post, float wmax) {
     std::fill(sums, sums + stride, 0.0f);
     for (std::size_t i = 0; i < rows; ++i) {
         const float* row = weights + i * stride;
@@ -266,10 +323,31 @@ void normalize_columns(float* SNNFI_RESTRICT weights, std::size_t stride,
     // which is exact.
     for (std::size_t j = 0; j < stride; ++j)
         sums[j] = sums[j] > 0.0f ? total / sums[j] : 1.0f;
+    // The scale pass takes the largest weight word, read unsigned, into
+    // one lane set per padded block, kept in registers across rows (a
+    // scalar would be reduced after every row). Every weight in [+0, wmax]
+    // passes the check: w + (+-0) is w, and min(wmax, w) is w, or wmax
+    // when w is wmax. Only a weight outside that range (above wmax,
+    // negative, -0.0, NaN) sends the check to the full scan.
+    std::uint32_t top[kPadFloats] = {};
     for (std::size_t i = 0; i < rows; ++i) {
         float* row = weights + i * stride;
-        for (std::size_t j = 0; j < stride; ++j) row[j] *= sums[j];
+        for (std::size_t j = 0; j < stride; j += kPadFloats) {
+            for (std::size_t l = 0; l < kPadFloats; ++l) {
+                const float w = row[j + l] * sums[j + l];
+                row[j + l] = w;
+                top[l] = std::max(top[l], std::bit_cast<std::uint32_t>(w));
+            }
+        }
     }
+    // The range argument also needs wmax in [+0, +inf] and a zero
+    // increment (nu_post * 0.0f is NaN for a nu_post that is not finite).
+    const std::uint32_t bound = std::bit_cast<std::uint32_t>(wmax);
+    const bool in_range =
+        bound <= std::bit_cast<std::uint32_t>(std::numeric_limits<float>::infinity()) &&
+        nu_post * 0.0f == 0.0f &&
+        std::ranges::all_of(top, [bound](std::uint32_t t) { return t <= bound; });
+    return in_range || potentiation_is_noop(weights, stride, rows, nu_post, wmax);
 }
 
 }  // namespace snnfi::snn::kernels

@@ -42,7 +42,12 @@
 //
 // The STDP update (depression, potentiation) and weight normalisation
 // live here too, as row-major passes over the padded matrix, so they get
-// the same lanes.
+// the same lanes. Depression runs inside the drive pass of a learning
+// step (depress_rows, the same blocked loop as accumulate_rows), and
+// potentiation walks a list of rows: DenseConnection (snn/connection.hpp)
+// passes the inputs fired since the last trace reset while the no-op
+// check (potentiation_is_noop, which normalize_columns answers from its
+// scale pass) holds, and every row when it fails.
 #pragma once
 
 #include <cstddef>
@@ -246,25 +251,44 @@ std::size_t inh_update_reference(const InhParams& p, const LayerFaults& f,
 void add_counts(std::uint32_t* counts, const std::uint8_t* spiked,
                 std::size_t n);
 
-/// STDP depression on pre-synaptic events, over padded row-major weights:
-/// w[a][j] = max(wmin, w[a][j] - nu_pre * trace_post[j]) for every row a
-/// in `active` and every j < n.
-void depress(float* weights, std::size_t stride, std::span<const std::uint32_t> active,
-             const float* trace_post, float nu_pre, float wmin, std::size_t n);
+/// The drive pass of a learning step: accumulate_rows over `active` into
+/// drive[0..n), and STDP depression of the same rows, over padded
+/// row-major weights: w[a][j] = max(wmin, w[a][j] - nu_pre *
+/// trace_post[j]) for every row a in `active` and every j < n. Both run
+/// in accumulate_rows' blocks, and a block reads every element before it
+/// writes one, so the drive equals accumulate_rows' over the rows as they
+/// stood and the weights equal the one-row-at-a-time depression, bit for
+/// bit — and each row is read once. The rows must be distinct (a spike
+/// list is ascending).
+void depress_rows(float* weights, std::size_t stride,
+                  std::span<const std::uint32_t> active, const float* trace_post,
+                  float nu_pre, float wmin, float* drive, std::size_t n);
 
 /// STDP potentiation of the posts that spiked this step, over padded
-/// row-major weights: w[i][j] = min(wmax, w[i][j] + nu_post * trace_pre[i])
-/// for every row i and every j in `posts`. Each weight gets one update,
+/// row-major weights: w[i][j] = min(wmax, w[i][j] + nu_post * trace[k])
+/// for i = rows[k] and every j in `posts`. Each weight gets one update,
 /// so walking rows gives the same values as walking each post's column.
-void potentiate(float* weights, std::size_t stride, std::size_t rows,
-                const float* trace_pre, float nu_post, float wmax,
-                std::span<const std::uint32_t> posts);
+void potentiate(float* weights, std::size_t stride,
+                std::span<const std::uint32_t> rows, const float* trace,
+                float nu_post, float wmax, std::span<const std::uint32_t> posts);
+
+/// True when potentiating with a zero pre trace, min(wmax, w + nu_post *
+/// 0.0f), gives back the bits of every weight of the padded storage
+/// (padding lanes included, which only makes it stricter). It fails on a
+/// weight above wmax, a NaN or a -0.0: those are the rows potentiation
+/// may not skip while their input has not fired.
+bool potentiation_is_noop(const float* weights, std::size_t stride,
+                          std::size_t rows, float nu_post, float wmax);
 
 /// Scales every column of the padded matrix whose sum is positive so that
 /// it sums to `total`; other columns are left as they are. Column sums
 /// accumulate row by row in ascending row order, the same add sequence
 /// per column as a column walk, into `sums` (stride floats of scratch).
-void normalize_columns(float* weights, std::size_t stride, std::size_t rows,
-                       float total, float* sums);
+/// Returns potentiation_is_noop(nu_post, wmax) of the scaled matrix. The
+/// scale pass checks that every weight lies in [+0, wmax], which implies
+/// it; only a matrix with a weight outside that range gets the full scan.
+/// `stride` must be a multiple of kPadFloats, as a Matrix's is.
+bool normalize_columns(float* weights, std::size_t stride, std::size_t rows,
+                       float total, float* sums, float nu_post, float wmax);
 
 }  // namespace snnfi::snn::kernels

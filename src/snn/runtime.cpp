@@ -22,6 +22,9 @@ constexpr std::uint8_t kNominal = static_cast<std::uint8_t>(NeuronFault::kNomina
 struct SnnMetrics {
     obs::Counter& fast_steps;
     obs::Counter& scalar_steps;
+    obs::Counter& potentiations;
+    obs::Counter& rows_walked;
+    obs::Counter& full_walks;
     obs::Gauge& active_fraction_last;
     obs::Histogram& active_fraction;
 
@@ -31,6 +34,9 @@ struct SnnMetrics {
         static SnnMetrics metrics{
             obs::Registry::global().counter("snn.steps.fast"),
             obs::Registry::global().counter("snn.steps.scalar"),
+            obs::Registry::global().counter("snn.stdp.potentiations"),
+            obs::Registry::global().counter("snn.stdp.rows_walked"),
+            obs::Registry::global().counter("snn.stdp.full_walks"),
             obs::Registry::global().gauge("snn.active_fraction.last"),
             obs::Registry::global().histogram("snn.active_fraction", bounds)};
         return metrics;
@@ -46,9 +52,19 @@ struct SampleTally {
         active_fraction.observe(fraction);
         last_fraction = fraction;
     }
+    /// A learning step with a post spike: the rows its potentiation
+    /// walked.
+    void potentiated(const PotentiationWalk& walk) {
+        ++potentiations;
+        rows_walked += walk.rows;
+        full_walks += walk.every_row ? 1 : 0;
+    }
     void flush() {
         metrics.fast_steps.add(fast_steps);
         metrics.scalar_steps.add(scalar_steps);
+        metrics.potentiations.add(potentiations);
+        metrics.rows_walked.add(rows_walked);
+        metrics.full_walks.add(full_walks);
         if (active_fraction.count() != 0) metrics.active_fraction_last.set(last_fraction);
         active_fraction.flush();
     }
@@ -58,6 +74,9 @@ struct SampleTally {
     double last_fraction = 0.0;
     std::uint64_t fast_steps = 0;
     std::uint64_t scalar_steps = 0;
+    std::uint64_t potentiations = 0;
+    std::uint64_t rows_walked = 0;
+    std::uint64_t full_walks = 0;
 };
 
 }  // namespace
@@ -411,8 +430,7 @@ void NetworkRuntime::adopt_drive(std::span<const float> base,
     }
 }
 
-void NetworkRuntime::advance_step(std::span<const std::uint32_t> active,
-                                  SampleActivity& activity) {
+std::size_t NetworkRuntime::advance_step(SampleActivity& activity) {
     const std::size_t n = model_->config().n_neurons;
     // Lateral inhibition context from the previous step's IL spikes.
     std::size_t inh_total = 0;
@@ -423,14 +441,13 @@ void NetworkRuntime::advance_step(std::span<const std::uint32_t> active,
         patch_save_.data());
     activity.total_exc_spikes += exc_count;
 
-    if (learning_) learned_->learn(active, exc_spiked_);
-
     activity.total_inh_spikes += kernels::inh_update(
         inh_params_, inh_.faults(), exc_spiked_.data(), inh_.v.data(),
         inh_.refrac.data(), inh_spiked_.data(), n, patch_save_.data());
 
     if (exc_count > 0)
         kernels::add_counts(activity.exc_counts.data(), exc_spiked_.data(), n);
+    return exc_count;
 }
 
 namespace {
@@ -492,22 +509,36 @@ void NetworkRuntime::run_lockstep(std::span<NetworkRuntime* const> replicas,
     }
     std::optional<SampleTally> tally;
     if (obs::enabled()) tally.emplace(SnnMetrics::get());
+    // A learning runtime runs alone (BatchRunner members never learn), and
+    // its STDP depression walks the drive's active rows, in the same pass.
+    DenseConnection* const learner = replicas.size() == 1 && replicas.front()->learning_
+                                         ? &*replicas.front()->learned_
+                                         : nullptr;
     const double inv_input = 1.0 / static_cast<double>(config.n_input);
     for (std::size_t step = 0; step < config.steps_per_sample; ++step) {
         const std::span<const std::uint32_t> active = spikes.step(step);
         // One blocked propagation per step, over the full padded length
-        // (padding lanes stay zero).
+        // (padding lanes stay zero). A learner's pass covers the logical
+        // lanes only: adding its zero padding would leave the fill's zeros.
         std::fill(base.begin(), base.end(), 0.0f);
-        kernels::accumulate_rows(weights.data(), weights.stride(), active, base.data(),
-                                 base.size());
+        if (learner != nullptr) {
+            learner->depress(active, base.data());
+        } else {
+            kernels::accumulate_rows(weights.data(), weights.stride(), active,
+                                     base.data(), base.size());
+        }
         if (tally) tally->step(static_cast<double>(active.size()) * inv_input);
         for (std::size_t k = 0; k < replicas.size(); ++k) {
             NetworkRuntime& replica = *replicas[k];
             if (!replica.schedule_.empty()) replica.advance_schedule(step);
             replica.adopt_drive(base, active);
-            replica.advance_step(active, activities[k]);
+            const std::size_t exc_count = replica.advance_step(activities[k]);
             if (tally)
                 ++(replica.fast_path_active() ? tally->fast_steps : tally->scalar_steps);
+            if (learner != nullptr && exc_count > 0) {
+                const PotentiationWalk walk = learner->potentiate(replica.exc_spiked_);
+                if (tally) tally->potentiated(walk);
+            }
         }
     }
     if (tally) tally->flush();

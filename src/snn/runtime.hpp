@@ -20,14 +20,15 @@
 // for bit whether it runs alone or in a batch.
 //
 // With learning enabled the runtime materialises the full weight matrix,
-// patched cells included, into a DenseConnection (STDP + normalisation
-// reuse the exact legacy kernels), drives itself from that matrix, and
-// freeze() packages the learned parameters into a new immutable
-// NetworkModel. Weight faults are inference-time faults (stuck-at and
-// bit-flip cells in the trained network), so once the matrix is
-// materialised the weight patches are fixed: a change to them is
-// rejected, never applied under STDP. Training over NetworkModel::random()
-// is regression-pinned to the historical mutable-network numbers.
+// patched cells included, into a DenseConnection (STDP + normalisation,
+// snn/connection.hpp), drives itself from that matrix — depressing the
+// active rows in the same pass — and freeze() packages the learned
+// parameters into a new immutable NetworkModel. Weight faults are
+// inference-time faults (stuck-at and bit-flip cells in the trained
+// network), so once the matrix is materialised the weight patches are
+// fixed: a change to them is rejected, never applied under STDP. Training
+// over NetworkModel::random() is regression-pinned to the historical
+// mutable-network numbers.
 //
 // A FaultOverlay describes faults that hold for a whole run; an
 // OverlaySchedule adds the time axis: segments merged onto the base
@@ -214,9 +215,12 @@ private:
     /// The one step loop, standalone runtimes (a batch of one) and
     /// BatchRunner members alike, over `spikes`: per step the active rows
     /// of `weights` are accumulated once into the padded `base`, then each
-    /// replica advances its schedule, adopts the base drive, updates its
-    /// layers and learns; after the last step each replica runs
-    /// end_sample. activities[k] belongs to replicas[k].
+    /// replica advances its schedule, adopts the base drive and updates
+    /// its layers; after the last step each replica runs end_sample.
+    /// activities[k] belongs to replicas[k]. A learning runtime, always a
+    /// batch of one, depresses the active rows in the accumulation pass
+    /// and potentiates after its update on a step with an excitatory
+    /// spike.
     static void run_lockstep(std::span<NetworkRuntime* const> replicas,
                              const Matrix& weights, const SampleSpikes& spikes,
                              std::span<float> base, std::span<SampleActivity> activities);
@@ -230,9 +234,10 @@ private:
     void adopt_drive(std::span<const float> base,
                      std::span<const std::uint32_t> active);
     /// The fused step: excitatory DiehlCook update (driver gain + lateral
-    /// inhibition included) + STDP while learning + inhibitory LIF update,
-    /// one kernel call per layer over contiguous spans. Reads drive_.
-    void advance_step(std::span<const std::uint32_t> active, SampleActivity& activity);
+    /// inhibition included) + inhibitory LIF update, one kernel call per
+    /// layer over contiguous spans. Reads drive_; returns the excitatory
+    /// spike count.
+    std::size_t advance_step(SampleActivity& activity);
 
     std::shared_ptr<const NetworkModel> model_;
     FaultOverlay overlay_;

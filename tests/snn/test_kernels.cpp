@@ -527,14 +527,64 @@ TEST(Kernels, DepressBitIdenticalToScalarLoop) {
             for (std::size_t j = 0; j < cols; ++j)
                 expected(a, j) = std::max(wmin, expected(a, j) - nu_pre * trace[j]);
         }
-        kernels::depress(w.data(), w.stride(), active, trace.data(), nu_pre, wmin, cols);
+        std::vector<float> drive(cols, 0.0f);
+        kernels::depress_rows(w.data(), w.stride(), active, trace.data(), nu_pre, wmin,
+                              drive.data(), cols);
         ASSERT_TRUE(same_storage(w, expected)) << rows << "x" << cols;
     }
 }
 
-/// Row-major potentiation equals the column walk it replaced, for no,
-/// one, some and all posts, including weights above wmax (clamped) and
-/// rows with a zero trace.
+/// The drive pass of a learning step: accumulating the active rows and
+/// depressing them in one pass equals accumulate_rows_reference over the
+/// rows as they stood followed by the scalar depression loop, on both the
+/// drive and the weights, for every unroll tail (0..9 active rows) and
+/// for logical and padded lengths.
+TEST(Kernels, FusedDepressionEqualsAccumulateThenDepress) {
+    util::Rng rng(47);
+    const float nu_pre = 0.3f;
+    const float wmin = 0.0f;
+    const std::size_t n_pre = 37;
+    for (const std::size_t cols : {1u, 3u, 13u, 16u, 17u, 33u, 100u}) {
+        for (const std::size_t n : {cols, kernels::padded_size(cols)}) {
+            for (std::size_t n_active = 0; n_active <= 9; ++n_active) {
+                Matrix w = random_weights(rng, n_pre, cols, 0.3);
+                std::vector<float> trace(n, 0.0f);
+                for (std::size_t j = 0; j < cols; ++j)
+                    trace[j] = static_cast<float>(rng.uniform());
+                std::vector<std::uint32_t> active(n_pre);
+                std::iota(active.begin(), active.end(), 0u);
+                rng.shuffle(std::span<std::uint32_t>(active));
+                active.resize(n_active);
+                std::sort(active.begin(), active.end());
+
+                Matrix expected = w;
+                std::vector<const float*> rows(n_pre);
+                for (std::size_t r = 0; r < n_pre; ++r)
+                    rows[r] = expected.padded_row(r).data();
+                std::vector<float> expected_drive(n, 0.25f);
+                kernels::accumulate_rows_reference(rows.data(), active,
+                                                   expected_drive.data(), n);
+                for (const std::uint32_t a : active) {
+                    float* row = expected.data() + a * expected.stride();
+                    for (std::size_t j = 0; j < n; ++j)
+                        row[j] = std::max(wmin, row[j] - nu_pre * trace[j]);
+                }
+
+                std::vector<float> drive(n, 0.25f);
+                kernels::depress_rows(w.data(), w.stride(), active, trace.data(), nu_pre,
+                                      wmin, drive.data(), n);
+                ASSERT_TRUE(same_bits(drive, expected_drive))
+                    << "drive, cols=" << cols << " n=" << n << " active=" << n_active;
+                ASSERT_TRUE(same_storage(w, expected))
+                    << "weights, cols=" << cols << " n=" << n << " active=" << n_active;
+            }
+        }
+    }
+}
+
+/// Potentiation of a list of rows equals the column walk it replaced, for
+/// no, one, some and all posts, for every row in order and for a shuffled
+/// subset, including weights above wmax (clamped) and zero traces.
 TEST(Kernels, PotentiateBitIdenticalToColumnWalk) {
     util::Rng rng(41);
     const float nu_post = 1e-2f;
@@ -543,22 +593,31 @@ TEST(Kernels, PotentiateBitIdenticalToColumnWalk) {
                                      {37, 5},
                                      {10, 16},
                                      {3, 33}}) {
-        for (int trial = 0; trial < 6; ++trial) {
+        for (int trial = 0; trial < 12; ++trial) {
             Matrix w = random_weights(rng, rows, cols, 1.2);
-            std::vector<float> trace(rows);
+            std::vector<std::uint32_t> walked(rows);
+            std::iota(walked.begin(), walked.end(), 0u);
+            if (trial % 2 == 1) {
+                rng.shuffle(std::span<std::uint32_t>(walked));
+                walked.resize(rng.below(rows + 1));
+            }
+            std::vector<float> trace(walked.size());
             for (float& t : trace)
                 t = rng.uniform() < 0.3 ? 0.0f : static_cast<float>(rng.uniform());
             std::vector<std::uint32_t> posts;
-            if (trial == 1) posts.push_back(static_cast<std::uint32_t>(cols / 2));
-            for (std::uint32_t j = 0; trial > 1 && j < cols; ++j) {
-                if (trial == 5 || rng.uniform() < 0.1 * trial) posts.push_back(j);
+            const int shape = trial / 2;
+            if (shape == 1) posts.push_back(static_cast<std::uint32_t>(cols / 2));
+            for (std::uint32_t j = 0; shape > 1 && j < cols; ++j) {
+                if (shape == 5 || rng.uniform() < 0.1 * shape) posts.push_back(j);
             }
             Matrix expected = w;
             for (const std::uint32_t j : posts) {
-                for (std::size_t i = 0; i < rows; ++i)
-                    expected(i, j) = std::min(wmax, expected(i, j) + nu_post * trace[i]);
+                for (std::size_t k = 0; k < walked.size(); ++k) {
+                    const std::uint32_t i = walked[k];
+                    expected(i, j) = std::min(wmax, expected(i, j) + nu_post * trace[k]);
+                }
             }
-            kernels::potentiate(w.data(), w.stride(), rows, trace.data(), nu_post, wmax,
+            kernels::potentiate(w.data(), w.stride(), walked, trace.data(), nu_post, wmax,
                                 posts);
             ASSERT_TRUE(same_storage(w, expected))
                 << rows << "x" << cols << " trial " << trial;
@@ -566,28 +625,96 @@ TEST(Kernels, PotentiateBitIdenticalToColumnWalk) {
     }
 }
 
+/// Scalar statement of the no-op check: potentiating every weight with a
+/// zero pre trace writes back its own bits.
+bool noop_reference(const Matrix& w, float nu_post, float wmax) {
+    for (std::size_t k = 0; k < w.rows() * w.stride(); ++k) {
+        const float x = w.data()[k];
+        const float y = std::min(wmax, x + nu_post * 0.0f);
+        if (std::memcmp(&x, &y, sizeof x) != 0) return false;
+    }
+    return true;
+}
+
 /// Row-major normalisation equals the per-column sum-and-scale it
-/// replaced; columns whose sum is zero or negative stay untouched.
+/// replaced; columns whose sum is zero or negative stay untouched. Its
+/// no-op check agrees with the scalar one over the scaled matrix, under
+/// budgets that leave every weight below wmax and that push some above it,
+/// with and without a column of negative weights (which the scale pass's
+/// range test sends to the full scan).
 TEST(Kernels, NormalizeColumnsBitIdenticalToColumnWalk) {
     util::Rng rng(43);
-    const float total = 78.4f;
+    const float nu_post = 1e-2f;
+    const float wmax = 1.0f;
+    std::size_t holds = 0;
+    std::size_t fails = 0;
     for (const auto& [rows, cols] : {std::pair<std::size_t, std::size_t>{784, 100},
                                      {37, 5},
                                      {10, 16},
                                      {3, 33}}) {
-        Matrix w = random_weights(rng, rows, cols, 0.3);
-        for (std::size_t r = 0; r < rows; ++r) {
-            w(r, 0) = 0.0f;                            // sum 0: skipped
-            w(r, cols - 1) = -w(r, cols - 1) - 0.1f;  // sum < 0: skipped
+        const float n = static_cast<float>(rows);
+        for (const auto& [total, negative] :
+             {std::pair{78.4f, true}, {0.1f * n, true}, {0.1f * n, false}, {2.0f * n, true}}) {
+            Matrix w = random_weights(rng, rows, cols, 0.3);
+            for (std::size_t r = 0; r < rows; ++r) {
+                w(r, 0) = 0.0f;  // sum 0: skipped
+                if (negative) w(r, cols - 1) = -w(r, cols - 1) - 0.1f;  // sum < 0: skipped
+            }
+            Matrix expected = w;
+            for (std::size_t j = 0; j < cols; ++j) {
+                const float sum = expected.column_sum(j);
+                if (sum > 0.0f) expected.scale_column(j, total / sum);
+            }
+            std::vector<float> sums(w.stride());
+            const bool noop = kernels::normalize_columns(w.data(), w.stride(), rows, total,
+                                                         sums.data(), nu_post, wmax);
+            ASSERT_TRUE(same_storage(w, expected)) << rows << "x" << cols << " " << total;
+            EXPECT_EQ(noop, noop_reference(expected, nu_post, wmax))
+                << rows << "x" << cols << " " << total;
+            EXPECT_EQ(noop, kernels::potentiation_is_noop(w.data(), w.stride(), rows,
+                                                          nu_post, wmax));
+            ++(noop ? holds : fails);
         }
-        Matrix expected = w;
-        for (std::size_t j = 0; j < cols; ++j) {
-            const float sum = expected.column_sum(j);
-            if (sum > 0.0f) expected.scale_column(j, total / sum);
-        }
-        std::vector<float> sums(w.stride());
-        kernels::normalize_columns(w.data(), w.stride(), rows, total, sums.data());
-        ASSERT_TRUE(same_storage(w, expected)) << rows << "x" << cols;
+    }
+    EXPECT_GT(holds, 0u);
+    EXPECT_GT(fails, 0u);
+}
+
+/// The no-op check fails exactly on the weights a zero-trace potentiation
+/// would rewrite: above wmax, NaN of either sign and -0.0. wmax itself,
+/// zero and negative weights pass, and so does -0.0 under a negative
+/// nu_post. normalize_columns gives the same answer over the matrix it
+/// scaled (a NaN column sums to NaN and is left as it is; -0.0 scales to
+/// -0.0).
+TEST(Kernels, NoopCheckFlagsWeightsPotentiationWouldRewrite) {
+    const float wmax = 1.0f;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    util::Rng rng(53);
+    Matrix w = random_weights(rng, 7, 20, 1.0);
+    w(1, 2) = wmax;
+    w(2, 3) = 0.0f;
+    w(3, 4) = -0.5f;
+    ASSERT_TRUE(noop_reference(w, 1e-2f, wmax));
+    EXPECT_TRUE(kernels::potentiation_is_noop(w.data(), w.stride(), 7, 1e-2f, wmax));
+    std::vector<float> sums(w.stride());
+    for (const float bad : {1.5f, nan, -nan, -0.0f}) {
+        Matrix flagged = w;
+        flagged(6, 19) = bad;
+        ASSERT_FALSE(noop_reference(flagged, 1e-2f, wmax)) << bad;
+        EXPECT_FALSE(kernels::potentiation_is_noop(flagged.data(), flagged.stride(), 7,
+                                                   1e-2f, wmax))
+            << bad;
+        EXPECT_EQ(kernels::potentiation_is_noop(flagged.data(), flagged.stride(), 7,
+                                                -1e-2f, wmax),
+                  noop_reference(flagged, -1e-2f, wmax))
+            << bad;
+        // No negative weight, and a budget that keeps every scaled weight
+        // below wmax: only `bad` can send normalize to the full scan.
+        flagged(3, 4) = 0.5f;
+        const bool noop = kernels::normalize_columns(flagged.data(), flagged.stride(), 7,
+                                                     0.7f, sums.data(), 1e-2f, wmax);
+        EXPECT_EQ(noop, noop_reference(flagged, 1e-2f, wmax)) << bad;
+        if (bad != 1.5f) EXPECT_FALSE(noop) << bad;
     }
 }
 

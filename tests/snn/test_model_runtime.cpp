@@ -376,6 +376,47 @@ TEST(BatchRunner, ActiveFractionTallyMatchesPerStepObservation) {
               3 * kSamples * config.steps_per_sample);
 }
 
+/// A bit flip that puts a cell above wmax is clamped by learning the way
+/// the dense STDP rule clamps it: the first post spike of its column
+/// potentiates it by a zero pre trace, min(wmax, w + 0) = wmax, though its
+/// input never fires. With norm_total = 0 no normalize runs, so only the
+/// no-op check, made stale by writing the cell into the materialised
+/// matrix, sends that potentiation over every row.
+TEST(NetworkRuntime, LearningClampsAPatchedCellAboveWmax) {
+    DiehlCookConfig config = tiny_config();
+    config.norm_total = 0.0f;
+    // A digit whose corner pixel is dark: its input never fires.
+    std::vector<float> image = data::make_synthetic_dataset(1, 5).images[0];
+    const std::size_t dark = 0;
+    image[dark] = 0.0f;
+    const auto model = NetworkModel::random(config, 17);
+
+    // Which post neuron spikes: the patch cannot change it, as its row
+    // never drives and no normalize reads it.
+    NetworkRuntime clean(model);
+    clean.set_learning(true);
+    const SampleActivity activity = clean.run_sample(image);
+    const auto post = static_cast<std::size_t>(
+        std::ranges::max_element(activity.exc_counts) - activity.exc_counts.begin());
+    ASSERT_GT(activity.exc_counts[post], 0u);
+
+    FaultOverlay overlay;
+    overlay.flip_weight_bit(dark, post, 30);
+    const float flipped = xor_weight_bits(model->input_weights()(dark, post), 1u << 30);
+    ASSERT_GT(flipped, config.stdp.wmax);
+    const TelemetryOn telemetry;
+    NetworkRuntime patched(model, overlay);
+    patched.set_learning(true);
+    EXPECT_EQ(patched.run_sample(image).exc_counts, activity.exc_counts);
+    const auto frozen = patched.freeze();
+    EXPECT_EQ(frozen->input_weights()(dark, post), config.stdp.wmax);
+    EXPECT_GT(obs::Registry::global().counter("snn.stdp.full_walks").value(), 0u);
+    // Every other cell learned what the clean run learned.
+    Matrix expected = clean.freeze()->input_weights();
+    expected(dark, post) = config.stdp.wmax;
+    EXPECT_TRUE(same_bits(frozen->input_weights().to_vector(), expected.to_vector()));
+}
+
 TEST(BatchRunner, RasterReplayRejectsMismatchedShape) {
     const auto model = NetworkModel::random(tiny_config(), 1);
     const DiehlCookConfig& config = model->config();
