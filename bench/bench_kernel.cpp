@@ -170,15 +170,16 @@ int main(int argc, char** argv) {
                    spiked == other.spiked && refrac == other.refrac;
         }
     };
-    // Drive sweeps reuse the per-step accumulated inputs so the update
-    // kernel sees realistic spiking dynamics, not a constant input.
-    snn::AlignedVector drive(padded, 0.0f);
+    // Each step's drive, accumulated once before any update runs, so the
+    // update kernel sees realistic spiking dynamics and the timed sweeps
+    // time the update alone.
+    snn::AlignedVector drives(steps * padded, 0.0f);
+    for (std::size_t s = 0; s < steps; ++s)
+        kernels::accumulate_rows(weights.data(), weights.stride(), active[s],
+                                 drives.data() + s * padded, padded);
     const auto sweep_update = [&](Neurons& neurons, const auto& step_fn) {
-        for (const auto& set : active) {
-            std::fill(drive.begin(), drive.end(), 0.0f);
-            kernels::accumulate_rows(weights.data(), weights.stride(), set, drive.data(),
-                                     padded);
-            const std::size_t spikes = step_fn(neurons);
+        for (std::size_t s = 0; s < steps; ++s) {
+            const std::size_t spikes = step_fn(neurons, drives.data() + s * padded);
             // Feed lateral inhibition back like the real network: the IL
             // layer mirrors EL spikes one step later.
             neurons.inh_total = spikes;
@@ -187,24 +188,22 @@ int main(int argc, char** argv) {
         }
     };
     // Per-sweep update time of the kernel and of the oracle over `faults`,
-    // after checking that they agree over the full dynamic state. Both
-    // timed loops include the same drive accumulation; subtracting the
-    // measured drive cost isolates the update.
+    // after checking that they agree over the full dynamic state.
     struct UpdateTiming {
         double kernel_s = 0.0;
         double oracle_s = 0.0;
     };
     const auto time_update = [&](const Faults& faults, UpdateTiming& timing) {
         const kernels::LayerFaults view = faults.view();
-        const auto kernel_fn = [&](Neurons& ne) {
-            return kernels::exc_update(p, view, drive.data(), ne.inh_spiked.data(),
+        const auto kernel_fn = [&](Neurons& ne, const float* drive) {
+            return kernels::exc_update(p, view, drive, ne.inh_spiked.data(),
                                        ne.inh_total, ne.v.data(), ne.refrac.data(),
                                        ne.theta.data(), ne.spiked.data(), n,
                                        ne.save.data());
         };
-        const auto oracle_fn = [&](Neurons& ne) {
+        const auto oracle_fn = [&](Neurons& ne, const float* drive) {
             return kernels::exc_update_reference(
-                p, view, drive.data(), ne.inh_spiked.data(), ne.inh_total,
+                p, view, drive, ne.inh_spiked.data(), ne.inh_total,
                 ne.v.data(), ne.refrac.data(), ne.theta.data(), ne.spiked.data(), n);
         };
         Neurons kernel_state(n, p.v_rest);
@@ -224,11 +223,8 @@ int main(int argc, char** argv) {
                 sweep_update(oracle_state, oracle_fn);
             oracle_s = std::min(oracle_s, seconds_since(start));
         }
-        const double drive_cost_s = blocked_s / static_cast<double>(passes);
-        timing.kernel_s =
-            std::max(1e-12, kernel_s / static_cast<double>(passes) - drive_cost_s);
-        timing.oracle_s =
-            std::max(1e-12, oracle_s / static_cast<double>(passes) - drive_cost_s);
+        timing.kernel_s = kernel_s / static_cast<double>(passes);
+        timing.oracle_s = oracle_s / static_cast<double>(passes);
         return true;
     };
     UpdateTiming identity;

@@ -14,7 +14,7 @@ struct BandgapModel {
     double max_deviation_pct = 0.56; ///< |dVref/Vref| bound over supply range
     /// Below this supply the reference drops out. The cited design ([24])
     /// specifies 0.85 V; we assume a retargeted variant that covers the
-    /// paper's full 0.8-1.2 V attack range (documented in EXPERIMENTS.md).
+    /// paper's full 0.8-1.2 V attack range (DESIGN.md §1).
     double min_supply = 0.75;
     double supply_headroom = 0.05;   ///< linear dropout width below min_supply
 

@@ -5,7 +5,7 @@
 // numbers come from the first-order layout model in circuits/area_power.hpp
 // applied to the same netlists.
 // Paper-reported overheads are carried alongside for comparison —
-// EXPERIMENTS.md discusses where our area model's constants diverge.
+// DESIGN.md §1 gives the area model's constants and where they diverge.
 #pragma once
 
 #include <cstddef>

@@ -95,9 +95,11 @@ void summarize(CellResult& cell, std::span<const double> accuracies,
 }
 
 /// A clean (fault-free) inference pass over the eval subset with one
-/// replica's encoding stream: the classifier assignments and the paired
-/// reference accuracy for that stream.
+/// replica's encoding stream: the recorded run over the stream's raster,
+/// which the replica's batches replay and follow, the classifier
+/// assignments and the paired reference accuracy for that stream.
 struct CleanReplica {
+    std::optional<snn::ReferenceRun> run;
     snn::ActivityClassifier classifier{1, kNumClasses};
     double accuracy_pct = 0.0;
 };
@@ -508,10 +510,10 @@ CampaignResult CampaignEngine::execute(const Plan& plan,
     const std::size_t max_reps = std::max(min_reps, es.max_replicas);
 
     // Replica r's Poisson stream over the eval subset, encoded once: the
-    // clean pass and every batch of replica r replay the same raster.
+    // clean pass records its run over it, and every batch of replica r
+    // replays the same raster following that record.
     const snn::DiehlCookConfig& network = plan.baseline->config();
     const std::span<const std::vector<float>> eval_images(data.images.data(), eval_n);
-    std::vector<std::optional<snn::SpikeRaster>> rasters(max_reps);
     std::vector<CleanReplica> clean(max_reps);
     // Cross-thread span hand-off: capture before dispatch (see
     // obs/span.hpp), so every fi.clean and fi.batch nests under fi.execute
@@ -523,22 +525,19 @@ CampaignResult CampaignEngine::execute(const Plan& plan,
         obs::Span span("fi.clean", exec_ctx);
         span.tag("replica", static_cast<double>(replica));
         const auto start = std::chrono::steady_clock::now();
-        const snn::SpikeRaster& raster = rasters[replica].emplace(
+        const snn::ReferenceRun& run = clean[replica].run.emplace(
+            plan.baseline,
             snn::SpikeRaster::encode(network.encoder, network.steps_per_sample,
                                      eval_images,
                                      util::Rng(util::derive_seed(
                                          kSeed, kReplicaStream + replica))));
-        snn::NetworkRuntime runtime(plan.baseline);
         snn::ActivityClassifier classifier(network.n_neurons, kNumClasses);
-        std::vector<snn::SampleActivity> activity(eval_n);
-        for (std::size_t i = 0; i < eval_n; ++i) {
-            runtime.run_sample_into(raster, i, activity[i]);
-            classifier.accumulate(activity[i].exc_counts, data.labels[i]);
-        }
+        for (std::size_t i = 0; i < eval_n; ++i)
+            classifier.accumulate(run.activity(i).exc_counts, data.labels[i]);
         classifier.assign_labels();
         std::size_t correct = 0;
         for (std::size_t i = 0; i < eval_n; ++i) {
-            if (classifier.predict(activity[i].exc_counts) == data.labels[i])
+            if (classifier.predict(run.activity(i).exc_counts) == data.labels[i])
                 ++correct;
         }
         clean[replica].classifier = std::move(classifier);
@@ -576,7 +575,6 @@ CampaignResult CampaignEngine::execute(const Plan& plan,
         batch_span.tag("replica", static_cast<double>(replica));
         batch_span.tag("cells", static_cast<double>(count));
         const auto batch_start = std::chrono::steady_clock::now();
-        const snn::SpikeRaster& raster = *rasters[replica];
         const CleanReplica& reference = clean[replica];
         std::vector<snn::NetworkRuntime> runtimes;
         runtimes.reserve(count);
@@ -603,7 +601,7 @@ CampaignResult CampaignEngine::execute(const Plan& plan,
         // allocation-free.
         std::vector<snn::SampleActivity> activities(count);
         for (std::size_t i = 0; i < eval_n; ++i) {
-            batch.run_sample_into(raster, i, activities);
+            batch.run_sample_into(*reference.run, i, activities);
             for (std::size_t k = 0; k < count; ++k) {
                 if (reference.classifier.predict(activities[k].exc_counts) ==
                     data.labels[i])
@@ -634,16 +632,17 @@ CampaignResult CampaignEngine::execute(const Plan& plan,
     // spread over per-thread arenas and raise the peak RSS): the next
     // replica whenever an open cell may still run it and fewer than
     // kLiveRasters rasters are live, ahead of any batch. It frees each
-    // raster once no open cell can still read it. With one worker, or
-    // under a nested parallel_for that runs its indices serially, index 0
-    // does all of this alone and never waits. A task that throws wakes
-    // every worker and leaves through parallel_for.
+    // replica's record, raster included, once no open cell can still read
+    // it. With one worker, or under a nested parallel_for that runs its
+    // indices serially, index 0 does all of this alone and never waits. A
+    // task that throws wakes every worker and leaves through parallel_for.
     //
     // A cell's outcome depends only on (cell, replica), never on its
     // batch-mates, the batch cut or the worker count: each member reads the
-    // raster and its own runtime, and its replicas run in order. So results
-    // are byte-identical for any worker count, and a subset of cells
-    // (run_cells, shards) reproduces those cells of the full run.
+    // replica's record (raster and clean run) and its own runtime, and its
+    // replicas run in order (DESIGN.md §6). So results are byte-identical
+    // for any worker count, and a subset of cells (run_cells, shards)
+    // reproduces those cells of the full run.
     const std::size_t workers = session_.pool().max_workers();
     CellQueue queue(open, max_reps);
     std::mutex sink_mutex;  // one on_close call at a time
@@ -662,7 +661,7 @@ CampaignResult CampaignEngine::execute(const Plan& plan,
                 if (index == 0) {
                     for (const std::size_t needed = queue.first_needed();
                          queue.freed < needed; ++queue.freed)
-                        rasters[queue.freed].reset();
+                        clean[queue.freed].run.reset();
                 }
                 if (queue.failed || queue.open == 0) return;
                 if (index == 0 && queue.build_due()) {

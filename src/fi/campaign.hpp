@@ -29,7 +29,9 @@
 //   * every injection is replicated over independent Poisson-encoding
 //     streams, paired with a clean run of the same stream. Each replica's
 //     stream is encoded once over the eval subset (snn::SpikeRaster); its
-//     clean pass and every batch replay it. Inference cells run through
+//     clean pass is recorded (snn::ReferenceRun) and every batch replays
+//     the raster following it, so a member whose fault has not changed a
+//     spike yet steps only its faulted neurons. Inference cells run through
 //     one cell-replica work queue with no round barrier: a finished batch
 //     judges each of its cells alone and queues the still-open ones for
 //     their next replica at once, while the calling thread builds the

@@ -56,7 +56,7 @@ struct StdpParams {
     // (eth_mnist: nu = (1e-4, 1e-2)), which the paper's setup is based on
     // ("as configured in [23]"). Interpreting the paper's quoted
     // 0.0004/0.0002 literally as depression/potentiation rates collapses
-    // network activity (see EXPERIMENTS.md, baseline row).
+    // network activity (DESIGN.md §4.3).
     float nu_pre = 1e-4f;    ///< depression rate on pre-synaptic events
     float nu_post = 1e-2f;   ///< potentiation rate on post-synaptic events
     float trace_tau_ms = 20.0f;

@@ -220,6 +220,33 @@ std::size_t inh_update(const InhParams& p, const LayerFaults& f,
         });
 }
 
+void exc_update_subset(const ExcParams& p, const LayerFaults& f,
+                       std::span<const std::uint32_t> subset, const float* drive,
+                       const std::uint8_t* inh_spiked, std::size_t inh_total, float* v,
+                       std::int32_t* refrac, float* theta, std::uint8_t* spiked) {
+    const float total = static_cast<float>(inh_total);
+    for (const std::uint32_t i : subset) {
+        NeuronState s{v[i], refrac[i], theta[i]};
+        spiked[i] = static_cast<std::uint8_t>(
+            exc_neuron<true>(p, f, i, drive[i], total, inh_spiked[i], s));
+        v[i] = s.v;
+        refrac[i] = s.refrac;
+        theta[i] = s.theta;
+    }
+}
+
+void inh_update_subset(const InhParams& p, const LayerFaults& f,
+                       std::span<const std::uint32_t> subset,
+                       const std::uint8_t* exc_spiked, float* v, std::int32_t* refrac,
+                       std::uint8_t* spiked) {
+    for (const std::uint32_t i : subset) {
+        NeuronState s{v[i], refrac[i], 0.0f};
+        spiked[i] = static_cast<std::uint8_t>(inh_neuron<true>(p, f, i, exc_spiked[i], s));
+        v[i] = s.v;
+        refrac[i] = s.refrac;
+    }
+}
+
 std::size_t exc_update_reference(const ExcParams& p, const LayerFaults& f,
                                  const float* drive, const std::uint8_t* inh_spiked,
                                  std::size_t inh_total, float* v,

@@ -38,7 +38,9 @@
 // redoes just the patched neurons from their saved pre-step state; a long
 // one runs the fault-aware loop over the whole layer. The scalar
 // *_update_reference oracles restate the rule with branches and are what
-// the tests and bench_kernel check both shapes against.
+// the tests and bench_kernel check both shapes against. The *_subset
+// functions run the redo's fault-aware step alone over an index list,
+// for a runtime that steps only its faulted neurons (snn/runtime.hpp).
 //
 // The STDP update (depression, potentiation) and weight normalisation
 // live here too, as row-major passes over the padded matrix, so they get
@@ -233,6 +235,20 @@ std::size_t inh_update(const InhParams& p, const LayerFaults& f,
                        const std::uint8_t* exc_spiked, float* v,
                        std::int32_t* refrac, std::uint8_t* spiked, std::size_t n,
                        NeuronState* save);
+
+/// The fault-aware step of the neurons in `subset` alone, each from its
+/// own state in v/refrac/theta, writing spiked[i] for each: the redo
+/// shape's per-neuron work without the layer loop. A runtime that steps
+/// only its faulted neurons calls these, so every neuron update builds
+/// under this file's floating-point flags.
+void exc_update_subset(const ExcParams& p, const LayerFaults& f,
+                       std::span<const std::uint32_t> subset, const float* drive,
+                       const std::uint8_t* inh_spiked, std::size_t inh_total, float* v,
+                       std::int32_t* refrac, float* theta, std::uint8_t* spiked);
+void inh_update_subset(const InhParams& p, const LayerFaults& f,
+                       std::span<const std::uint32_t> subset,
+                       const std::uint8_t* exc_spiked, float* v, std::int32_t* refrac,
+                       std::uint8_t* spiked);
 
 /// Scalar oracles of the two updates: the rule restated with branches,
 /// reading every fault array for every neuron (the patch list is

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -22,6 +24,8 @@ constexpr std::uint8_t kNominal = static_cast<std::uint8_t>(NeuronFault::kNomina
 struct SnnMetrics {
     obs::Counter& fast_steps;
     obs::Counter& scalar_steps;
+    obs::Counter& dormant_steps;
+    obs::Counter& wakes;
     obs::Counter& potentiations;
     obs::Counter& rows_walked;
     obs::Counter& full_walks;
@@ -34,6 +38,8 @@ struct SnnMetrics {
         static SnnMetrics metrics{
             obs::Registry::global().counter("snn.steps.fast"),
             obs::Registry::global().counter("snn.steps.scalar"),
+            obs::Registry::global().counter("snn.steps.dormant"),
+            obs::Registry::global().counter("snn.dormant.wakes"),
             obs::Registry::global().counter("snn.stdp.potentiations"),
             obs::Registry::global().counter("snn.stdp.rows_walked"),
             obs::Registry::global().counter("snn.stdp.full_walks"),
@@ -43,9 +49,11 @@ struct SnnMetrics {
     }
 };
 
+}  // namespace
+
 /// One sample's telemetry, tallied in locals per step and flushed once per
 /// sample, so telemetry costs a handful of relaxed atomic ops per *sample*.
-struct SampleTally {
+struct NetworkRuntime::SampleTally {
     explicit SampleTally(SnnMetrics& m) : metrics(m), active_fraction(m.active_fraction) {}
 
     void step(double fraction) {
@@ -62,6 +70,8 @@ struct SampleTally {
     void flush() {
         metrics.fast_steps.add(fast_steps);
         metrics.scalar_steps.add(scalar_steps);
+        metrics.dormant_steps.add(dormant_steps);
+        metrics.wakes.add(wakes);
         metrics.potentiations.add(potentiations);
         metrics.rows_walked.add(rows_walked);
         metrics.full_walks.add(full_walks);
@@ -74,12 +84,12 @@ struct SampleTally {
     double last_fraction = 0.0;
     std::uint64_t fast_steps = 0;
     std::uint64_t scalar_steps = 0;
+    std::uint64_t dormant_steps = 0;  ///< member-steps taken dormant
+    std::uint64_t wakes = 0;          ///< samples re-run after a wake
     std::uint64_t potentiations = 0;
     std::uint64_t rows_walked = 0;
     std::uint64_t full_walks = 0;
 };
-
-}  // namespace
 
 void NetworkRuntime::LayerState::init(std::size_t n, const LifParams& params) {
     v.assign(n, params.v_rest);
@@ -218,6 +228,11 @@ void NetworkRuntime::apply_effective_overlay(const FaultOverlay& effective) {
     inh_.rebuild_patch(config.inhibitory);
     patch_save_.resize(std::max(exc_.patch.size(), inh_.patch.size()));
     rebuild_cell_deltas(effective);
+    faulted_exc_ = exc_.patch;
+    for (const CellDelta& cell : cell_deltas_) faulted_exc_.push_back(cell.post);
+    std::ranges::sort(faulted_exc_);
+    const auto duplicates = std::ranges::unique(faulted_exc_);
+    faulted_exc_.erase(duplicates.begin(), duplicates.end());
 }
 
 void NetworkRuntime::advance_schedule(std::size_t step) {
@@ -501,14 +516,24 @@ void NetworkRuntime::run_sample_into(const SpikeRaster& raster, std::size_t samp
 void NetworkRuntime::run_lockstep(std::span<NetworkRuntime* const> replicas,
                                   const Matrix& weights, const SampleSpikes& spikes,
                                   std::span<float> base,
-                                  std::span<SampleActivity> activities) {
+                                  std::span<SampleActivity> activities,
+                                  const ReferenceSample* reference,
+                                  std::vector<std::uint32_t>* record,
+                                  SampleTally* rerun) {
     const DiehlCookConfig& config = replicas.front()->config();
     for (std::size_t k = 0; k < replicas.size(); ++k) {
-        replicas[k]->begin_sample();
+        NetworkRuntime& replica = *replicas[k];
+        replica.begin_sample();
         reset_activity(activities[k], config.n_neurons);
+        replica.follow_ = reference != nullptr && replica.may_go_dormant(*reference)
+                              ? Follow::kDormant
+                              : Follow::kFull;
     }
-    std::optional<SampleTally> tally;
-    if (obs::enabled()) tally.emplace(SnnMetrics::get());
+    // A re-run tallies into the batch's tally, which has observed the
+    // sample's steps already.
+    std::optional<SampleTally> own;
+    if (rerun == nullptr && obs::enabled()) own.emplace(SnnMetrics::get());
+    SampleTally* const tally = own ? &*own : rerun;
     // A learning runtime runs alone (BatchRunner members never learn), and
     // its STDP depression walks the drive's active rows, in the same pass.
     DenseConnection* const learner = replicas.size() == 1 && replicas.front()->learning_
@@ -527,11 +552,27 @@ void NetworkRuntime::run_lockstep(std::span<NetworkRuntime* const> replicas,
             kernels::accumulate_rows(weights.data(), weights.stride(), active,
                                      base.data(), base.size());
         }
-        if (tally) tally->step(static_cast<double>(active.size()) * inv_input);
+        if (own) own->step(static_cast<double>(active.size()) * inv_input);
         for (std::size_t k = 0; k < replicas.size(); ++k) {
             NetworkRuntime& replica = *replicas[k];
+            if (replica.follow_ == Follow::kWoke) continue;
+            if (replica.follow_ == Follow::kDormant) {
+                if (replica.dormant_step(step, base, active, *reference)) {
+                    if (tally) ++tally->dormant_steps;
+                    continue;
+                }
+                // Woken: the sample again from its start, this member alone.
+                const std::span<const float> start = reference->run->theta(reference->sample);
+                std::ranges::copy(start, replica.exc_theta_.begin());
+                run_lockstep(replicas.subspan(k, 1), weights, spikes, replica.base_drive_,
+                             activities.subspan(k, 1), nullptr, nullptr, tally);
+                replica.follow_ = Follow::kWoke;
+                if (tally) ++tally->wakes;
+                continue;
+            }
             if (!replica.schedule_.empty()) replica.advance_schedule(step);
             replica.adopt_drive(base, active);
+            const std::size_t inh_before = activities[k].total_inh_spikes;
             const std::size_t exc_count = replica.advance_step(activities[k]);
             if (tally)
                 ++(replica.fast_path_active() ? tally->fast_steps : tally->scalar_steps);
@@ -539,10 +580,96 @@ void NetworkRuntime::run_lockstep(std::span<NetworkRuntime* const> replicas,
                 const PotentiationWalk walk = learner->potentiate(replica.exc_spiked_);
                 if (tally) tally->potentiated(walk);
             }
+            if (record != nullptr &&
+                (exc_count > 0 || activities[k].total_inh_spikes != inh_before))
+                replica.record_spikes(step, *record);
         }
     }
-    if (tally) tally->flush();
-    for (NetworkRuntime* replica : replicas) replica->end_sample();
+    if (own) own->flush();
+    for (std::size_t k = 0; k < replicas.size(); ++k) {
+        NetworkRuntime& replica = *replicas[k];
+        if (replica.follow_ == Follow::kWoke) continue;
+        if (replica.follow_ == Follow::kDormant) {
+            // Every spike matched, so the whole layer ran the clean run's
+            // sample: its faulted neurons' theta already equals the end
+            // theta, and every other entry is copied over.
+            activities[k] = reference->run->activity(reference->sample);
+            const std::span<const float> end = reference->run->theta(reference->sample + 1);
+            std::ranges::copy(end, replica.exc_theta_.begin());
+        }
+        replica.end_sample();
+    }
+}
+
+bool NetworkRuntime::may_go_dormant(const ReferenceSample& reference) const {
+    const std::size_t n = exc_theta_.size();
+    const std::span<const float> start = reference.run->theta(reference.sample);
+    // Bits, not float ==: -0.0f == 0.0f and NaN != NaN.
+    return schedule_.empty() && exc_params_.driver_gain == 1.0f &&
+           (faulted_exc_.size() + inh_.patch.size()) * 8 <= n &&
+           std::memcmp(exc_theta_.data(), start.data(), n * sizeof(float)) == 0;
+}
+
+bool NetworkRuntime::dormant_step(std::size_t step, std::span<const float> base,
+                                  std::span<const std::uint32_t> active,
+                                  const ReferenceSample& reference) {
+    const std::size_t n = exc_theta_.size();
+    // A patched cell's post is a faulted neuron, so the adopted drive of
+    // every faulted neuron is what a full step would read.
+    adopt_drive(base, active);
+    // Lateral inhibition from the previous step's inhibitory spikes, which
+    // all matched the record's.
+    const std::uint8_t* previous = reference.before(step);
+    kernels::exc_update_subset(exc_params_, exc_.faults(), faulted_exc_, drive_,
+                               previous + n, reference.inh_count[step], exc_.v.data(),
+                               exc_.refrac.data(), exc_theta_.data(), exc_spiked_.data());
+    // Each inhibitory neuron reads its partner's spike, the record's once
+    // every faulted excitatory spike matched it.
+    const std::uint8_t* current = reference.before(step + 1);
+    kernels::inh_update_subset(inh_params_, inh_.faults(), inh_.patch, current,
+                               inh_.v.data(), inh_.refrac.data(), inh_spiked_.data());
+    for (const std::uint32_t i : faulted_exc_) {
+        if (exc_spiked_[i] != current[i]) return false;
+    }
+    for (const std::uint32_t i : inh_.patch) {
+        if (inh_spiked_[i] != current[n + i]) return false;
+    }
+    return true;
+}
+
+void NetworkRuntime::record_spikes(std::size_t step,
+                                   std::vector<std::uint32_t>& events) const {
+    const std::size_t n = exc_spiked_.size();
+    const auto code = static_cast<std::uint32_t>(step * 2 * n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (exc_spiked_[i]) events.push_back(code + i);
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (inh_spiked_[i]) events.push_back(code + static_cast<std::uint32_t>(n) + i);
+    }
+}
+
+void NetworkRuntime::ReferenceSample::expand(const ReferenceRun& reference,
+                                             std::size_t sample_index) {
+    // Event code c of step s sits in row s + 1: byte c + 2n.
+    for (const std::uint32_t event : events) {
+        spiked[event + 2 * n] = 0;
+        inh_count[event / (2 * n) + 1] = 0;
+    }
+    run = &reference;
+    sample = sample_index;
+    n = reference.model().n_neurons();
+    const std::size_t rows = reference.model().config().steps_per_sample + 1;
+    if (spiked.size() != rows * 2 * n) {
+        spiked.assign(rows * 2 * n, 0);
+        inh_count.assign(rows, 0);
+    }
+    const std::span<const std::uint32_t> sample_events = reference.events(sample);
+    events.assign(sample_events.begin(), sample_events.end());
+    for (const std::uint32_t event : events) {
+        spiked[event + 2 * n] = 1;
+        if (event % (2 * n) >= n) ++inh_count[event / (2 * n) + 1];
+    }
 }
 
 BatchRunner::BatchRunner(const NetworkModel& model,
@@ -593,15 +720,53 @@ void BatchRunner::run_sample_into(std::span<const float> image, util::Rng& rng,
                                  activities);
 }
 
-void BatchRunner::run_sample_into(const SpikeRaster& raster, std::size_t sample,
+void BatchRunner::run_sample_into(const ReferenceRun& reference, std::size_t sample,
                                   std::span<SampleActivity> activities) {
-    if (raster.image_size() != model_.n_input() ||
-        raster.steps_per_sample() != model_.config().steps_per_sample)
-        throw std::invalid_argument("BatchRunner: raster shape mismatch");
+    if (&reference.model() != &model_)
+        throw std::invalid_argument("BatchRunner: the reference run is over another model");
     check_batch(activities);
-    raster.decode(sample, spikes_);
+    reference.raster().decode(sample, spikes_);
+    reference_.expand(reference, sample);
     NetworkRuntime::run_lockstep(runtimes_, model_.input_weights(), spikes_, base_drive_,
-                                 activities);
+                                 activities, &reference_);
+}
+
+ReferenceRun::ReferenceRun(std::shared_ptr<const NetworkModel> model, SpikeRaster raster)
+    : model_(std::move(model)), raster_(std::move(raster)) {
+    const DiehlCookConfig& config = model_->config();
+    if (raster_.image_size() != config.n_input ||
+        raster_.steps_per_sample() != config.steps_per_sample)
+        throw std::invalid_argument("ReferenceRun: raster shape mismatch");
+    const std::size_t n = config.n_neurons;
+    if (config.steps_per_sample * 2 * n > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument("ReferenceRun: event codes overflow 32 bits");
+    NetworkRuntime runtime(model_);
+    NetworkRuntime* const self = &runtime;
+    activities_.resize(raster_.samples());
+    thetas_.reserve((raster_.samples() + 1) * n);
+    event_offsets_.reserve(raster_.samples() + 1);
+    event_offsets_.push_back(0);
+    for (std::size_t i = 0; i < raster_.samples(); ++i) {
+        thetas_.insert(thetas_.end(), runtime.exc_theta_.begin(), runtime.exc_theta_.end());
+        raster_.decode(i, runtime.spikes_);
+        NetworkRuntime::run_lockstep({&self, 1}, runtime.drive_weights(), runtime.spikes_,
+                                     runtime.base_drive_, {&activities_[i], 1}, nullptr,
+                                     &events_);
+        event_offsets_.push_back(events_.size());
+    }
+    thetas_.insert(thetas_.end(), runtime.exc_theta_.begin(), runtime.exc_theta_.end());
+}
+
+std::span<const float> ReferenceRun::theta(std::size_t sample) const {
+    if (sample > samples()) throw std::out_of_range("ReferenceRun: sample out of range");
+    const std::size_t n = model_->n_neurons();
+    return {thetas_.data() + sample * n, n};
+}
+
+std::span<const std::uint32_t> ReferenceRun::events(std::size_t sample) const {
+    if (sample >= samples()) throw std::out_of_range("ReferenceRun: sample out of range");
+    return {events_.data() + event_offsets_[sample],
+            event_offsets_[sample + 1] - event_offsets_[sample]};
 }
 
 }  // namespace snnfi::snn

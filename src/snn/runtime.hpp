@@ -40,6 +40,15 @@
 // dense input propagation over the shared weights is computed once per
 // timestep and reused by every replica in the batch — the campaign
 // engine's batched-inference fast path.
+//
+// A ReferenceRun owns a raster and the clean run over it, recorded: per
+// sample the activity, the adaptive thresholds at its start and the spike
+// events. Replaying the raster against it, a member whose faults touch few
+// neurons
+// goes dormant for a sample that starts from the record's thresholds: it
+// steps only its faulted neurons on the record's inputs, because every
+// other neuron is the clean run's by construction, and on the first spike
+// that differs it re-runs the sample in full (DESIGN.md §6).
 #pragma once
 
 #include <cstddef>
@@ -57,6 +66,8 @@
 #include "snn/tensor.hpp"
 
 namespace snnfi::snn {
+
+class ReferenceRun;
 
 class NetworkRuntime {
 public:
@@ -154,6 +165,7 @@ public:
 
 private:
     friend class BatchRunner;
+    friend class ReferenceRun;
     friend struct RuntimeTestPeer;  ///< white-box kernel-equivalence tests
 
     /// Per-layer dynamic + fault state, struct-of-arrays.
@@ -185,6 +197,36 @@ private:
         float value = 0.0f;
         float delta = 0.0f;
     };
+
+    /// One ReferenceRun sample as the step loop's dormant members read
+    /// it: the run and sample, and the sample's spike events expanded into
+    /// per-step spike rows. BatchRunner refills one per sample; expand()
+    /// first clears what its previous call set, from its own copy of the
+    /// events, so the rows are cleared sparsely and never allocate at
+    /// steady state.
+    struct ReferenceSample {
+        const ReferenceRun* run = nullptr;
+        std::size_t sample = 0;
+        std::size_t n = 0;
+        std::vector<std::uint32_t> events;  ///< the expanded sample's events
+        /// (steps + 1) rows of 2n bytes: row 0 is all zeros, row s + 1
+        /// holds step s's excitatory then inhibitory spikes.
+        std::vector<std::uint8_t> spiked;
+        std::vector<std::uint32_t> inh_count;  ///< inhibitory spikes per row
+
+        void expand(const ReferenceRun& reference, std::size_t sample_index);
+        /// The spikes of the step before `step` (none before step 0);
+        /// before(step + 1) is step `step`'s own.
+        const std::uint8_t* before(std::size_t step) const {
+            return spiked.data() + step * 2 * n;
+        }
+    };
+    /// One sample's telemetry (runtime.cpp).
+    struct SampleTally;
+    /// How a member takes the current sample: every neuron, only its
+    /// faulted ones against a reference, or not at all because it woke and
+    /// re-ran the sample alone.
+    enum class Follow : std::uint8_t { kFull, kDormant, kWoke };
 
     /// Throws std::out_of_range unless every op of `overlay` addresses a
     /// neuron and cell of this network. The setters run it on everything
@@ -221,11 +263,38 @@ private:
     /// batch of one, depresses the active rows in the accumulation pass
     /// and potentiates after its update on a step with an excitatory
     /// spike.
+    ///
+    /// With a `reference`, a member that may_go_dormant() steps only its
+    /// faulted neurons (dormant_step). On a dormant spike that differs
+    /// from the record the member wakes: its theta goes back to the
+    /// sample's start and the loop re-runs the sample for it alone, into
+    /// its own base buffer, tallying into the batch's `rerun` tally, which
+    /// already holds the batch's active-fraction observations. At the end
+    /// a member still dormant takes the record's activity and
+    /// end-of-sample theta. With a `record` (a clean batch of one) every
+    /// step with a spike appends its events (record_spikes).
     static void run_lockstep(std::span<NetworkRuntime* const> replicas,
                              const Matrix& weights, const SampleSpikes& spikes,
-                             std::span<float> base, std::span<SampleActivity> activities);
+                             std::span<float> base, std::span<SampleActivity> activities,
+                             const ReferenceSample* reference = nullptr,
+                             std::vector<std::uint32_t>* record = nullptr,
+                             SampleTally* rerun = nullptr);
     void begin_sample();
     void end_sample();
+    /// True when this member's run of `reference`'s sample equals the clean
+    /// run's outside its faulted neurons: no schedule, network driver gain
+    /// exactly 1, at most n/8 faulted neurons (the bound of the kernels'
+    /// redo shape), and a theta bit-equal to the record's at the sample's
+    /// start.
+    bool may_go_dormant(const ReferenceSample& reference) const;
+    /// Steps the faulted neurons only, on the reference's inputs: the
+    /// adopted drive and the record's previous-step inhibitory spikes.
+    /// Returns false when a spike differs from the record's.
+    bool dormant_step(std::size_t step, std::span<const float> base,
+                      std::span<const std::uint32_t> active,
+                      const ReferenceSample& reference);
+    /// Appends the step's spikes as ReferenceRun event codes.
+    void record_spikes(std::size_t step, std::vector<std::uint32_t>& events) const;
     /// Adopts the step's base drive. A replica without cell deltas, or
     /// whose base already comes from its materialised matrix (the cells
     /// written in), aliases the buffer read-only (zero copies); a patched
@@ -262,6 +331,11 @@ private:
     /// Sorted by (pre, post) — adopt_drive merge-joins this against the
     /// ascending active list.
     std::vector<CellDelta> cell_deltas_;
+    /// Ascending excitatory neurons a dormant step runs: the patch list
+    /// and the post end of every patched cell (the inhibitory ones are
+    /// inh_.patch).
+    std::vector<std::uint32_t> faulted_exc_;
+    Follow follow_ = Follow::kFull;
 
     // Scratch reused across samples and steps. spikes_ holds the current
     // sample's input spikes and base_drive_ the step's base drive when the
@@ -310,12 +384,16 @@ public:
     void run_sample_into(std::span<const float> image, util::Rng& rng,
                          std::span<SampleActivity> activities);
 
-    /// Runs sample `sample` of `raster` instead of encoding an image: the
-    /// same step loop over spikes decoded from the raster, so replaying a
-    /// raster encoded from the live overload's start stream gives its
-    /// activities bit for bit. Throws std::invalid_argument when the
-    /// raster's image size or steps per sample differ from the model's.
-    void run_sample_into(const SpikeRaster& raster, std::size_t sample,
+    /// Runs sample `sample` of `reference`'s raster instead of encoding an
+    /// image, following the clean run recorded over it: the same step loop
+    /// over spikes decoded from the raster, in which a member whose faults
+    /// touch few neurons and whose theta equals the record's at the
+    /// sample's start steps only its faulted neurons. Samples may come in
+    /// any order. Replaying a raster encoded from the live overload's
+    /// start stream gives its activities, and every member's theta, bit
+    /// for bit. Throws std::invalid_argument, before any member changes,
+    /// when `reference` was recorded over another model.
+    void run_sample_into(const ReferenceRun& reference, std::size_t sample,
                          std::span<SampleActivity> activities);
 
 private:
@@ -327,6 +405,45 @@ private:
     SampleSpikes spikes_;
     /// Padded shared drive buffer over the model matrix.
     AlignedVector base_drive_;
+    NetworkRuntime::ReferenceSample reference_;
+};
+
+/// A SpikeRaster and the clean run over every sample of it, in order,
+/// recorded for BatchRunner's dormant members: per sample its activity,
+/// the adaptive thresholds at its start (and after the last sample), and
+/// the spike events of the steps that had any, each packed as step x 2n +
+/// layer x n + neuron (layer 0 excitatory, 1 inhibitory). Immutable after
+/// construction, so concurrent batches share one. At full size a sample
+/// holds ~120 events.
+class ReferenceRun {
+public:
+    /// Takes `raster` and runs a fault-free runtime over `model` through
+    /// its samples in order: sample i's activity is what that runtime's
+    /// run_sample_into(raster, i, ...) gives, bit for bit. Throws
+    /// std::invalid_argument when the raster's image size or steps per
+    /// sample differ from the network's.
+    ReferenceRun(std::shared_ptr<const NetworkModel> model, SpikeRaster raster);
+
+    const NetworkModel& model() const noexcept { return *model_; }
+    /// The raster the run was recorded over.
+    const SpikeRaster& raster() const noexcept { return raster_; }
+    std::size_t samples() const noexcept { return activities_.size(); }
+    const SampleActivity& activity(std::size_t sample) const {
+        return activities_.at(sample);
+    }
+    /// exc_theta() as sample `sample` starts; theta(samples()) is the
+    /// theta after the last sample.
+    std::span<const float> theta(std::size_t sample) const;
+    /// Sample `sample`'s spike events, ascending.
+    std::span<const std::uint32_t> events(std::size_t sample) const;
+
+private:
+    std::shared_ptr<const NetworkModel> model_;
+    SpikeRaster raster_;
+    std::vector<SampleActivity> activities_;
+    std::vector<float> thetas_;               ///< (samples + 1) x n
+    std::vector<std::uint32_t> events_;
+    std::vector<std::size_t> event_offsets_;  ///< samples + 1
 };
 
 }  // namespace snnfi::snn

@@ -3,7 +3,8 @@
 // exercise every unroll tail and padding edge, across random fault state
 // in both layer-update shapes, and through NetworkRuntime/BatchRunner
 // (patch lists, merge-join vs binary-search adopt_drive, a patched
-// replica's own run vs its batch-member run).
+// replica's own run vs its batch-member run), and reference-driven batches
+// whose dormant members must equal their standalone twins bit for bit.
 // Plus the steady-state no-allocation guarantee of the sample loop.
 #include "snn/kernels.hpp"
 
@@ -11,17 +12,23 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <new>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "data/synthetic_digits.hpp"
+#include "obs/metrics.hpp"
 #include "snn/runtime.hpp"
 #include "snn/tensor.hpp"
+#include "snn/trainer.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -102,6 +109,13 @@ struct RuntimeTestPeer {
         for (const auto& cell : runtime.cell_deltas_)
             out.emplace_back(cell.pre, cell.post, cell.delta);
         return out;
+    }
+    /// How the runtime took its last sample in a reference-driven batch.
+    static bool ended_dormant(const NetworkRuntime& runtime) {
+        return runtime.follow_ == NetworkRuntime::Follow::kDormant;
+    }
+    static bool woke(const NetworkRuntime& runtime) {
+        return runtime.follow_ == NetworkRuntime::Follow::kWoke;
     }
 };
 
@@ -404,6 +418,14 @@ TEST(Kernels, AdoptDriveMergeJoinMatchesBinarySearchReference) {
                                static_cast<float>(rng.uniform(-0.5, 0.5)));
         }
     }
+    // And many cells of widely spread values on three posts: adding a
+    // post's deltas in any order but ascending pre rounds differently.
+    const std::size_t posts[] = {1, 9, 17};
+    for (std::uint32_t pre = 0; pre < model->n_input(); pre += 3) {
+        const float magnitude = std::ldexp(1.0f, static_cast<int>(rng.between(-20, 20)));
+        overlay.set_weight(pre, posts[(pre / 3) % 3],
+                           rng.uniform() < 0.5 ? magnitude : -magnitude);
+    }
     NetworkRuntime runtime(model, overlay);
     const auto deltas = RuntimeTestPeer::deltas(runtime);
     ASSERT_FALSE(deltas.empty());
@@ -475,17 +497,288 @@ TEST(Kernels, PatchedStandaloneRunEqualsBatchMemberRun) {
         images.push_back(random_image(image_rng, config.n_input));
     const SpikeRaster raster =
         SpikeRaster::encode(config.encoder, config.steps_per_sample, images, util::Rng(23));
+    const ReferenceRun reference(model, raster);
     SampleActivity own;
     std::vector<SampleActivity> batched(batch.size());
     bool patches_matter = false;
     for (std::size_t i = 0; i < raster.samples(); ++i) {
         standalone.run_sample_into(raster, i, own);
-        batch.run_sample_into(raster, i, batched);
+        batch.run_sample_into(reference, i, batched);
         ASSERT_GT(own.total_exc_spikes, 0u) << "sample " << i;
         ASSERT_TRUE(same_activity(own, batched[0])) << "sample " << i;
         patches_matter = patches_matter || !same_activity(own, batched[1]);
     }
     EXPECT_TRUE(patches_matter) << "the patches never changed a spike";
+}
+
+// --- reference-driven batches ----------------------------------------------
+
+/// Turns telemetry on over an empty global registry, and back off (the
+/// default other tests rely on) when it goes out of scope.
+struct TelemetryOn {
+    TelemetryOn() {
+        obs::set_enabled(true);
+        obs::Registry::global().reset();
+    }
+    ~TelemetryOn() {
+        obs::set_enabled(false);
+        obs::Registry::global().reset();
+    }
+};
+
+std::uint64_t counter(const char* name) {
+    return obs::Registry::global().counter(name).value();
+}
+
+/// A tiny network trained on synthetic digits, so its layers spike and
+/// its thetas move the way a campaign's baseline does.
+std::shared_ptr<const NetworkModel> trained_tiny_model() {
+    NetworkRuntime runtime(NetworkModel::random(tiny_config(), 41));
+    (void)Trainer(runtime, 20).run(data::make_synthetic_dataset(40, 43));
+    return runtime.freeze();
+}
+
+SpikeRaster digit_raster(const NetworkModel& model, std::size_t samples) {
+    const DiehlCookConfig& config = model.config();
+    const Dataset digits = data::make_synthetic_dataset(samples, 47);
+    return SpikeRaster::encode(config.encoder, config.steps_per_sample, digits.images,
+                               util::Rng(53));
+}
+
+/// One member of a reference-driven batch and its standalone twin.
+struct FollowedMember {
+    const char* name;
+    FaultOverlay overlay;
+    OverlaySchedule schedule;
+};
+
+/// Runs `order` of the reference's raster through a reference-driven batch
+/// of `members` and through one standalone runtime per member, asserting
+/// after every sample that
+/// each member's activity equals its twin's bit for bit, and after the
+/// run that its theta and frozen weights do too. Returns, per member and
+/// sample, 'd' when it ended the sample dormant, 'w' when it woke, else
+/// 'f'.
+std::vector<std::string> run_followed(const std::shared_ptr<const NetworkModel>& model,
+                                      const ReferenceRun& reference,
+                                      const std::vector<FollowedMember>& members,
+                                      const std::vector<std::size_t>& order) {
+    std::vector<NetworkRuntime> twins;
+    std::vector<NetworkRuntime> runtimes;
+    for (const FollowedMember& member : members) {
+        twins.emplace_back(model, member.overlay);
+        runtimes.emplace_back(model, member.overlay);
+        twins.back().set_schedule(member.schedule);
+        runtimes.back().set_schedule(member.schedule);
+    }
+    std::vector<NetworkRuntime*> pointers;
+    for (NetworkRuntime& runtime : runtimes) pointers.push_back(&runtime);
+    BatchRunner batch(*model, pointers);
+    std::vector<SampleActivity> batched(batch.size());
+    SampleActivity own;
+    std::vector<std::string> taken(members.size());
+    for (const std::size_t i : order) {
+        batch.run_sample_into(reference, i, batched);
+        for (std::size_t k = 0; k < members.size(); ++k) {
+            twins[k].run_sample_into(reference.raster(), i, own);
+            EXPECT_TRUE(same_activity(own, batched[k]))
+                << members[k].name << ", sample " << i;
+            taken[k] += RuntimeTestPeer::ended_dormant(runtimes[k])
+                            ? 'd'
+                            : (RuntimeTestPeer::woke(runtimes[k]) ? 'w' : 'f');
+        }
+    }
+    for (std::size_t k = 0; k < members.size(); ++k) {
+        EXPECT_TRUE(same_bits(runtimes[k].exc_theta(), twins[k].exc_theta()))
+            << members[k].name;
+        EXPECT_TRUE(same_bits(runtimes[k].freeze()->input_weights().to_vector(),
+                              twins[k].freeze()->input_weights().to_vector()))
+            << members[k].name;
+    }
+    return taken;
+}
+
+/// The neuron that fires most over the reference's first sample, and
+/// three inputs that fire together at one of its steps.
+std::pair<std::size_t, std::vector<std::uint32_t>> busy_neuron_and_inputs(
+    const ReferenceRun& reference) {
+    const std::vector<std::uint32_t>& counts = reference.activity(0).exc_counts;
+    const auto neuron = static_cast<std::size_t>(std::ranges::max_element(counts) -
+                                                 counts.begin());
+    SampleSpikes spikes;
+    reference.raster().decode(0, spikes);
+    for (std::size_t step = 0; step < reference.raster().steps_per_sample(); ++step) {
+        const std::span<const std::uint32_t> active = spikes.step(step);
+        if (active.size() >= 3) return {neuron, {active[0], active[1], active[2]}};
+    }
+    return {neuron, {}};
+}
+
+/// Every member of a reference-driven batch gives its standalone twin's
+/// activity in every sample, and its theta and weights after the run, bit
+/// for bit: members dormant throughout, members that wake mid-sample or at
+/// step 0, and members whose faults keep them from following at all.
+TEST(BatchRunner, ReferenceDrivenMembersMatchStandaloneRuns) {
+    const auto model = trained_tiny_model();
+    const std::size_t n = model->n_neurons();
+    const std::size_t steps = model->config().steps_per_sample;
+    const ReferenceRun reference(model, digit_raster(*model, 24));
+    const auto [busy, inputs] = busy_neuron_and_inputs(reference);
+    ASSERT_GT(reference.activity(0).exc_counts[busy], 0u);
+    ASSERT_EQ(inputs.size(), 3u);
+    const std::uint32_t input = inputs[0];
+    const std::size_t other = (busy + 5) % n;
+    const std::size_t one[] = {busy};
+    const std::size_t inh_one[] = {(busy + 3) % n};
+    const std::size_t other_one[] = {other};
+    std::vector<std::size_t> layer(n);
+    std::iota(layer.begin(), layer.end(), std::size_t{0});
+
+    std::vector<FollowedMember> members(11);
+    members[0].name = "no fault";
+    members[1].name = "stuck-at-1 on a firing input";
+    members[1].overlay.set_weight(input, busy, 1.0f);
+    members[2].name = "bit-0 flip";
+    members[2].overlay.flip_weight_bit(input, other, 0);
+    members[3].name = "dead excitatory neuron";
+    members[3].overlay.force_state(OverlayLayer::kExcitatory, one, NeuronFault::kDead);
+    members[4].name = "saturated inhibitory neuron";
+    members[4].overlay.force_state(OverlayLayer::kInhibitory, inh_one,
+                                   NeuronFault::kSaturated);
+    members[5].name = "refractory stretch";
+    members[5].overlay.override_refractory(OverlayLayer::kExcitatory, one, 40);
+    // Three active cells on one post, summed in pre order, and a neuron
+    // fault beside them.
+    members[6].name = "cells and a neuron";
+    members[6]
+        .overlay.set_weight(inputs[2], other, 0.9f)
+        .set_weight(inputs[0], other, 0.7f)
+        .set_weight(inputs[1], other, 0.3f)
+        .scale_threshold(OverlayLayer::kExcitatory, one, 1.2f);
+    // A cell patched to its own value: a zero delta leaves every spike the
+    // clean run's, so this member follows the reference throughout.
+    members[7].name = "zero-delta cell";
+    members[7].overlay.set_weight(input, other, model->input_weights()(input, other));
+    members[8].name = "whole-layer threshold drift";
+    members[8].overlay.scale_threshold(OverlayLayer::kExcitatory, layer, 0.9f);
+    members[9].name = "driver gain 0.8";
+    members[9].overlay.set_driver_gain(0.8f);
+    members[10].name = "scheduled glitch";
+    FaultOverlay dip;
+    dip.scale_threshold(OverlayLayer::kExcitatory, other_one, 0.5f);
+    members[10].schedule = {{20, 60, dip}};
+
+    std::vector<std::size_t> order(reference.samples());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const TelemetryOn telemetry;
+    const std::vector<std::string> taken = run_followed(model, reference, members, order);
+
+    const std::string all_dormant(order.size(), 'd');
+    const std::string all_full(order.size(), 'f');
+    EXPECT_EQ(taken[0], all_dormant);
+    EXPECT_EQ(taken[7], all_dormant);
+    EXPECT_EQ(taken[4].front(), 'w') << taken[4];
+    for (std::size_t k = 8; k < members.size(); ++k)
+        EXPECT_EQ(taken[k], all_full) << members[k].name;
+    std::size_t dormant_samples = 0;
+    std::size_t woken_samples = 0;
+    for (const std::string& member : taken) {
+        dormant_samples += static_cast<std::size_t>(std::ranges::count(member, 'd'));
+        woken_samples += static_cast<std::size_t>(std::ranges::count(member, 'w'));
+    }
+    // A sample that ended dormant took every step dormant; the excess
+    // comes from samples whose member woke after step 0.
+    EXPECT_EQ(counter("snn.dormant.wakes"), woken_samples);
+    EXPECT_GT(counter("snn.steps.dormant"), dormant_samples * steps)
+        << "no member woke mid-sample";
+    EXPECT_GT(dormant_samples, 2 * order.size()) << "no faulty member went dormant";
+}
+
+/// Samples may come in any order: a member goes dormant exactly when its
+/// theta equals the record's at the sample's start, so one that ran
+/// another sample before runs this one in full.
+TEST(BatchRunner, ReferenceDrivenSamplesInAnyOrder) {
+    const auto model = trained_tiny_model();
+    const ReferenceRun reference(model, digit_raster(*model, 6));
+    const auto [busy, inputs] = busy_neuron_and_inputs(reference);
+    ASSERT_EQ(inputs.size(), 3u);
+    const std::uint32_t input = inputs[0];
+    const std::size_t one[] = {busy};
+    std::vector<FollowedMember> members(4);
+    members[0].name = "no fault";
+    members[1].name = "dead excitatory neuron";
+    members[1].overlay.force_state(OverlayLayer::kExcitatory, one, NeuronFault::kDead);
+    members[2].name = "stuck-at-0";
+    members[2].overlay.set_weight(input, busy, 0.0f);
+    members[3].name = "zero-delta cell";
+    members[3].overlay.set_weight(input, busy, model->input_weights()(input, busy));
+
+    const std::vector<std::string> taken =
+        run_followed(model, reference, members, {0, 1, 4, 1, 2, 2, 3});
+    EXPECT_EQ(taken[0], "ddfffff");
+    EXPECT_EQ(taken[3], "ddfffff");
+}
+
+/// Thetas are compared by their bits: with no theta bump a neuron's theta
+/// is -0.0f until it first fires and +0.0f after, which compare equal as
+/// floats. A member that never fired a neuron the clean run fired must not
+/// follow the record, whose end theta would hand it the other zero.
+TEST(BatchRunner, DormantRuleComparesThetaBits) {
+    DiehlCookConfig config = tiny_config();
+    config.excitatory.theta_plus = 0.0f;
+    const auto random = NetworkModel::random(config, 5);
+    const auto model = std::make_shared<const NetworkModel>(
+        config, random->input_weights(), std::vector<float>(config.n_neurons, -0.0f));
+    const ReferenceRun reference(model, digit_raster(*model, 8));
+    const std::size_t busy = busy_neuron_and_inputs(reference).first;
+    ASSERT_GT(reference.activity(0).exc_counts[busy], 0u);
+    const std::size_t one[] = {busy};
+    std::vector<FollowedMember> members(2);
+    members[0].name = "no fault";
+    members[1].name = "dead excitatory neuron";
+    members[1].overlay.force_state(OverlayLayer::kExcitatory, one, NeuronFault::kDead);
+
+    std::vector<std::size_t> order(reference.samples());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const std::vector<std::string> taken = run_followed(model, reference, members, order);
+    EXPECT_EQ(taken[0], std::string(order.size(), 'd'));
+    EXPECT_EQ(taken[1], 'w' + std::string(order.size() - 1, 'f'));
+}
+
+/// The record equals a clean standalone runtime's run, sample by sample:
+/// its activity, its theta at each sample's start, and one event per
+/// spike.
+TEST(ReferenceRun, EqualsCleanStandaloneRun) {
+    const auto model = trained_tiny_model();
+    const std::size_t n = model->n_neurons();
+    const std::size_t steps = model->config().steps_per_sample;
+    const ReferenceRun reference(model, digit_raster(*model, 5));
+    const SpikeRaster& raster = reference.raster();
+    ASSERT_EQ(reference.samples(), raster.samples());
+    NetworkRuntime clean(model);
+    SampleActivity activity;
+    for (std::size_t i = 0; i < raster.samples(); ++i) {
+        EXPECT_TRUE(same_bits(reference.theta(i), clean.exc_theta())) << "sample " << i;
+        clean.run_sample_into(raster, i, activity);
+        EXPECT_TRUE(same_activity(reference.activity(i), activity)) << "sample " << i;
+        const std::span<const std::uint32_t> events = reference.events(i);
+        EXPECT_TRUE(std::ranges::is_sorted(events)) << "sample " << i;
+        std::vector<std::uint32_t> counts(n, 0);
+        std::size_t inhibitory = 0;
+        for (const std::uint32_t event : events) {
+            ASSERT_LT(event, steps * 2 * n);
+            if (event % (2 * n) < n) {
+                ++counts[event % (2 * n)];
+            } else {
+                ++inhibitory;
+            }
+        }
+        EXPECT_EQ(counts, activity.exc_counts) << "sample " << i;
+        EXPECT_EQ(inhibitory, activity.total_inh_spikes) << "sample " << i;
+    }
+    EXPECT_TRUE(same_bits(reference.theta(raster.samples()), clean.exc_theta()));
+    EXPECT_THROW((void)reference.theta(raster.samples() + 1), std::out_of_range);
+    EXPECT_THROW((void)reference.events(raster.samples()), std::out_of_range);
 }
 
 // --- STDP potentiation and normalisation ----------------------------------
@@ -741,6 +1034,22 @@ TEST(Kernels, SampleLoopIsAllocationFreeAtSteadyState) {
     SampleActivity learned;
     std::vector<SampleActivity> activities(batch.size());
     util::Rng batch_rng(33);
+    // A reference-driven batch whose members stay dormant, wake mid-sample
+    // and wake at step 0 on every pass: with no theta bump, theta never
+    // leaves the model's zeros, so every sample starts on the record's.
+    DiehlCookConfig fixed_theta = tiny_config();
+    fixed_theta.excitatory.theta_plus = 0.0f;
+    const auto followed_model = NetworkModel::random(fixed_theta, 29);
+    const ReferenceRun reference(followed_model, raster);
+    FaultOverlay saturated;
+    const std::size_t one[] = {3};
+    saturated.force_state(OverlayLayer::kInhibitory, one, NeuronFault::kSaturated);
+    NetworkRuntime followed_clean(followed_model);
+    NetworkRuntime followed_patched(followed_model, patched);
+    NetworkRuntime followed_saturated(followed_model, saturated);
+    BatchRunner followed(*followed_model,
+                         {&followed_clean, &followed_patched, &followed_saturated});
+    std::vector<SampleActivity> followed_activities(followed.size());
     // Warm-up: sizes the activity records, the reserved worklists and the
     // spike buffers for the denser sample.
     for (std::size_t i = 0; i < images.size(); ++i) {
@@ -748,6 +1057,7 @@ TEST(Kernels, SampleLoopIsAllocationFreeAtSteadyState) {
         learner.run_sample_into(images[i], learned);
         learner.run_sample_into(raster, i, learned);
         batch.run_sample_into(images[i], batch_rng, activities);
+        followed.run_sample_into(reference, i, followed_activities);
     }
 
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -757,6 +1067,7 @@ TEST(Kernels, SampleLoopIsAllocationFreeAtSteadyState) {
             learner.run_sample_into(images[i], learned);
             learner.run_sample_into(raster, i, learned);
             batch.run_sample_into(images[i], batch_rng, activities);
+            followed.run_sample_into(reference, i, followed_activities);
         }
     }
     const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);

@@ -292,9 +292,10 @@ TEST(BatchRunner, RasterReplayMatchesLiveEncoding) {
     const SpikeRaster raster = SpikeRaster::encode(
         config.encoder, config.steps_per_sample,
         std::span<const std::vector<float>>(dataset.images.data(), kSamples), start);
+    const ReferenceRun reference(model, raster);
     const auto replayed = run([&](BatchRunner& batch, std::size_t i,
                                   std::span<SampleActivity> activities) {
-        batch.run_sample_into(raster, i, activities);
+        batch.run_sample_into(reference, i, activities);
     });
 
     EXPECT_EQ(rng, raster.end_rng());
@@ -336,19 +337,27 @@ TEST(BatchRunner, ActiveFractionTallyMatchesPerStepObservation) {
         config.encoder, config.steps_per_sample,
         std::span<const std::vector<float>>(dataset.images.data(), kSamples),
         util::Rng(0xBEEF));
+    const ReferenceRun reference(model, raster);
 
     const TelemetryOn telemetry;
     // Each sample once through a standalone runtime and once through a
-    // two-member batch, which records each step once for the batch.
+    // three-member batch, which records each step once for the batch. Two
+    // members are clean, so they follow the reference dormant throughout;
+    // the third saturates an inhibitory neuron, so it wakes at step 0 and
+    // re-runs its sample, which observes no step again.
     NetworkRuntime single(model);
     NetworkRuntime first(model);
     NetworkRuntime second(model);
-    BatchRunner batch(*model, {&first, &second});
+    FaultOverlay saturated;
+    const std::size_t one[] = {3};
+    saturated.force_state(OverlayLayer::kInhibitory, one, NeuronFault::kSaturated);
+    NetworkRuntime woken(model, saturated);
+    BatchRunner batch(*model, {&first, &second, &woken});
     SampleActivity activity;
     std::vector<SampleActivity> activities(batch.size());
     for (std::size_t i = 0; i < kSamples; ++i) {
         single.run_sample_into(raster, i, activity);
-        batch.run_sample_into(raster, i, activities);
+        batch.run_sample_into(reference, i, activities);
     }
     obs::Histogram& tallied = obs::Registry::global().histogram("snn.active_fraction", {});
 
@@ -371,9 +380,13 @@ TEST(BatchRunner, ActiveFractionTallyMatchesPerStepObservation) {
     EXPECT_EQ(tallied.count(), per_step.count());
     EXPECT_EQ(tallied.counts(), per_step.counts());
     EXPECT_EQ(obs::Registry::global().gauge("snn.active_fraction.last").value(), last);
+    const std::uint64_t dormant =
+        obs::Registry::global().counter("snn.steps.dormant").value();
     EXPECT_EQ(obs::Registry::global().counter("snn.steps.fast").value() +
-                  obs::Registry::global().counter("snn.steps.scalar").value(),
-              3 * kSamples * config.steps_per_sample);
+                  obs::Registry::global().counter("snn.steps.scalar").value() + dormant,
+              4 * kSamples * config.steps_per_sample);
+    EXPECT_EQ(dormant, 2 * kSamples * config.steps_per_sample);
+    EXPECT_GT(obs::Registry::global().counter("snn.dormant.wakes").value(), 0u);
 }
 
 /// A bit flip that puts a cell above wmax is clamped by learning the way
@@ -428,17 +441,25 @@ TEST(BatchRunner, RasterReplayRejectsMismatchedShape) {
     const std::vector<std::vector<float>> small(2, std::vector<float>(config.n_input - 1, 0.5f));
     const SpikeRaster wrong_size =
         SpikeRaster::encode(config.encoder, config.steps_per_sample, small, util::Rng(1));
-    EXPECT_THROW(batch.run_sample_into(wrong_size, 0, activities), std::invalid_argument);
+    EXPECT_THROW(ReferenceRun(model, wrong_size), std::invalid_argument);
     const SpikeRaster wrong_steps = SpikeRaster::encode(
         config.encoder, config.steps_per_sample + 1, images, util::Rng(1));
-    EXPECT_THROW(batch.run_sample_into(wrong_steps, 0, activities), std::invalid_argument);
+    EXPECT_THROW(ReferenceRun(model, wrong_steps), std::invalid_argument);
 
-    const SpikeRaster raster =
-        SpikeRaster::encode(config.encoder, config.steps_per_sample, images, util::Rng(1));
-    EXPECT_NO_THROW(batch.run_sample_into(raster, 1, activities));
+    const ReferenceRun reference(
+        model,
+        SpikeRaster::encode(config.encoder, config.steps_per_sample, images, util::Rng(1)));
+    EXPECT_NO_THROW(batch.run_sample_into(reference, 1, activities));
     std::vector<SampleActivity> too_many(2);
-    EXPECT_THROW(batch.run_sample_into(raster, 0, too_many), std::invalid_argument);
-    EXPECT_THROW(batch.run_sample_into(raster, 2, activities), std::out_of_range);
+    EXPECT_THROW(batch.run_sample_into(reference, 0, too_many), std::invalid_argument);
+    EXPECT_THROW(batch.run_sample_into(reference, 2, activities), std::out_of_range);
+
+    // A reference recorded over another model is refused before any member
+    // changes.
+    const std::vector<float> theta(runtime.exc_theta().begin(), runtime.exc_theta().end());
+    const ReferenceRun other_model(NetworkModel::random(config, 2), reference.raster());
+    EXPECT_THROW(batch.run_sample_into(other_model, 0, activities), std::invalid_argument);
+    EXPECT_TRUE(same_bits(runtime.exc_theta(), theta));
 }
 
 TEST(BatchRunner, RejectsForeignModelsAndLearningRuntimes) {
@@ -472,7 +493,8 @@ TEST(BatchRunner, RejectsAMemberThatStartsLearningAfterJoining) {
     EXPECT_THROW(batch.run_sample_into(images[0], rng, activities), std::invalid_argument);
     const SpikeRaster raster =
         SpikeRaster::encode(config.encoder, config.steps_per_sample, images, util::Rng(1));
-    EXPECT_THROW(batch.run_sample_into(raster, 0, activities), std::invalid_argument);
+    const ReferenceRun reference(model, raster);
+    EXPECT_THROW(batch.run_sample_into(reference, 0, activities), std::invalid_argument);
     EXPECT_TRUE(same_bits(learner.freeze()->input_weights().to_vector(), before));
 }
 
